@@ -44,14 +44,6 @@ std::unique_ptr<Estimator> Estimator::create(const Program &P,
   return Est;
 }
 
-std::unique_ptr<Estimator> Estimator::create(const Program &P,
-                                             const CostModel &CM,
-                                             DiagnosticEngine &Diags,
-                                             ProfileMode Mode,
-                                             unsigned Jobs) {
-  return create(P, CM, EstimatorOptions(Diags).mode(Mode).jobs(Jobs));
-}
-
 RunResult Estimator::profiledRun(uint64_t MaxSteps) {
   TimingSpan Span(Opts.Obs.Registry, "profiled-run");
   Interpreter Interp(*P, CM);

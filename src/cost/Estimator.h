@@ -13,9 +13,7 @@
 /// benchmarks all drive this class (directly or through an
 /// EstimationSession).
 ///
-/// Construction is configured through EstimatorOptions; the historical
-/// positional-parameter create(P, CM, Diags, Mode, Jobs) overload remains
-/// as a deprecated shim.
+/// Construction is configured through EstimatorOptions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -138,14 +136,6 @@ public:
   static std::unique_ptr<Estimator>
   create(const Program &P, const CostModel &CM,
          const EstimatorOptions &Opts = EstimatorOptions());
-
-  /// Deprecated positional-parameter shim for the pre-EstimatorOptions
-  /// signature; forwards to the options-based overload.
-  [[deprecated("use Estimator::create(P, CM, "
-               "EstimatorOptions(Diags).mode(...).jobs(...))")]]
-  static std::unique_ptr<Estimator>
-  create(const Program &P, const CostModel &CM, DiagnosticEngine &Diags,
-         ProfileMode Mode = ProfileMode::Smart, unsigned Jobs = 1);
 
   /// Runs the program once with profiling attached, accumulating counter
   /// values and loop-frequency moments. \returns the interpreter result.

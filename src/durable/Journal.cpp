@@ -6,7 +6,7 @@
 
 #include "durable/Journal.h"
 
-#include "profile/ProfileFile.h"
+#include "support/Bytes.h"
 #include "support/FaultInjection.h"
 
 #include <algorithm>
@@ -25,33 +25,46 @@ namespace {
 constexpr uint32_t JournalMagic = 0x4A575450; // "PTWJ" little-endian.
 constexpr uint32_t JournalVersion = 1;
 constexpr size_t HeaderBytes = 16;
+constexpr size_t FrameHeaderBytes = 8;
 
 std::string errnoString(const char *What, const std::string &Path) {
   return std::string(What) + " '" + Path + "': " + std::strerror(errno);
 }
 
-uint32_t readU32(const uint8_t *B) {
-  uint32_t V = 0;
-  for (int I = 3; I >= 0; --I)
-    V = (V << 8) | B[I];
-  return V;
+void storeHeader(uint8_t *H, uint64_t FirstLsn) {
+  storeLE32(H, JournalMagic);
+  storeLE32(H + 4, JournalVersion);
+  storeLE64(H + 8, FirstLsn);
 }
 
-uint64_t readU64(const uint8_t *B) {
-  uint64_t V = 0;
-  for (int I = 7; I >= 0; --I)
-    V = (V << 8) | B[I];
-  return V;
+/// Why a `u32 bodyLen | u32 crc32(body) | body` frame is not trusted.
+/// The open scan, readFrames and appendRaw all check frames here and word
+/// the failure (and quarantine or reject) their own way.
+enum class FrameCheck { Ok, TornHeader, BadLength, TornBody, BadChecksum };
+
+/// The length checks of the frame at \p Frame, with \p Avail bytes of
+/// log from \p Frame on. Reads only the 8-byte frame header; \p BodyLen
+/// is set whenever that header is complete.
+FrameCheck checkFrameHeader(const uint8_t *Frame, uint64_t Avail,
+                            uint32_t &BodyLen) {
+  if (Avail < FrameHeaderBytes)
+    return FrameCheck::TornHeader;
+  BodyLen = loadLE32(Frame);
+  if (BodyLen > MaxRecordBytes)
+    return FrameCheck::BadLength;
+  if (Avail - FrameHeaderBytes < BodyLen)
+    return FrameCheck::TornBody;
+  return FrameCheck::Ok;
 }
 
-void putU32(uint8_t *B, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    B[I] = static_cast<uint8_t>(V >> (8 * I));
-}
-
-void putU64(uint8_t *B, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    B[I] = static_cast<uint8_t>(V >> (8 * I));
+/// checkFrameHeader plus the body's CRC; the whole frame is in memory.
+FrameCheck checkFrame(const uint8_t *Frame, uint64_t Avail,
+                      uint32_t &BodyLen) {
+  FrameCheck C = checkFrameHeader(Frame, Avail, BodyLen);
+  if (C == FrameCheck::Ok &&
+      crc32(Frame + FrameHeaderBytes, BodyLen) != loadLE32(Frame + 4))
+    return FrameCheck::BadChecksum;
+  return C;
 }
 
 /// Positional write loop: retries EINTR and continues short writes (both
@@ -167,9 +180,7 @@ DeltaJournal::open(const std::string &Path, FsyncPolicy Fsync,
 
   auto WriteFreshHeader = [&](uint64_t FirstLsn) -> bool {
     uint8_t H[HeaderBytes];
-    putU32(H, JournalMagic);
-    putU32(H + 4, JournalVersion);
-    putU64(H + 8, FirstLsn);
+    storeHeader(H, FirstLsn);
     if (::ftruncate(Fd, 0) < 0) {
       Error = errnoString("truncate", Path);
       return false;
@@ -189,8 +200,8 @@ DeltaJournal::open(const std::string &Path, FsyncPolicy Fsync,
     return J;
   }
 
-  if (Bytes.size() < HeaderBytes || readU32(Bytes.data()) != JournalMagic ||
-      readU32(Bytes.data() + 4) != JournalVersion) {
+  if (Bytes.size() < HeaderBytes || loadLE32(Bytes.data()) != JournalMagic ||
+      loadLE32(Bytes.data() + 4) != JournalVersion) {
     // A torn or foreign header: nothing after it can be framed. Quarantine
     // the whole file and start a fresh log — rotation fsyncs replacement
     // headers before renaming them into place, so this can only be the
@@ -208,7 +219,7 @@ DeltaJournal::open(const std::string &Path, FsyncPolicy Fsync,
     return J;
   }
 
-  J->FirstLsn = readU64(Bytes.data() + 8);
+  J->FirstLsn = loadLE64(Bytes.data() + 8);
   if (J->FirstLsn == 0)
     J->FirstLsn = 1;
   uint64_t Lsn = J->FirstLsn;
@@ -216,38 +227,33 @@ DeltaJournal::open(const std::string &Path, FsyncPolicy Fsync,
   std::string TornReason;
   while (Off < Bytes.size()) {
     size_t Left = Bytes.size() - Off;
-    if (Left < 8) {
-      TornReason = "incomplete frame header (" + std::to_string(Left) +
-                   " of 8 bytes)";
-      break;
-    }
-    uint32_t Len = readU32(Bytes.data() + Off);
-    uint32_t Crc = readU32(Bytes.data() + Off + 4);
-    if (Len > MaxRecordBytes) {
-      TornReason = "frame length " + std::to_string(Len) + " is implausible";
-      break;
-    }
-    if (Left - 8 < Len) {
-      TornReason = "frame body truncated (" + std::to_string(Left - 8) +
-                   " of " + std::to_string(Len) + " bytes)";
-      break;
-    }
-    const uint8_t *Body = Bytes.data() + Off + 8;
-    if (crc32(Body, Len) != Crc) {
-      TornReason = "frame checksum mismatch";
-      break;
-    }
+    uint32_t Len = 0;
+    FrameCheck C = checkFrame(Bytes.data() + Off, Left, Len);
     DurableRecord R;
     std::string DecodeError;
-    if (!decodeRecord(Body, Len, R, DecodeError)) {
-      TornReason = "frame decodes to garbage: " + DecodeError;
+    if (C != FrameCheck::Ok ||
+        !decodeRecord(Bytes.data() + Off + FrameHeaderBytes, Len, R,
+                      DecodeError)) {
+      if (C == FrameCheck::TornHeader)
+        TornReason = "incomplete frame header (" + std::to_string(Left) +
+                     " of 8 bytes)";
+      else if (C == FrameCheck::BadLength)
+        TornReason =
+            "frame length " + std::to_string(Len) + " is implausible";
+      else if (C == FrameCheck::TornBody)
+        TornReason = "frame body truncated (" + std::to_string(Left - 8) +
+                     " of " + std::to_string(Len) + " bytes)";
+      else if (C == FrameCheck::BadChecksum)
+        TornReason = "frame checksum mismatch";
+      else
+        TornReason = "frame decodes to garbage: " + DecodeError;
       break;
     }
     R.Lsn = Lsn++;
     if (Records)
       Records->push_back(std::move(R));
     ++Report.RecordsScanned;
-    Off += 8 + Len;
+    Off += FrameHeaderBytes + Len;
   }
 
   if (Off < Bytes.size()) {
@@ -272,10 +278,12 @@ DeltaJournal::open(const std::string &Path, FsyncPolicy Fsync,
 
 uint64_t DeltaJournal::append(const DurableRecord &R, std::string &Error) {
   std::vector<uint8_t> Body = encodeRecord(R);
-  std::vector<uint8_t> Frame(8 + Body.size());
-  putU32(Frame.data(), static_cast<uint32_t>(Body.size()));
-  putU32(Frame.data() + 4, crc32(Body.data(), Body.size()));
-  std::memcpy(Frame.data() + 8, Body.data(), Body.size());
+  std::vector<uint8_t> Frame;
+  Frame.reserve(FrameHeaderBytes + Body.size());
+  ByteWriter W(Frame);
+  W.u32(static_cast<uint32_t>(Body.size()));
+  W.u32(crc32(Body.data(), Body.size()));
+  W.raw(Body.data(), Body.size());
 
   std::lock_guard<std::mutex> L(M);
   if (FaultInjection::maybeTornWrite()) {
@@ -366,49 +374,49 @@ DeltaJournal::readFrames(ReadCursor &Cursor, uint64_t MaxBytes,
   if (Cursor.OffsetFirstLsn != FirstLsn || Off < HeaderBytes) {
     Off = HeaderBytes;
     for (uint64_t Lsn = FirstLsn; Lsn < Cursor.NextLsn; ++Lsn) {
-      uint8_t FH[8];
+      uint8_t FH[FrameHeaderBytes];
       if (!ReadAt(Off, FH, sizeof(FH)))
         return ReadResult::IoError;
-      uint32_t Len = readU32(FH);
-      if (Len > MaxRecordBytes || Off + 8 + Len > FileBytes) {
+      uint32_t Len = 0;
+      if (checkFrameHeader(FH, FileBytes - Off, Len) != FrameCheck::Ok) {
         Error = "journal '" + Path + "' frame at offset " +
                 std::to_string(Off) + " is garbled below the append point";
         return ReadResult::IoError;
       }
-      Off += 8 + Len;
+      Off += FrameHeaderBytes + Len;
     }
   }
 
-  std::vector<uint8_t> Body;
+  std::vector<uint8_t> Frame;
   while (Cursor.NextLsn + Count < NextLsnValue && Count < MaxRecords &&
          static_cast<uint64_t>(Raw.size()) < MaxBytes) {
-    if (Off + 8 > FileBytes) {
+    if (Off + FrameHeaderBytes > FileBytes) {
       Error = "journal '" + Path + "' is shorter than its committed frames";
       return ReadResult::IoError;
     }
-    uint8_t FH[8];
-    if (!ReadAt(Off, FH, sizeof(FH)))
+    Frame.resize(FrameHeaderBytes);
+    if (!ReadAt(Off, Frame.data(), FrameHeaderBytes))
       return ReadResult::IoError;
-    uint32_t Len = readU32(FH);
-    uint32_t Crc = readU32(FH + 4);
-    if (Len > MaxRecordBytes || Off + 8 + Len > FileBytes) {
+    uint32_t Len = 0;
+    if (checkFrameHeader(Frame.data(), FileBytes - Off, Len) !=
+        FrameCheck::Ok) {
       Error = "journal '" + Path + "' frame at offset " + std::to_string(Off) +
               " is garbled below the append point";
       return ReadResult::IoError;
     }
-    Body.resize(Len);
-    if (Len > 0 && !ReadAt(Off + 8, Body.data(), Len))
+    Frame.resize(FrameHeaderBytes + Len);
+    if (Len > 0 &&
+        !ReadAt(Off + FrameHeaderBytes, Frame.data() + FrameHeaderBytes, Len))
       return ReadResult::IoError;
     // Never ship a frame whose bytes no longer match their checksum: local
     // corruption must surface here, not on the standby.
-    if (crc32(Body.data(), Len) != Crc) {
+    if (checkFrame(Frame.data(), Frame.size(), Len) != FrameCheck::Ok) {
       Error = "journal '" + Path + "' frame at offset " + std::to_string(Off) +
               " fails its checksum";
       return ReadResult::IoError;
     }
-    Raw.insert(Raw.end(), FH, FH + sizeof(FH));
-    Raw.insert(Raw.end(), Body.begin(), Body.end());
-    Off += 8 + Len;
+    Raw.insert(Raw.end(), Frame.begin(), Frame.end());
+    Off += Frame.size();
     ++Count;
   }
   Cursor.NextLsn += Count;
@@ -436,35 +444,25 @@ bool DeltaJournal::appendRaw(const uint8_t *Frames, size_t Len,
   uint32_t Seen = 0;
   size_t Off = 0;
   while (Off < Len) {
-    if (Len - Off < 8) {
-      Error = "replicated batch has a torn frame header (" +
-              std::to_string(Len - Off) + " of 8 bytes)";
-      if (Records)
-        Records->resize(FirstRecord);
-      return false;
-    }
-    uint32_t BodyLen = readU32(Frames + Off);
-    uint32_t Crc = readU32(Frames + Off + 4);
-    if (BodyLen > MaxRecordBytes || Len - Off - 8 < BodyLen) {
-      Error = "replicated batch frame at offset " + std::to_string(Off) +
-              " overruns the batch (" + std::to_string(BodyLen) + " bytes)";
-      if (Records)
-        Records->resize(FirstRecord);
-      return false;
-    }
-    const uint8_t *Body = Frames + Off + 8;
-    if (crc32(Body, BodyLen) != Crc) {
-      Error = "replicated batch frame at offset " + std::to_string(Off) +
-              " fails its checksum";
-      if (Records)
-        Records->resize(FirstRecord);
-      return false;
-    }
+    uint32_t BodyLen = 0;
+    FrameCheck C = checkFrame(Frames + Off, Len - Off, BodyLen);
     DurableRecord R;
     std::string DecodeError;
-    if (!decodeRecord(Body, BodyLen, R, DecodeError)) {
-      Error = "replicated batch frame at offset " + std::to_string(Off) +
-              " decodes to garbage: " + DecodeError;
+    if (C != FrameCheck::Ok ||
+        !decodeRecord(Frames + Off + FrameHeaderBytes, BodyLen, R,
+                      DecodeError)) {
+      std::string At = "replicated batch frame at offset " +
+                       std::to_string(Off);
+      if (C == FrameCheck::TornHeader)
+        Error = "replicated batch has a torn frame header (" +
+                std::to_string(Len - Off) + " of 8 bytes)";
+      else if (C == FrameCheck::BadLength || C == FrameCheck::TornBody)
+        Error = At + " overruns the batch (" + std::to_string(BodyLen) +
+                " bytes)";
+      else if (C == FrameCheck::BadChecksum)
+        Error = At + " fails its checksum";
+      else
+        Error = At + " decodes to garbage: " + DecodeError;
       if (Records)
         Records->resize(FirstRecord);
       return false;
@@ -535,9 +533,7 @@ bool DeltaJournal::rotateToLocked(uint64_t NewFirstLsn, std::string &Error) {
     return false;
   }
   uint8_t H[HeaderBytes];
-  putU32(H, JournalMagic);
-  putU32(H + 4, JournalVersion);
-  putU64(H + 8, NewFirstLsn);
+  storeHeader(H, NewFirstLsn);
   if (!writeAllAt(NewFd, 0, H, sizeof(H), NewPath, Error)) {
     ::close(NewFd);
     ::unlink(NewPath.c_str());

@@ -8,7 +8,7 @@
 /// The append-only write-ahead half of the daemon's durable state: every
 /// mutation is encoded (durable/Records.h) and appended as one CRC-framed
 /// record BEFORE the response leaves the daemon, so a crash loses at most
-/// the in-flight request. File layout (all integers little-endian):
+/// the in-flight request. File layout (support/Bytes.h encoding):
 ///
 ///   magic "PTWJ" | u32 version | u64 firstLsn            (16-byte header)
 ///   | per record: u32 bodyLen | u32 crc32(body) | body

@@ -6,138 +6,73 @@
 
 #include "durable/Records.h"
 
-#include <bit>
-#include <cstring>
-
 using namespace ptran;
 using namespace ptran::durable;
 
-namespace {
-
-void putU8(std::vector<uint8_t> &Out, uint8_t V) { Out.push_back(V); }
-
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putF64(std::vector<uint8_t> &Out, double V) {
-  putU64(Out, std::bit_cast<uint64_t>(V));
-}
-
-void putStr(std::vector<uint8_t> &Out, const std::string &S) {
-  putU32(Out, static_cast<uint32_t>(S.size()));
-  Out.insert(Out.end(), S.begin(), S.end());
-}
-
-/// Bounds-checked little-endian reader. Every get* returns a default and
-/// latches Ok=false once the payload runs out; callers check ok() last.
-class Reader {
-public:
-  Reader(const uint8_t *Data, size_t Len) : Data(Data), Len(Len) {}
-
-  uint8_t getU8() {
-    if (!require(1))
-      return 0;
-    return Data[Pos++];
-  }
-  uint32_t getU32() {
-    if (!require(4))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 3; I >= 0; --I)
-      V = (V << 8) | Data[Pos + static_cast<size_t>(I)];
-    Pos += 4;
-    return V;
-  }
-  uint64_t getU64() {
-    if (!require(8))
-      return 0;
-    uint64_t V = 0;
-    for (int I = 7; I >= 0; --I)
-      V = (V << 8) | Data[Pos + static_cast<size_t>(I)];
-    Pos += 8;
-    return V;
-  }
-  double getF64() { return std::bit_cast<double>(getU64()); }
-  std::string getStr() {
-    uint32_t N = getU32();
-    if (!require(N))
-      return {};
-    std::string S(reinterpret_cast<const char *>(Data + Pos), N);
-    Pos += N;
-    return S;
-  }
-  std::vector<uint8_t> getBytes(uint64_t N) {
-    if (!require(N))
-      return {};
-    std::vector<uint8_t> B(Data + Pos, Data + Pos + N);
-    Pos += N;
-    return B;
-  }
-
-  bool ok() const { return Good; }
-  bool atEnd() const { return Pos == Len; }
-
-private:
-  bool require(uint64_t N) {
-    if (!Good || N > Len - Pos) {
-      Good = false;
-      return false;
+void durable::encodeFolds(ByteWriter &W, const std::vector<FoldEntry> &Folds,
+                          const std::vector<std::string> &Names) {
+  W.u32(static_cast<uint32_t>(Folds.size()));
+  for (const FoldEntry &FE : Folds) {
+    W.str(FE.Function);
+    W.u32(static_cast<uint32_t>(FE.Conds.size()));
+    for (const CondTotal &C : FE.Conds) {
+      W.u32(C.Node);
+      W.u8(C.Label);
+      W.f64(C.Total);
     }
-    return true;
   }
+  W.u32(static_cast<uint32_t>(Names.size()));
+  for (const std::string &Name : Names)
+    W.str(Name);
+}
 
-  const uint8_t *Data;
-  size_t Len;
-  size_t Pos = 0;
-  bool Good = true;
-};
-
-} // namespace
+void durable::decodeFolds(ByteReader &R, std::vector<FoldEntry> &Folds,
+                          std::vector<std::string> &Names) {
+  uint32_t NumFuncs = R.u32();
+  for (uint32_t I = 0; R.ok() && I < NumFuncs; ++I) {
+    FoldEntry FE;
+    FE.Function = R.str();
+    uint32_t NumConds = R.u32();
+    for (uint32_t J = 0; R.ok() && J < NumConds; ++J) {
+      CondTotal C;
+      C.Node = R.u32();
+      C.Label = R.u8();
+      C.Total = R.f64();
+      FE.Conds.push_back(C);
+    }
+    Folds.push_back(std::move(FE));
+  }
+  uint32_t NumNames = R.u32();
+  for (uint32_t I = 0; R.ok() && I < NumNames; ++I)
+    Names.push_back(R.str());
+}
 
 std::vector<uint8_t> durable::encodeRecord(const DurableRecord &R) {
   std::vector<uint8_t> Out;
-  putU8(Out, static_cast<uint8_t>(R.Type));
-  putStr(Out, R.Session);
+  ByteWriter W(Out);
+  W.u8(static_cast<uint8_t>(R.Type));
+  W.str(R.Session);
   switch (R.Type) {
   case RecordType::SessionCreate:
-    putStr(Out, R.Source);
-    putU32(Out, R.Mode);
-    putU32(Out, R.LoopVariance);
-    putU32(Out, R.OnBadProfile);
+    W.str(R.Source);
+    W.u32(R.Mode);
+    W.u32(R.LoopVariance);
+    W.u32(R.OnBadProfile);
     break;
   case RecordType::SessionEvict:
     break;
   case RecordType::RunExec:
-    putU32(Out, R.RunCount);
+    W.u32(R.RunCount);
     break;
   case RecordType::EpochFold:
-    putU32(Out, static_cast<uint32_t>(R.Folds.size()));
-    for (const FoldEntry &FE : R.Folds) {
-      putStr(Out, FE.Function);
-      putU32(Out, static_cast<uint32_t>(FE.Conds.size()));
-      for (const CondTotal &C : FE.Conds) {
-        putU32(Out, C.Node);
-        putU8(Out, C.Label);
-        putF64(Out, C.Total);
-      }
-    }
-    putU32(Out, static_cast<uint32_t>(R.Clamped.size()));
-    for (const std::string &Name : R.Clamped)
-      putStr(Out, Name);
+    encodeFolds(W, R.Folds, R.Clamped);
     break;
   case RecordType::ProfileIngest:
-    putU64(Out, R.Profile.size());
-    Out.insert(Out.end(), R.Profile.begin(), R.Profile.end());
+    W.u64(R.Profile.size());
+    W.raw(R.Profile.data(), R.Profile.size());
     break;
   case RecordType::SaturationMark:
-    putStr(Out, R.FunctionName);
+    W.str(R.FunctionName);
     break;
   }
   return Out;
@@ -145,8 +80,8 @@ std::vector<uint8_t> durable::encodeRecord(const DurableRecord &R) {
 
 bool durable::decodeRecord(const uint8_t *Data, size_t Len, DurableRecord &R,
                            std::string &Error) {
-  Reader Rd(Data, Len);
-  uint8_t Tag = Rd.getU8();
+  ByteReader Rd(Data, Len);
+  uint8_t Tag = Rd.u8();
   if (!Rd.ok()) {
     Error = "record body is empty";
     return false;
@@ -158,44 +93,27 @@ bool durable::decodeRecord(const uint8_t *Data, size_t Len, DurableRecord &R,
   }
   R = DurableRecord();
   R.Type = static_cast<RecordType>(Tag);
-  R.Session = Rd.getStr();
+  R.Session = Rd.str();
   switch (R.Type) {
   case RecordType::SessionCreate:
-    R.Source = Rd.getStr();
-    R.Mode = Rd.getU32();
-    R.LoopVariance = Rd.getU32();
-    R.OnBadProfile = Rd.getU32();
+    R.Source = Rd.str();
+    R.Mode = Rd.u32();
+    R.LoopVariance = Rd.u32();
+    R.OnBadProfile = Rd.u32();
     break;
   case RecordType::SessionEvict:
     break;
   case RecordType::RunExec:
-    R.RunCount = Rd.getU32();
+    R.RunCount = Rd.u32();
     break;
-  case RecordType::EpochFold: {
-    uint32_t NumFuncs = Rd.getU32();
-    for (uint32_t I = 0; Rd.ok() && I < NumFuncs; ++I) {
-      FoldEntry FE;
-      FE.Function = Rd.getStr();
-      uint32_t NumConds = Rd.getU32();
-      for (uint32_t J = 0; Rd.ok() && J < NumConds; ++J) {
-        CondTotal C;
-        C.Node = Rd.getU32();
-        C.Label = Rd.getU8();
-        C.Total = Rd.getF64();
-        FE.Conds.push_back(C);
-      }
-      R.Folds.push_back(std::move(FE));
-    }
-    uint32_t NumClamped = Rd.getU32();
-    for (uint32_t I = 0; Rd.ok() && I < NumClamped; ++I)
-      R.Clamped.push_back(Rd.getStr());
+  case RecordType::EpochFold:
+    decodeFolds(Rd, R.Folds, R.Clamped);
     break;
-  }
   case RecordType::ProfileIngest:
-    R.Profile = Rd.getBytes(Rd.getU64());
+    R.Profile = Rd.bytes(Rd.u64());
     break;
   case RecordType::SaturationMark:
-    R.FunctionName = Rd.getStr();
+    R.FunctionName = Rd.str();
     break;
   }
   if (!Rd.ok()) {

@@ -12,19 +12,22 @@
 ///
 /// A record travels as one journal frame (see Journal.h): the encoded
 /// body's first byte is the RecordType tag, the rest is the little-endian
-/// payload below. Strings are u32 length + bytes; doubles are the IEEE 754
-/// bit pattern as a u64.
+/// payload below, in support/Bytes.h's field encoding (strings are u32
+/// length + bytes; doubles are the IEEE 754 bit pattern as a u64).
 ///
 ///   SessionCreate  str name | str source | u32 mode | u32 loopVariance
 ///                  | u32 onBadProfile
 ///   SessionEvict   str name
 ///   RunExec        str name | u32 count
-///   EpochFold      str name | u32 numFuncs
-///                  | per func: str function | u32 numConds
-///                    | per cond: u32 node | u8 label | f64 total
-///                  | u32 numClamped | str clamped names...
+///   EpochFold      str name | fold list (below), clamped names
 ///   ProfileIngest  str name | u64 imageLen | PTPF bytes
 ///   SaturationMark str name | str function
+///
+/// The fold list, shared with snapshots' external totals (Snapshot.h):
+///
+///   u32 numFuncs | per func: str function | u32 numConds
+///     | per cond: u32 node | u8 label | f64 total
+///   | u32 numNames | str names...
 ///
 /// Decoding is defensive end to end: every length is bounds-checked
 /// against the remaining bytes before it is used, so a corrupted frame
@@ -36,6 +39,8 @@
 
 #ifndef PTRAN_DURABLE_RECORDS_H
 #define PTRAN_DURABLE_RECORDS_H
+
+#include "support/Bytes.h"
 
 #include <cstdint>
 #include <string>
@@ -109,6 +114,16 @@ std::vector<uint8_t> encodeRecord(const DurableRecord &R);
 /// failure.
 bool decodeRecord(const uint8_t *Data, size_t Len, DurableRecord &R,
                   std::string &Error);
+
+/// Writes the fold list: \p Folds, then \p Names (EpochFold's clamped
+/// functions, a snapshot's saturated ones).
+void encodeFolds(ByteWriter &W, const std::vector<FoldEntry> &Folds,
+                 const std::vector<std::string> &Names);
+
+/// Reads a fold list into \p Folds and \p Names; a short read latches
+/// \p R's ok() to false like any other get.
+void decodeFolds(ByteReader &R, std::vector<FoldEntry> &Folds,
+                 std::vector<std::string> &Names);
 
 } // namespace durable
 } // namespace ptran

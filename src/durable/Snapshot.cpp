@@ -6,10 +6,8 @@
 
 #include "durable/Snapshot.h"
 
-#include "profile/ProfileFile.h"
 #include "support/FaultInjection.h"
 
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -24,92 +22,6 @@ namespace {
 
 constexpr uint32_t SnapshotMagic = 0x53535450; // "PTSS" little-endian.
 constexpr uint32_t SnapshotVersion = 1;
-
-void putU8(std::vector<uint8_t> &Out, uint8_t V) { Out.push_back(V); }
-
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putF64(std::vector<uint8_t> &Out, double V) {
-  putU64(Out, std::bit_cast<uint64_t>(V));
-}
-
-void putStr(std::vector<uint8_t> &Out, const std::string &S) {
-  putU32(Out, static_cast<uint32_t>(S.size()));
-  Out.insert(Out.end(), S.begin(), S.end());
-}
-
-/// Same defensive reader shape as durable/Records.cpp: every get latches
-/// Good=false when bytes run out, callers check ok() last.
-class Reader {
-public:
-  Reader(const uint8_t *Data, size_t Len) : Data(Data), Len(Len) {}
-
-  uint8_t getU8() {
-    if (!require(1))
-      return 0;
-    return Data[Pos++];
-  }
-  uint32_t getU32() {
-    if (!require(4))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 3; I >= 0; --I)
-      V = (V << 8) | Data[Pos + static_cast<size_t>(I)];
-    Pos += 4;
-    return V;
-  }
-  uint64_t getU64() {
-    if (!require(8))
-      return 0;
-    uint64_t V = 0;
-    for (int I = 7; I >= 0; --I)
-      V = (V << 8) | Data[Pos + static_cast<size_t>(I)];
-    Pos += 8;
-    return V;
-  }
-  double getF64() { return std::bit_cast<double>(getU64()); }
-  std::string getStr() {
-    uint32_t N = getU32();
-    if (!require(N))
-      return {};
-    std::string S(reinterpret_cast<const char *>(Data + Pos), N);
-    Pos += N;
-    return S;
-  }
-  std::vector<uint8_t> getBytes(uint64_t N) {
-    if (!require(N))
-      return {};
-    std::vector<uint8_t> B(Data + Pos, Data + Pos + N);
-    Pos += N;
-    return B;
-  }
-
-  bool ok() const { return Good; }
-  bool atEnd() const { return Pos == Len; }
-  size_t pos() const { return Pos; }
-
-private:
-  bool require(uint64_t N) {
-    if (!Good || N > Len - Pos) {
-      Good = false;
-      return false;
-    }
-    return true;
-  }
-
-  const uint8_t *Data;
-  size_t Len;
-  size_t Pos = 0;
-  bool Good = true;
-};
 
 std::string errnoString(const char *What, const std::string &Path) {
   return std::string(What) + " '" + Path + "': " + std::strerror(errno);
@@ -149,39 +61,25 @@ bool fsyncFd(int Fd, const std::string &Path, std::string &Error) {
 std::vector<uint8_t> durable::encodeSnapshot(const DurableSessionState &State,
                                              uint64_t Watermark) {
   std::vector<uint8_t> Out;
-  putU32(Out, SnapshotMagic);
-  putU32(Out, SnapshotVersion);
-  putU64(Out, Watermark);
-  putStr(Out, State.Name);
-  putStr(Out, State.Source);
-  putU32(Out, State.Mode);
-  putU32(Out, State.LoopVariance);
-  putU32(Out, State.OnBadProfile);
-  putU64(Out, State.Runs);
-  putU64(Out, State.ProfileImage.size());
-  Out.insert(Out.end(), State.ProfileImage.begin(), State.ProfileImage.end());
-  putU32(Out, static_cast<uint32_t>(State.External.size()));
-  for (const FoldEntry &FE : State.External) {
-    putStr(Out, FE.Function);
-    putU32(Out, static_cast<uint32_t>(FE.Conds.size()));
-    for (const CondTotal &C : FE.Conds) {
-      putU32(Out, C.Node);
-      putU8(Out, C.Label);
-      putF64(Out, C.Total);
-    }
-  }
-  putU32(Out, static_cast<uint32_t>(State.Saturated.size()));
-  for (const std::string &Name : State.Saturated)
-    putStr(Out, Name);
-  putU32(Out, static_cast<uint32_t>(State.Quarantined.size()));
+  ByteWriter W(Out);
+  W.u32(SnapshotMagic);
+  W.u32(SnapshotVersion);
+  W.u64(Watermark);
+  W.str(State.Name);
+  W.str(State.Source);
+  W.u32(State.Mode);
+  W.u32(State.LoopVariance);
+  W.u32(State.OnBadProfile);
+  W.u64(State.Runs);
+  W.u64(State.ProfileImage.size());
+  W.raw(State.ProfileImage.data(), State.ProfileImage.size());
+  encodeFolds(W, State.External, State.Saturated);
+  W.u32(static_cast<uint32_t>(State.Quarantined.size()));
   for (const auto &Q : State.Quarantined) {
-    putStr(Out, Q.first);
-    putStr(Out, Q.second);
+    W.str(Q.first);
+    W.str(Q.second);
   }
-  // Trailing CRC over every byte above; streamed so a future incremental
-  // writer can checksum section by section without a second pass.
-  uint32_t Crc = crc32End(crc32Update(crc32Begin(), Out.data(), Out.size()));
-  putU32(Out, Crc);
+  W.u32(crc32(Out.data(), Out.size()));
   return Out;
 }
 
@@ -192,55 +90,36 @@ bool durable::decodeSnapshot(const uint8_t *Data, size_t Len,
     Error = "snapshot is truncated (shorter than its fixed fields)";
     return false;
   }
-  Reader Rd(Data, Len - 4);
-  if (Rd.getU32() != SnapshotMagic) {
+  ByteReader Rd(Data, Len - 4);
+  if (Rd.u32() != SnapshotMagic) {
     Error = "bad snapshot magic (not a PTSS file)";
     return false;
   }
-  if (uint32_t V = Rd.getU32(); V != SnapshotVersion) {
+  if (uint32_t V = Rd.u32(); V != SnapshotVersion) {
     Error = "unsupported snapshot version " + std::to_string(V);
     return false;
   }
   // CRC before content: a torn or bit-rotted snapshot must not be half
   // trusted.
-  uint32_t Stored = 0;
-  for (int I = 3; I >= 0; --I)
-    Stored = (Stored << 8) | Data[Len - 4 + static_cast<size_t>(I)];
-  if (crc32(Data, Len - 4) != Stored) {
+  if (crc32(Data, Len - 4) != loadLE32(Data + Len - 4)) {
     Error = "snapshot checksum mismatch (corrupt or truncated file)";
     return false;
   }
 
   State = DurableSessionState();
-  Watermark = Rd.getU64();
-  State.Name = Rd.getStr();
-  State.Source = Rd.getStr();
-  State.Mode = Rd.getU32();
-  State.LoopVariance = Rd.getU32();
-  State.OnBadProfile = Rd.getU32();
-  State.Runs = Rd.getU64();
-  State.ProfileImage = Rd.getBytes(Rd.getU64());
-  uint32_t NumFuncs = Rd.getU32();
-  for (uint32_t I = 0; Rd.ok() && I < NumFuncs; ++I) {
-    FoldEntry FE;
-    FE.Function = Rd.getStr();
-    uint32_t NumConds = Rd.getU32();
-    for (uint32_t J = 0; Rd.ok() && J < NumConds; ++J) {
-      CondTotal C;
-      C.Node = Rd.getU32();
-      C.Label = Rd.getU8();
-      C.Total = Rd.getF64();
-      FE.Conds.push_back(C);
-    }
-    State.External.push_back(std::move(FE));
-  }
-  uint32_t NumSaturated = Rd.getU32();
-  for (uint32_t I = 0; Rd.ok() && I < NumSaturated; ++I)
-    State.Saturated.push_back(Rd.getStr());
-  uint32_t NumQuarantined = Rd.getU32();
+  Watermark = Rd.u64();
+  State.Name = Rd.str();
+  State.Source = Rd.str();
+  State.Mode = Rd.u32();
+  State.LoopVariance = Rd.u32();
+  State.OnBadProfile = Rd.u32();
+  State.Runs = Rd.u64();
+  State.ProfileImage = Rd.bytes(Rd.u64());
+  decodeFolds(Rd, State.External, State.Saturated);
+  uint32_t NumQuarantined = Rd.u32();
   for (uint32_t I = 0; Rd.ok() && I < NumQuarantined; ++I) {
-    std::string Fn = Rd.getStr();
-    std::string Reason = Rd.getStr();
+    std::string Fn = Rd.str();
+    std::string Reason = Rd.str();
     State.Quarantined.emplace_back(std::move(Fn), std::move(Reason));
   }
   if (!Rd.ok()) {

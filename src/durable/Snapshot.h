@@ -11,7 +11,8 @@
 /// rotates the journal; recovery loads the snapshots and replays only the
 /// journal records with LSN above each session's watermark.
 ///
-/// File layout (all integers little-endian, strings u32 length + bytes):
+/// File layout (support/Bytes.h field encoding: integers little-endian,
+/// strings u32 length + bytes):
 ///
 ///   magic "PTSS" | u32 version | u64 watermark
 ///   | str name | str source | u32 mode | u32 loopVariance
@@ -19,10 +20,7 @@
 ///   | u64 profileImageLen | PTPF bytes   (the session's ingested profile
 ///                                         state, re-serialized through the
 ///                                         checksummed PTPF format)
-///   | u32 numExternalFuncs
-///   | per func: str function | u32 numConds
-///     | per cond: u32 node | u8 label | f64 total
-///   | u32 numSaturated | str names...
+///   | fold list (Records.h): external totals, then saturated names
 ///   | u32 numQuarantined | per entry: str function | str reason
 ///   | u32 crc32(everything above)
 ///

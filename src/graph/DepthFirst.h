@@ -11,8 +11,7 @@
 /// both driven by reverse postorder.
 ///
 /// All algorithms run over a GraphView (flat CSR adjacency, no per-node
-/// allocation during traversal). The Digraph overloads remain as
-/// deprecated shims that flatten into a temporary CsrGraph.
+/// allocation during traversal).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,10 +40,6 @@ public:
   /// Runs an iterative DFS over \p G from \p Root. Successor edges are
   /// visited in insertion order, so the traversal is deterministic.
   DfsResult(const GraphView &G, NodeId Root);
-
-  /// Deprecated shim: flattens \p G into a temporary CsrGraph first.
-  [[deprecated("build a CsrGraph once and pass its GraphView")]]
-  DfsResult(const Digraph &G, NodeId Root);
 
   bool isReachable(NodeId N) const { return Pre[N] != InvalidOrder; }
 
@@ -82,17 +77,9 @@ private:
 /// \returns the reachable nodes of \p G from \p Root in reverse postorder.
 std::vector<NodeId> reversePostorder(const GraphView &G, NodeId Root);
 
-/// Deprecated shim: flattens \p G into a temporary CsrGraph first.
-[[deprecated("build a CsrGraph once and pass its GraphView")]]
-std::vector<NodeId> reversePostorder(const Digraph &G, NodeId Root);
-
 /// \returns a topological order of all nodes if \p G is acyclic, or
 /// std::nullopt if it contains a cycle. Isolated nodes are included.
 std::optional<std::vector<NodeId>> topologicalOrder(const GraphView &G);
-
-/// Deprecated shim: flattens \p G into a temporary CsrGraph first.
-[[deprecated("build a CsrGraph once and pass its GraphView")]]
-std::optional<std::vector<NodeId>> topologicalOrder(const Digraph &G);
 
 } // namespace ptran
 

@@ -97,9 +97,6 @@ DominatorTree::DominatorTree(const GraphView &G, NodeId RootNode,
   }
 }
 
-DominatorTree::DominatorTree(const Digraph &G, NodeId RootNode, Direction Dir)
-    : DominatorTree(CsrGraph(G).view(), RootNode, Dir) {}
-
 bool DominatorTree::dominates(NodeId A, NodeId B) const {
   assert(isReachable(A) && isReachable(B) &&
          "dominance queries require reachable nodes");
@@ -131,8 +128,4 @@ bool ptran::isReducible(const GraphView &G, NodeId Root) {
           !Dom.dominates(E.Node, N))
         return false;
   return true;
-}
-
-bool ptran::isReducible(const Digraph &G, NodeId Root) {
-  return isReducible(CsrGraph(G).view(), Root);
 }

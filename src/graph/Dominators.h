@@ -13,8 +13,7 @@
 ///
 /// The solver runs over a GraphView; Direction::Post simply swaps the
 /// view's successor and predecessor arrays (GraphView::reversed()), so no
-/// reversed graph is ever materialized. The Digraph overloads remain as
-/// deprecated shims.
+/// reversed graph is ever materialized.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,11 +36,6 @@ public:
   /// Builds the (post)dominator tree of \p G rooted at \p Root. Nodes not
   /// reachable (in the chosen direction) have no idom and dominate nothing.
   DominatorTree(const GraphView &G, NodeId Root,
-                Direction Dir = Direction::Forward);
-
-  /// Deprecated shim: flattens \p G into a temporary CsrGraph first.
-  [[deprecated("build a CsrGraph once and pass its GraphView")]]
-  DominatorTree(const Digraph &G, NodeId Root,
                 Direction Dir = Direction::Forward);
 
   NodeId root() const { return Root; }
@@ -87,10 +81,6 @@ private:
 /// ("Compilers: Principles, Techniques, and Tools", the definition the
 /// paper assumes). Unreachable nodes are ignored.
 bool isReducible(const GraphView &G, NodeId Root);
-
-/// Deprecated shim: flattens \p G into a temporary CsrGraph first.
-[[deprecated("build a CsrGraph once and pass its GraphView")]]
-bool isReducible(const Digraph &G, NodeId Root);
 
 } // namespace ptran
 

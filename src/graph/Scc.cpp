@@ -17,10 +17,6 @@ bool SccResult::isInCycle(const GraphView &G, NodeId N) const {
   return false;
 }
 
-bool SccResult::isInCycle(const Digraph &G, NodeId N) const {
-  return isInCycle(CsrGraph(G).view(), N);
-}
-
 SccResult ptran::computeSccs(const GraphView &G) {
   unsigned N = G.numNodes();
   SccResult Result;
@@ -91,8 +87,4 @@ SccResult ptran::computeSccs(const GraphView &G) {
     }
   }
   return Result;
-}
-
-SccResult ptran::computeSccs(const Digraph &G) {
-  return computeSccs(CsrGraph(G).view());
 }

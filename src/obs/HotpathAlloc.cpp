@@ -21,16 +21,20 @@
 
 namespace {
 thread_local uint64_t ThreadAllocs = 0;
+thread_local uint64_t ThreadAllocBytes = 0;
 
 void *countedAlloc(std::size_t Sz) noexcept {
   void *P = std::malloc(Sz ? Sz : 1);
-  if (P)
+  if (P) {
     ++ThreadAllocs;
+    ThreadAllocBytes += Sz;
+  }
   return P;
 }
 } // namespace
 
 uint64_t ptran::threadAllocCount() { return ThreadAllocs; }
+uint64_t ptran::threadAllocBytes() { return ThreadAllocBytes; }
 
 void *operator new(std::size_t Sz) {
   void *P = countedAlloc(Sz);

@@ -30,6 +30,9 @@ namespace ptran {
 /// current thread since it started. Monotone; only meaningful as deltas.
 uint64_t threadAllocCount();
 
+/// Bytes those allocations requested, on the same terms.
+uint64_t threadAllocBytes();
+
 /// Samples threadAllocCount() at construction; count() returns how many
 /// allocations the current thread performed since. Scopes may nest (they
 /// are independent samples of the same counter). Thread-affine: construct

@@ -6,35 +6,14 @@
 
 #include "profile/ProfileFile.h"
 
+#include "support/Bytes.h"
 #include "support/FaultInjection.h"
 #include "support/Saturation.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
-#include <cstring>
 
 using namespace ptran;
-
-uint32_t ptran::crc32Update(uint32_t State, const uint8_t *Data, size_t Len) {
-  static const auto Table = [] {
-    std::array<uint32_t, 256> T{};
-    for (uint32_t I = 0; I < 256; ++I) {
-      uint32_t C = I;
-      for (int K = 0; K < 8; ++K)
-        C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
-      T[I] = C;
-    }
-    return T;
-  }();
-  for (size_t I = 0; I < Len; ++I)
-    State = Table[(State ^ Data[I]) & 0xFFu] ^ (State >> 8);
-  return State;
-}
-
-uint32_t ptran::crc32(const uint8_t *Data, size_t Len) {
-  return crc32End(crc32Update(crc32Begin(), Data, Len));
-}
 
 uint64_t ptran::structuralFingerprintOf(const FunctionAnalysis &FA) {
   // FNV offset basis + golden-ratio mixing; must stay identical to the
@@ -71,90 +50,17 @@ uint64_t ptran::programFingerprintOf(const ProgramAnalysis &PA) {
 
 namespace {
 
-//===--- little-endian byte IO --------------------------------------------===//
-
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putF64(std::vector<uint8_t> &Out, double V) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  putU64(Out, Bits);
-}
-
-/// Bounds-checked forward reader over a byte range. Every get*() checks
-/// the remaining length first, so arbitrarily garbled input can only make
-/// ok() false — never an out-of-bounds read.
-struct ByteReader {
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-  bool Failed = false;
-
-  ByteReader(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
-
-  bool ok() const { return !Failed; }
-  size_t remaining() const { return Failed ? 0 : Size - Pos; }
-
-  uint32_t getU32() {
-    if (remaining() < 4) {
-      Failed = true;
-      return 0;
-    }
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(Data[Pos + I]) << (8 * I);
-    Pos += 4;
-    return V;
-  }
-
-  uint64_t getU64() {
-    if (remaining() < 8) {
-      Failed = true;
-      return 0;
-    }
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(Data[Pos + I]) << (8 * I);
-    Pos += 8;
-    return V;
-  }
-
-  double getF64() {
-    uint64_t Bits = getU64();
-    double V;
-    std::memcpy(&V, &Bits, sizeof(V));
-    return V;
-  }
-
-  std::string getString(size_t Len) {
-    if (remaining() < Len) {
-      Failed = true;
-      return {};
-    }
-    std::string S(reinterpret_cast<const char *>(Data + Pos), Len);
-    Pos += Len;
-    return S;
-  }
-};
-
 void serializePayload(std::vector<uint8_t> &Out, const FunctionSection &S) {
-  putU32(Out, static_cast<uint32_t>(S.Counters.size()));
+  ByteWriter W(Out);
+  W.u32(static_cast<uint32_t>(S.Counters.size()));
   for (double C : S.Counters)
-    putF64(Out, C);
-  putU32(Out, static_cast<uint32_t>(S.Loops.size()));
+    W.f64(C);
+  W.u32(static_cast<uint32_t>(S.Loops.size()));
   for (const ProfileLoopMoments &L : S.Loops) {
-    putU32(Out, L.HeaderStmt);
-    putF64(Out, L.Entries);
-    putF64(Out, L.Sum);
-    putF64(Out, L.SumSq);
+    W.u32(L.HeaderStmt);
+    W.f64(L.Entries);
+    W.f64(L.Sum);
+    W.f64(L.SumSq);
   }
 }
 
@@ -163,22 +69,22 @@ void serializePayload(std::vector<uint8_t> &Out, const FunctionSection &S) {
 /// if the writer was corrupt in memory.
 bool parsePayload(const uint8_t *Data, size_t Size, FunctionSection &S) {
   ByteReader R(Data, Size);
-  uint32_t NumCounters = R.getU32();
+  uint32_t NumCounters = R.u32();
   if (!R.ok() || R.remaining() < static_cast<size_t>(NumCounters) * 8)
     return false;
   S.Counters.reserve(NumCounters);
   for (uint32_t I = 0; I < NumCounters; ++I)
-    S.Counters.push_back(R.getF64());
-  uint32_t NumLoops = R.getU32();
+    S.Counters.push_back(R.f64());
+  uint32_t NumLoops = R.u32();
   if (!R.ok() || R.remaining() < static_cast<size_t>(NumLoops) * 28)
     return false;
   S.Loops.reserve(NumLoops);
   for (uint32_t I = 0; I < NumLoops; ++I) {
     ProfileLoopMoments L;
-    L.HeaderStmt = R.getU32();
-    L.Entries = R.getF64();
-    L.Sum = R.getF64();
-    L.SumSq = R.getF64();
+    L.HeaderStmt = R.u32();
+    L.Entries = R.f64();
+    L.Sum = R.f64();
+    L.SumSq = R.f64();
     S.Loops.push_back(L);
   }
   if (!R.ok() || R.remaining() != 0) {
@@ -230,28 +136,28 @@ std::vector<uint8_t> ProfileFile::serialize() const {
   HeaderSize += 4; // header CRC
 
   std::vector<uint8_t> Out;
-  putU32(Out, MagicValue);
-  putU32(Out, Version);
-  putU64(Out, ProgramFingerprint);
-  putU32(Out, static_cast<uint32_t>(Mode));
-  putU32(Out, Runs);
-  putU32(Out, static_cast<uint32_t>(Sections.size()));
+  ByteWriter W(Out);
+  W.u32(MagicValue);
+  W.u32(Version);
+  W.u64(ProgramFingerprint);
+  W.u32(static_cast<uint32_t>(Mode));
+  W.u32(Runs);
+  W.u32(static_cast<uint32_t>(Sections.size()));
 
   uint64_t Offset = HeaderSize;
   for (size_t I = 0; I < Sections.size(); ++I) {
     const FunctionSection &S = Sections[I];
-    putU32(Out, static_cast<uint32_t>(S.Name.size()));
-    Out.insert(Out.end(), S.Name.begin(), S.Name.end());
-    putU64(Out, S.Fingerprint);
-    putU64(Out, Offset);
-    putU64(Out, Payloads[I].size());
-    putU32(Out, crc32(Payloads[I].data(), Payloads[I].size()));
+    W.str(S.Name);
+    W.u64(S.Fingerprint);
+    W.u64(Offset);
+    W.u64(Payloads[I].size());
+    W.u32(crc32(Payloads[I].data(), Payloads[I].size()));
     Offset += Payloads[I].size();
   }
-  putU32(Out, crc32(Out.data(), Out.size()));
+  W.u32(crc32(Out.data(), Out.size()));
 
   for (const std::vector<uint8_t> &P : Payloads)
-    Out.insert(Out.end(), P.begin(), P.end());
+    W.raw(P.data(), P.size());
   return Out;
 }
 
@@ -265,9 +171,9 @@ ProfileFile::deserialize(const std::vector<uint8_t> &Bytes,
   };
 
   ByteReader R(Bytes.data(), Bytes.size());
-  if (R.getU32() != MagicValue)
+  if (R.u32() != MagicValue)
     return HeaderError("bad magic (not a ptran profile file)");
-  uint32_t FileVersion = R.getU32();
+  uint32_t FileVersion = R.u32();
   if (FileVersion != CurrentVersion)
     return HeaderError("unsupported version " + std::to_string(FileVersion) +
                        " (this build reads version " +
@@ -275,10 +181,10 @@ ProfileFile::deserialize(const std::vector<uint8_t> &Bytes,
 
   ProfileFile PF;
   PF.Version = FileVersion;
-  PF.ProgramFingerprint = R.getU64();
-  uint32_t ModeValue = R.getU32();
-  PF.Runs = R.getU32();
-  uint32_t NumFunctions = R.getU32();
+  PF.ProgramFingerprint = R.u64();
+  uint32_t ModeValue = R.u32();
+  PF.Runs = R.u32();
+  uint32_t NumFunctions = R.u32();
   if (!R.ok())
     return HeaderError("truncated header");
   if (ModeValue > static_cast<uint32_t>(ProfileMode::Smart))
@@ -293,14 +199,13 @@ ProfileFile::deserialize(const std::vector<uint8_t> &Bytes,
   std::vector<DirEntry> Dir;
   Dir.reserve(std::min<size_t>(NumFunctions, Bytes.size() / 32));
   for (uint32_t I = 0; I < NumFunctions; ++I) {
-    uint32_t NameLen = R.getU32();
     FunctionSection S;
-    S.Name = R.getString(NameLen);
-    S.Fingerprint = R.getU64();
+    S.Name = R.str();
+    S.Fingerprint = R.u64();
     DirEntry E;
-    E.Offset = R.getU64();
-    E.Size = R.getU64();
-    E.Crc = R.getU32();
+    E.Offset = R.u64();
+    E.Size = R.u64();
+    E.Crc = R.u32();
     if (!R.ok())
       return HeaderError("truncated or garbled directory");
     Dir.push_back(E);
@@ -309,8 +214,8 @@ ProfileFile::deserialize(const std::vector<uint8_t> &Bytes,
 
   // The header CRC covers every byte read so far; nothing above can be
   // trusted until it checks out.
-  size_t CrcPos = R.Pos;
-  uint32_t StoredCrc = R.getU32();
+  size_t CrcPos = R.pos();
+  uint32_t StoredCrc = R.u32();
   if (!R.ok())
     return HeaderError("truncated header (missing checksum)");
   if (crc32(Bytes.data(), CrcPos) != StoredCrc)

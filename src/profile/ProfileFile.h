@@ -51,17 +51,6 @@
 
 namespace ptran {
 
-/// CRC32 (IEEE 802.3, polynomial 0xEDB88320) of \p Len bytes at \p Data.
-uint32_t crc32(const uint8_t *Data, size_t Len);
-
-/// Streaming form for checksumming data that is produced in pieces (the
-/// durable layer's snapshot writer): seed with crc32Begin(), fold each
-/// buffer through crc32Update, finish with crc32End. crc32() above is
-/// exactly crc32End(crc32Update(crc32Begin(), Data, Len)).
-inline uint32_t crc32Begin() { return 0xFFFFFFFFu; }
-uint32_t crc32Update(uint32_t State, const uint8_t *Data, size_t Len);
-inline uint32_t crc32End(uint32_t State) { return State ^ 0xFFFFFFFFu; }
-
 /// Structural fingerprint of one function: statement count, ECFG size and
 /// the full control-condition list. Profiles recorded against a different
 /// version of the function hash differently. (ProgramDatabase::

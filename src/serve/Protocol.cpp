@@ -6,7 +6,7 @@
 
 #include "serve/Protocol.h"
 
-#include <cstring>
+#include "support/Bytes.h"
 
 using namespace ptran;
 using namespace ptran::serve;
@@ -18,20 +18,6 @@ static bool validToken(const std::string &Text, bool AllowEquals) {
     if (C == '\n' || C == '\r' || C == '\0' || (!AllowEquals && C == '='))
       return false;
   return true;
-}
-
-static void appendU32(std::vector<uint8_t> &Out, uint32_t V) {
-  Out.push_back(static_cast<uint8_t>(V));
-  Out.push_back(static_cast<uint8_t>(V >> 8));
-  Out.push_back(static_cast<uint8_t>(V >> 16));
-  Out.push_back(static_cast<uint8_t>(V >> 24));
-}
-
-static uint32_t readU32(const uint8_t *Data) {
-  return static_cast<uint32_t>(Data[0]) |
-         (static_cast<uint32_t>(Data[1]) << 8) |
-         (static_cast<uint32_t>(Data[2]) << 16) |
-         (static_cast<uint32_t>(Data[3]) << 24);
 }
 
 std::optional<std::vector<uint8_t>>
@@ -69,9 +55,9 @@ serve::encodeFrame(const WireMessage &M, std::string &Error) {
   }
   std::vector<uint8_t> Out;
   Out.reserve(Payload);
-  appendU32(Out, static_cast<uint32_t>(Header.size()));
-  Out.insert(Out.end(), Header.begin(), Header.end());
-  Out.insert(Out.end(), M.Body.begin(), M.Body.end());
+  ByteWriter W(Out);
+  W.str(Header);
+  W.raw(M.Body.data(), M.Body.size());
   return Out;
 }
 
@@ -81,7 +67,7 @@ std::optional<WireMessage> serve::decodeFrame(const uint8_t *Data, size_t Size,
     Error = "frame shorter than its header-length field";
     return std::nullopt;
   }
-  uint32_t HeaderLen = readU32(Data);
+  uint32_t HeaderLen = loadLE32(Data);
   if (static_cast<uint64_t>(HeaderLen) + 4 > Size) {
     Error = "frame header length " + std::to_string(HeaderLen) +
             " exceeds the payload";

@@ -6,6 +6,8 @@
 
 #include "serve/Wire.h"
 
+#include "support/Bytes.h"
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -131,31 +133,46 @@ static bool writeAll(int Fd, const uint8_t *Data, size_t Size,
   return true;
 }
 
-/// 1 = filled, 0 = clean EOF before the first byte, -1 = error/short EOF/
-/// stall. A short EOF (the peer closed after some but not all of \p Size
-/// bytes of \p What) produces a structured "truncated frame" error naming
-/// the byte counts; the partially-filled buffer is never handed onward.
+namespace {
+
+/// The mid-transfer stall budget of one read. TimeoutMs < 0 means none;
+/// otherwise the deadline is unarmed (no limit) until arm(), and then one
+/// deadline covers every remaining byte of the transfer.
+struct StallDeadline {
+  int TimeoutMs = -1;
+  bool Armed = false;
+  std::chrono::steady_clock::time_point At{};
+
+  void arm() {
+    if (TimeoutMs < 0 || Armed)
+      return;
+    Armed = true;
+    At = std::chrono::steady_clock::now() +
+         std::chrono::milliseconds(TimeoutMs);
+  }
+};
+
+} // namespace
+
+/// Fills bytes [\p Got, \p End) of the \p Size-byte \p What at \p Data.
+/// 1 = filled, 0 = clean EOF before the transfer's first byte (\p Got is
+/// 0), -1 = error/short EOF/stall. A short EOF (the peer closed after some
+/// but not all of the bytes) produces a structured "truncated frame" error
+/// naming the byte counts; the partially-filled buffer is never handed
+/// onward.
 ///
-/// \p TimeoutMs >= 0 bounds mid-transfer stalls: once the deadline is
-/// armed, each recv is preceded by a poll for the remaining budget, and
-/// running it dry yields the same structured error with "stalled" in
-/// place of "closed". \p ArmImmediately arms the deadline before the
-/// first byte (payload reads: the prefix already promised data);
-/// otherwise it arms after the first byte lands (prefix reads: a
-/// connection idling between requests is not a stall).
-static int readAll(int Fd, uint8_t *Data, size_t Size, const char *What,
-                   std::string &Error, int TimeoutMs = -1,
-                   bool ArmImmediately = true) {
-  size_t Got = 0;
-  bool Armed = TimeoutMs >= 0 && ArmImmediately;
-  std::chrono::steady_clock::time_point Deadline;
-  if (Armed)
-    Deadline = std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(TimeoutMs);
-  while (Got < Size) {
-    if (Armed) {
+/// Once \p Deadline is armed, each recv is preceded by a poll for the
+/// remaining budget, and running it dry yields the same structured error
+/// with "stalled" in place of "closed". A received byte arms it (prefix
+/// reads: a connection idling between requests is not a stall); payload
+/// reads arm it before the first byte, since the prefix promised data.
+static int readAll(int Fd, uint8_t *Data, size_t Got, size_t End,
+                   size_t Size, const char *What, std::string &Error,
+                   StallDeadline &Deadline) {
+  while (Got < End) {
+    if (Deadline.Armed) {
       auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          Deadline - std::chrono::steady_clock::now());
+          Deadline.At - std::chrono::steady_clock::now());
       struct pollfd Pf = {Fd, POLLIN, 0};
       int Ready;
       do {
@@ -172,7 +189,7 @@ static int readAll(int Fd, uint8_t *Data, size_t Size, const char *What,
         return -1;
       }
     }
-    ssize_t N = ::recv(Fd, Data + Got, Size - Got, 0);
+    ssize_t N = ::recv(Fd, Data + Got, End - Got, 0);
     if (N < 0) {
       if (errno == EINTR)
         continue;
@@ -187,11 +204,7 @@ static int readAll(int Fd, uint8_t *Data, size_t Size, const char *What,
       return -1;
     }
     Got += static_cast<size_t>(N);
-    if (TimeoutMs >= 0 && !Armed) {
-      Armed = true;
-      Deadline = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(TimeoutMs);
-    }
+    Deadline.arm();
   }
   return 1;
 }
@@ -200,11 +213,8 @@ bool serve::writeFrame(int Fd, const WireMessage &M, std::string &Error) {
   std::optional<std::vector<uint8_t>> Payload = encodeFrame(M, Error);
   if (!Payload)
     return false;
-  uint32_t Len = static_cast<uint32_t>(Payload->size());
-  uint8_t Prefix[4] = {static_cast<uint8_t>(Len),
-                       static_cast<uint8_t>(Len >> 8),
-                       static_cast<uint8_t>(Len >> 16),
-                       static_cast<uint8_t>(Len >> 24)};
+  uint8_t Prefix[4];
+  storeLE32(Prefix, static_cast<uint32_t>(Payload->size()));
   return writeAll(Fd, Prefix, sizeof(Prefix), Error) &&
          writeAll(Fd, Payload->data(), Payload->size(), Error);
 }
@@ -212,23 +222,30 @@ bool serve::writeFrame(int Fd, const WireMessage &M, std::string &Error) {
 int serve::readFrame(int Fd, WireMessage &M, std::string &Error,
                      int MidFrameTimeoutMs) {
   uint8_t Prefix[4];
-  int Rc = readAll(Fd, Prefix, sizeof(Prefix), "length-prefix", Error,
-                   MidFrameTimeoutMs, /*ArmImmediately=*/false);
+  StallDeadline PrefixDeadline{MidFrameTimeoutMs};
+  int Rc = readAll(Fd, Prefix, 0, sizeof(Prefix), sizeof(Prefix),
+                   "length-prefix", Error, PrefixDeadline);
   if (Rc <= 0)
     return Rc;
-  uint32_t Len = static_cast<uint32_t>(Prefix[0]) |
-                 (static_cast<uint32_t>(Prefix[1]) << 8) |
-                 (static_cast<uint32_t>(Prefix[2]) << 16) |
-                 (static_cast<uint32_t>(Prefix[3]) << 24);
+  uint32_t Len = loadLE32(Prefix);
   if (Len > MaxFramePayload) {
     Error = "frame length " + std::to_string(Len) + " exceeds the " +
             std::to_string(MaxFramePayload) + "-byte limit";
     return -1;
   }
-  std::vector<uint8_t> Payload(Len);
-  if (Len > 0) {
-    int PayloadRc = readAll(Fd, Payload.data(), Len, "payload", Error,
-                            MidFrameTimeoutMs, /*ArmImmediately=*/true);
+  // The buffer grows as bytes arrive, never more than one step ahead of
+  // them: a prefix is only the peer's word, and a peer that promises
+  // MaxFramePayload and then stalls must not pin that much memory. A
+  // frame under one step is still one allocation and one readAll.
+  constexpr size_t GrowStep = size_t(1) << 20;
+  std::vector<uint8_t> Payload;
+  StallDeadline PayloadDeadline{MidFrameTimeoutMs};
+  PayloadDeadline.arm();
+  while (Payload.size() < Len) {
+    size_t Got = Payload.size();
+    Payload.resize(std::min<size_t>(Len, Got + GrowStep));
+    int PayloadRc = readAll(Fd, Payload.data(), Got, Payload.size(), Len,
+                            "payload", Error, PayloadDeadline);
     if (PayloadRc != 1) {
       // A clean EOF here still truncates the frame: the prefix promised
       // Len payload bytes and none arrived. Nothing partial ever reaches

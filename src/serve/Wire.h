@@ -42,7 +42,9 @@ bool writeFrame(int Fd, const WireMessage &M, std::string &Error);
 /// mid-frame — after part of the 4-byte length prefix, or before the
 /// prefix's promised payload bytes all arrive — yields a structured
 /// "truncated frame: peer closed after N of M ... bytes" error; a
-/// partially-filled buffer is never handed to the codec.
+/// partially-filled buffer is never handed to the codec. The payload
+/// buffer grows in 1 MiB steps as bytes arrive, so a length prefix alone
+/// never allocates more than one step.
 ///
 /// \p MidFrameTimeoutMs (when >= 0) bounds how long the peer may STALL
 /// inside a frame: the deadline arms once the first prefix byte arrives

@@ -7,9 +7,6 @@
 //   - CsrGraph reproduces a Digraph's adjacency (both directions) in
 //     insertion order with stable EdgeIds, and GraphView::reversed() is an
 //     exact role swap;
-//   - the deprecated Digraph overloads of DFS/dominators/SCC still compile
-//     (warnings suppressed here, as estimator_test does for the Estimator
-//     shim) and agree with the GraphView primaries;
 //   - the CSR TIME/VAR kernel is bit-identical (memcmp of every node
 //     estimate) to the node-object reference kernel across the Figure 1/3
 //     program, random reducible programs, the many-function workload, a
@@ -145,68 +142,6 @@ TEST(GraphView, EmptyAndIsolatedGraphs) {
   for (NodeId N = 0; N < 4; ++N) {
     EXPECT_TRUE(CsrIso.view().succs(N).empty());
     EXPECT_TRUE(CsrIso.view().preds(N).empty());
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Deprecated Digraph shims: still compile, same answers
-//===----------------------------------------------------------------------===//
-
-TEST(DeprecatedShims, DigraphOverloadsAgreeWithGraphView) {
-  Rng R(23);
-  for (int Trial = 0; Trial < 12; ++Trial) {
-    Digraph G = randomDigraph(R, 2 + Trial, 0.25);
-    // Guarantee an exit-reaching spine so postdominators have a root.
-    for (NodeId N = 0; N + 1 < G.numNodes(); ++N)
-      G.addEdge(N, N + 1, 0);
-    CsrGraph Csr(G);
-    const GraphView View = Csr.view();
-    const NodeId Entry = 0;
-    const NodeId Exit = G.numNodes() - 1;
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    DfsResult OldDfs(G, Entry);
-    std::vector<NodeId> OldRpo = reversePostorder(G, Entry);
-    std::optional<std::vector<NodeId>> OldTopo = topologicalOrder(G);
-    DominatorTree OldDom(G, Entry);
-    DominatorTree OldPdt(G, Exit, DominatorTree::Direction::Post);
-    SccResult OldSccs = computeSccs(G);
-    bool OldRed = isReducible(G, Entry);
-#pragma GCC diagnostic pop
-
-    DfsResult NewDfs(View, Entry);
-    EXPECT_EQ(NewDfs.reversePostorder(), OldDfs.reversePostorder());
-    for (NodeId N = 0; N < G.numNodes(); ++N) {
-      EXPECT_EQ(NewDfs.preorder(N), OldDfs.preorder(N));
-      EXPECT_EQ(NewDfs.postorder(N), OldDfs.postorder(N));
-      EXPECT_EQ(NewDfs.parent(N), OldDfs.parent(N));
-    }
-    for (EdgeId E = 0; E < G.numEdgeSlots(); ++E)
-      EXPECT_EQ(NewDfs.edgeKind(E), OldDfs.edgeKind(E));
-
-    EXPECT_EQ(reversePostorder(View, Entry), OldRpo);
-    EXPECT_EQ(topologicalOrder(View), OldTopo);
-
-    DominatorTree NewDom(View, Entry);
-    DominatorTree NewPdt(View, Exit, DominatorTree::Direction::Post);
-    for (NodeId N = 0; N < G.numNodes(); ++N) {
-      EXPECT_EQ(NewDom.idom(N), OldDom.idom(N)) << "node " << N;
-      EXPECT_EQ(NewPdt.idom(N), OldPdt.idom(N)) << "node " << N;
-    }
-
-    SccResult NewSccs = computeSccs(View);
-    EXPECT_EQ(NewSccs.Component, OldSccs.Component);
-    EXPECT_EQ(NewSccs.Members, OldSccs.Members);
-    for (NodeId N = 0; N < G.numNodes(); ++N) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-      bool OldCyc = OldSccs.isInCycle(G, N);
-#pragma GCC diagnostic pop
-      EXPECT_EQ(NewSccs.isInCycle(View, N), OldCyc);
-    }
-
-    EXPECT_EQ(isReducible(View, Entry), OldRed);
   }
 }
 

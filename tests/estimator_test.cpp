@@ -13,34 +13,6 @@ using namespace ptran::testing;
 
 namespace {
 
-TEST(Estimator, DeprecatedPositionalCreateStillWorks) {
-  // The pre-EstimatorOptions signature must keep working (with a
-  // deprecation warning, suppressed here) and produce the same pipeline
-  // as the options-based overload.
-  Figure1Program Fix = makeFigure1();
-  DiagnosticEngine Diags;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto Old = Estimator::create(*Fix.Prog, CostModel::optimizing(), Diags,
-                               ProfileMode::Smart, 1);
-#pragma GCC diagnostic pop
-  ASSERT_NE(Old, nullptr) << Diags.str();
-  EXPECT_EQ(Old->options().Mode, ProfileMode::Smart);
-  EXPECT_EQ(Old->options().Exec.Jobs, 1u);
-  EXPECT_EQ(Old->options().Diags, &Diags);
-  ASSERT_TRUE(Old->profiledRun().Ok);
-  TimeAnalysis OldTA = Old->analyze();
-
-  DiagnosticEngine Diags2;
-  auto New = Estimator::create(*Fix.Prog, CostModel::optimizing(),
-                               EstimatorOptions(Diags2));
-  ASSERT_NE(New, nullptr) << Diags2.str();
-  ASSERT_TRUE(New->profiledRun().Ok);
-  TimeAnalysis NewTA = New->analyze();
-  EXPECT_EQ(OldTA.programTime(), NewTA.programTime());
-  EXPECT_EQ(OldTA.programStdDev(), NewTA.programStdDev());
-}
-
 TEST(Estimator, EndToEndFromSource) {
   const char *Src = R"(
 program main

@@ -27,6 +27,7 @@
 #include "repl/Standby.h"
 #include "serve/Server.h"
 #include "serve/Wire.h"
+#include "support/Bytes.h"
 #include "support/FaultInjection.h"
 #include "support/Retry.h"
 
@@ -159,16 +160,12 @@ WireMessage makeRequest(const std::string &Verb, const std::string &Session) {
 /// Appends one 16-byte little-endian stream record to \p Body.
 void appendStreamRecord(std::string &Body, uint32_t FuncIdx, uint32_t CondIdx,
                         double Delta) {
-  auto PutU32 = [&Body](uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Body.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  PutU32(FuncIdx);
-  PutU32(CondIdx);
-  uint64_t Bits;
-  std::memcpy(&Bits, &Delta, sizeof(Bits));
-  for (int I = 0; I < 8; ++I)
-    Body.push_back(static_cast<char>((Bits >> (8 * I)) & 0xff));
+  std::vector<uint8_t> Rec;
+  ByteWriter W(Rec);
+  W.u32(FuncIdx);
+  W.u32(CondIdx);
+  W.f64(Delta);
+  Body.append(Rec.begin(), Rec.end());
 }
 
 /// The full-precision estimate answer for (session, function): what two

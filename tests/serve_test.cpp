@@ -16,9 +16,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "obs/HotpathAlloc.h"
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "serve/Wire.h"
+#include "support/Bytes.h"
 
 #include <gtest/gtest.h>
 
@@ -692,6 +694,28 @@ TEST(WireTest, PeerClosingAfterPrefixAloneIsATruncatedFrame) {
   ::close(Fds[1]);
 }
 
+TEST(WireTest, PayloadBufferGrowsWithTheBytesThatArrive) {
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  // Regression: a prefix promising the largest legal frame used to
+  // zero-fill a MaxFramePayload buffer before one payload byte arrived.
+  uint8_t Bytes[4 + 16];
+  storeLE32(Bytes, MaxFramePayload);
+  std::memset(Bytes + 4, 'x', 16);
+  writeThenClose(Fds[0], Bytes, sizeof(Bytes));
+  WireMessage M;
+  std::string Error;
+  uint64_t Before = threadAllocBytes();
+  EXPECT_EQ(readFrame(Fds[1], M, Error), -1);
+  EXPECT_LE(threadAllocBytes() - Before, uint64_t(2) << 20);
+  EXPECT_NE(Error.find("truncated frame"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("16 of " + std::to_string(MaxFramePayload) +
+                       " payload bytes"),
+            std::string::npos)
+      << Error;
+  ::close(Fds[1]);
+}
+
 TEST(WireTest, WholeFramesRoundTripOverASocketPair) {
   int Fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
@@ -772,16 +796,12 @@ namespace {
 /// Appends one 16-byte little-endian stream record to \p Body.
 void appendRecord(std::string &Body, uint32_t FuncIdx, uint32_t CondIdx,
                   double Delta) {
-  auto PutU32 = [&Body](uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Body.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  PutU32(FuncIdx);
-  PutU32(CondIdx);
-  uint64_t Bits;
-  std::memcpy(&Bits, &Delta, sizeof(Bits));
-  for (int I = 0; I < 8; ++I)
-    Body.push_back(static_cast<char>((Bits >> (8 * I)) & 0xff));
+  std::vector<uint8_t> Rec;
+  ByteWriter W(Rec);
+  W.u32(FuncIdx);
+  W.u32(CondIdx);
+  W.f64(Delta);
+  Body.append(Rec.begin(), Rec.end());
 }
 
 /// Runs describe on \p Session and returns the stream index of \p Fn.
