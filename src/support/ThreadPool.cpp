@@ -82,10 +82,12 @@ void ThreadPool::workerLoop(std::stop_token St, unsigned Worker) {
     Lock.unlock();
     ObsSink *Sink = Obs.load(std::memory_order_acquire);
     if (Sink) {
+      // Counted before the task runs: running it completes its future, and
+      // a caller that waited on every future must already see every task.
+      Sink->addCounter("threadpool.tasks_executed", 1);
       auto Start = std::chrono::steady_clock::now();
       Item.Fn();
       uint64_t Ns = elapsedNs(Start, std::chrono::steady_clock::now());
-      Sink->addCounter("threadpool.tasks_executed", 1);
       // EnqueuedAt is default-constructed when the sink was attached
       // between enqueue and dequeue; skip the bogus wait in that case.
       if (Item.EnqueuedAt != std::chrono::steady_clock::time_point())
