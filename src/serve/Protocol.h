@@ -15,11 +15,14 @@
 ///           source, a stats table)
 ///
 /// The header text is line-oriented: the first line is the verb (requests:
-/// `estimate`, `ingest-profile`, `load-program`, `run`, `capture-profile`,
-/// `stats`, `ping`, `shutdown`; responses: `ok` or `error`), every further
-/// line one `key=value` parameter. Keys are bare identifiers; values run
-/// to the end of the line, so they may contain '=' but not newlines —
-/// anything bigger or binary travels in the body.
+/// the rows of ServeCore's verb table in Server.cpp — `estimate`,
+/// `estimate-batch`, `stream-deltas`, `ingest-profile`, `capture-profile`,
+/// `run`, `load-program`, `checkpoint`, `stats`, `ping`, `shutdown`,
+/// `promote` — plus `repl-subscribe`, which the daemon's connection loop
+/// serves; responses: `ok` or `error`), every further line one
+/// `key=value` parameter. Keys are bare identifiers; values run to the
+/// end of the line, so they may contain '=' but not newlines — anything
+/// bigger or binary travels in the body.
 ///
 /// This header knows nothing about sockets: encodeFrame/decodeFrame map
 /// between WireMessage and the payload bytes, so the protocol is testable

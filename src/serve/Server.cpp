@@ -33,30 +33,44 @@ static std::string preciseDouble(double V) {
   return Buf;
 }
 
-static std::optional<ProfileMode> parseMode(const std::string &Text) {
-  std::string M = toLower(Text);
-  if (M == "naive")
-    return ProfileMode::Naive;
-  if (M == "opt1")
-    return ProfileMode::Opt1;
-  if (M == "opt12")
-    return ProfileMode::Opt12;
-  if (M == "smart")
-    return ProfileMode::Smart;
+/// Writes one estimate answer into \p Resp, each key followed by
+/// \p Suffix (empty for `estimate`, `.I` for batch entry I).
+static void putEstimate(WireMessage &Resp, const EstimateResult &R,
+                        const std::string &Function,
+                        const std::string &Suffix) {
+  Resp.Params["function" + Suffix] = R.F ? R.F->name() : Function;
+  Resp.Params["time" + Suffix] = preciseDouble(R.Time);
+  Resp.Params["var" + Suffix] = preciseDouble(R.Var);
+  Resp.Params["stddev" + Suffix] = preciseDouble(R.StdDev);
+  Resp.Params["degraded" + Suffix] = R.Degraded ? "1" : "0";
+  Resp.Params["quarantined" + Suffix] = R.Quarantined ? "1" : "0";
+  if (R.Degraded)
+    Resp.Params["degrade-reason" + Suffix] = R.DegradeReason;
+  if (R.Quarantined)
+    Resp.Params["quarantine-reason" + Suffix] = R.QuarantineReason;
+}
+
+/// The position of \p Text (any case) in \p Names. A choice parameter
+/// lists its names in enumerator order, so the position is the enum's
+/// value: the u32 that SessionCreate records and snapshots keep.
+static std::optional<uint32_t>
+parseChoice(const std::string &Text,
+            std::initializer_list<std::string_view> Names) {
+  const std::string Lower = toLower(Text);
+  uint32_t I = 0;
+  for (std::string_view Name : Names) {
+    if (Lower == Name)
+      return I;
+    ++I;
+  }
   return std::nullopt;
 }
 
-static std::optional<LoopVarianceMode> parseLoopVariance(
-    const std::string &Text) {
-  std::string M = toLower(Text);
-  if (M == "zero")
-    return LoopVarianceMode::Zero;
-  if (M == "profiled")
-    return LoopVarianceMode::Profiled;
-  if (M == "geometric")
-    return LoopVarianceMode::Geometric;
-  if (M == "uniform")
-    return LoopVarianceMode::Uniform;
+static std::optional<LoopVarianceMode>
+parseLoopVariance(const std::string &Text) {
+  if (std::optional<uint32_t> I =
+          parseChoice(Text, {"zero", "profiled", "geometric", "uniform"}))
+    return static_cast<LoopVarianceMode>(*I);
   return std::nullopt;
 }
 
@@ -71,20 +85,33 @@ static uint64_t sessionMemoryBytes(const std::string &Source,
   return 96 * 1024 + Source.size() + Stmts * 2048;
 }
 
-/// Arms a per-request token from `deadline-ms` / `step-budget` params.
-/// Returns false (with an error response in \p Resp) on malformed values;
+/// Largest accepted `deadline-ms` (about 31.7 years). The budget in
+/// nanoseconds, added to the steady clock's now(), must stay inside
+/// int64_t; a larger request is refused instead of wrapping into the past.
+static constexpr double MaxDeadlineMs = 1e12;
+
+/// Arms \p Token from the request's `deadline-ms` / `step-budget`
+/// parameters, the only place that reads them. Returns false (with an
+/// error response in \p Resp) on a malformed or unrepresentable value;
 /// sets \p Armed when any bound was installed.
 static bool armRequestToken(const WireMessage &Request, uint64_t DefaultSteps,
                             CancelToken &Token, bool &Armed,
                             WireMessage &Resp) {
   Armed = false;
   if (Request.hasParam("deadline-ms")) {
-    std::optional<double> Ms = parseDouble(Request.param("deadline-ms"));
+    const std::string Text = Request.param("deadline-ms");
+    std::optional<double> Ms = parseDouble(Text);
     if (!Ms || *Ms < 0) {
-      Resp = errorResponse("bad-request", "deadline-ms wants a non-negative "
-                                          "number, got '" +
-                                              Request.param("deadline-ms") +
-                                              "'");
+      Resp = errorResponse("bad-request",
+                           "deadline-ms wants a non-negative number, got '" +
+                               Text + "'");
+      return false;
+    }
+    if (*Ms > MaxDeadlineMs) {
+      Resp = errorResponse("bad-request",
+                           "deadline-ms " + Text +
+                               " exceeds the limit of 1e12 ms (about 31 "
+                               "years)");
       return false;
     }
     Token.setDeadlineIn(std::chrono::nanoseconds(
@@ -139,6 +166,15 @@ ServeCore::findSession(const std::string &Name) {
   return It->second;
 }
 
+std::vector<std::shared_ptr<ServeCore::SessionEntry>>
+ServeCore::residentEntries() const {
+  std::lock_guard<std::mutex> L(Mu);
+  std::vector<std::shared_ptr<SessionEntry>> Entries;
+  for (const auto &[Name, Entry] : Sessions)
+    Entries.push_back(Entry);
+  return Entries;
+}
+
 void ServeCore::evictLocked(const SessionEntry *Keep) {
   // A standby never evicts on its own: its registry must track the
   // primary's byte-for-byte, and only a replicated SessionEvict record
@@ -173,66 +209,109 @@ void ServeCore::evictLocked(const SessionEntry *Keep) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// The verb table and dispatch
+//===----------------------------------------------------------------------===//
+
+static bool always(const WireMessage &) { return true; }
+static bool never(const WireMessage &) { return false; }
+/// stream-deltas describe=1 is a read: it only serves the cell-address
+/// table.
+static bool unlessDescribe(const WireMessage &Request) {
+  return Request.param("describe") != "1";
+}
+
+/// One request verb. Mutates says whether a request changes state a
+/// standby must only take from the primary's journal; NeedsSession makes
+/// handle() resolve `session=` first; AcceptsDeadline makes it arm the
+/// request's `deadline-ms` / `step-budget` token.
+struct ServeCore::Verb {
+  const char *Name;
+  Handler ServeCore::*Serve;
+  bool (*Mutates)(const WireMessage &Request);
+  bool NeedsSession;
+  bool AcceptsDeadline;
+};
+
+/// Scanned in order on every request, so the hot reads come first.
+/// `shutdown` also stops the daemon from its connection loop, and
+/// `repl-subscribe` never reaches the core: both act on the connection.
+const ServeCore::Verb ServeCore::Verbs[] = {
+    {"estimate", &ServeCore::handleEstimate, never, true, true},
+    {"estimate-batch", &ServeCore::handleEstimateBatch, never, true, true},
+    {"stream-deltas", &ServeCore::handleStreamDeltas, unlessDescribe, true,
+     false},
+    {"ingest-profile", &ServeCore::handleIngestProfile, always, true, true},
+    {"capture-profile", &ServeCore::handleCaptureProfile, never, true, false},
+    {"run", &ServeCore::handleRun, always, true, false},
+    {"load-program", &ServeCore::handleLoadProgram, always, false, false},
+    {"checkpoint", &ServeCore::handleCheckpoint, always, false, false},
+    {"stats", &ServeCore::handleStats, never, false, false},
+    {"ping", &ServeCore::handlePing, never, false, false},
+    {"shutdown", &ServeCore::handlePing, never, false, false},
+    {"promote", &ServeCore::handlePromote, never, false, false},
+};
+
+std::vector<std::string_view> ServeCore::verbNames() {
+  std::vector<std::string_view> Names;
+  for (const Verb &V : Verbs)
+    Names.push_back(V.Name);
+  return Names;
+}
+
 WireMessage ServeCore::handle(const WireMessage &Request) {
   bump("serve.requests");
-  // A standby answers reads and refuses every state change with a
-  // structured error the client can route on (retry against the primary,
-  // or wait for promotion). stream-deltas describe=1 is a read: it only
-  // serves the cell-address table.
-  if (isReadOnly() &&
-      (Request.Verb == "load-program" || Request.Verb == "run" ||
-       Request.Verb == "ingest-profile" || Request.Verb == "checkpoint" ||
-       (Request.Verb == "stream-deltas" &&
-        Request.param("describe") != "1"))) {
+  const Verb *V = std::find_if(
+      std::begin(Verbs), std::end(Verbs),
+      [&](const Verb &Row) { return Row.Name == Request.Verb; });
+  std::shared_ptr<SessionEntry> Entry;
+  CancelToken Token;
+  bool Armed = false;
+  WireMessage Resp;
+  if (V == std::end(Verbs)) {
+    Resp = errorResponse("bad-request", "unknown verb '" + Request.Verb + "'");
+  } else if (isReadOnly() && V->Mutates(Request)) {
+    // A standby answers reads and refuses every state change with a
+    // structured error the client can route on (retry against the
+    // primary, or wait for promotion).
     bump("serve.read-only-rejects");
-    bump("serve.errors");
-    return errorResponse("read-only",
+    Resp = errorResponse("read-only",
                          "this daemon is a standby replica: '" +
                              Request.Verb +
                              "' mutates state, which only the primary "
                              "accepts until this replica is promoted");
+  } else if (V->NeedsSession &&
+             !(Entry = findSession(Request.param("session")))) {
+    Resp = errorResponse("unknown-session", "no session named '" +
+                                                Request.param("session") +
+                                                "'");
+  } else if (!V->AcceptsDeadline ||
+             armRequestToken(Request, Opts.DefaultStepBudget, Token, Armed,
+                             Resp)) {
+    Resp = (this->*V->Serve)(Request, Entry.get(), Armed ? &Token : nullptr);
   }
-  WireMessage Resp;
-  if (Request.Verb == "ping" || Request.Verb == "shutdown")
-    Resp = okResponse();
-  else if (Request.Verb == "promote") {
-    if (!Opts.Promote)
-      Resp = errorResponse("bad-request",
-                           "this daemon is not a standby (start ptran-serve "
-                           "with --standby-of=SOCKET to replicate)");
-    else {
-      std::string Err;
-      if (Opts.Promote(Err)) {
-        bump("serve.promotions");
-        Resp = okResponse();
-        Resp.Params["role"] = "primary";
-      } else {
-        Resp = errorResponse("promote-failed", Err);
-      }
-    }
-  } else if (Request.Verb == "load-program")
-    Resp = handleLoadProgram(Request);
-  else if (Request.Verb == "run")
-    Resp = handleRun(Request);
-  else if (Request.Verb == "estimate")
-    Resp = handleEstimate(Request);
-  else if (Request.Verb == "estimate-batch")
-    Resp = handleEstimateBatch(Request);
-  else if (Request.Verb == "stream-deltas")
-    Resp = handleStreamDeltas(Request);
-  else if (Request.Verb == "ingest-profile")
-    Resp = handleIngestProfile(Request);
-  else if (Request.Verb == "capture-profile")
-    Resp = handleCaptureProfile(Request);
-  else if (Request.Verb == "checkpoint")
-    Resp = handleCheckpoint();
-  else if (Request.Verb == "stats")
-    Resp = handleStats();
-  else
-    Resp = errorResponse("bad-request",
-                         "unknown verb '" + Request.Verb + "'");
   if (Resp.Verb == "error")
     bump("serve.errors");
+  return Resp;
+}
+
+WireMessage ServeCore::handlePing(const WireMessage &, SessionEntry *,
+                                  CancelToken *) {
+  return okResponse();
+}
+
+WireMessage ServeCore::handlePromote(const WireMessage &, SessionEntry *,
+                                     CancelToken *) {
+  if (!Opts.Promote)
+    return errorResponse("bad-request",
+                         "this daemon is not a standby (start ptran-serve "
+                         "with --standby-of=SOCKET to replicate)");
+  std::string Err;
+  if (!Opts.Promote(Err))
+    return errorResponse("promote-failed", Err);
+  bump("serve.promotions");
+  WireMessage Resp = okResponse();
+  Resp.Params["role"] = "primary";
   return Resp;
 }
 
@@ -296,23 +375,22 @@ void ServeCore::registerEntry(const std::shared_ptr<SessionEntry> &Entry,
   evictLocked(Entry.get());
 }
 
-WireMessage ServeCore::handleLoadProgram(const WireMessage &Request) {
+WireMessage ServeCore::handleLoadProgram(const WireMessage &Request,
+                                         SessionEntry *, CancelToken *) {
   std::string Name = Request.param("session");
   if (Name.empty())
     return errorResponse("bad-request", "load-program needs session=NAME");
 
   std::string Source;
   if (Request.hasParam("workload")) {
-    std::string W = toLower(Request.param("workload"));
-    const Workload *WL = nullptr;
-    if (W == "loops")
-      WL = &livermoreLoops();
-    else if (W == "simple")
-      WL = &simpleKernel();
-    else
+    std::optional<uint32_t> W =
+        parseChoice(Request.param("workload"), {"loops", "simple"});
+    if (!W)
       return errorResponse("bad-request",
-                           "unknown workload '" + W + "' (loops|simple)");
-    Source = WL->Source;
+                           "unknown workload '" +
+                               toLower(Request.param("workload")) +
+                               "' (loops|simple)");
+    Source = (*W == 0 ? livermoreLoops() : simpleKernel()).Source;
   } else if (!Request.Body.empty()) {
     Source = Request.Body;
   } else {
@@ -327,12 +405,13 @@ WireMessage ServeCore::handleLoadProgram(const WireMessage &Request) {
   uint32_t LoopVariance = static_cast<uint32_t>(LoopVarianceMode::Zero);
   uint32_t OnBadProfile = static_cast<uint32_t>(BadProfilePolicy::Fail);
   if (Request.hasParam("mode")) {
-    std::optional<ProfileMode> M = parseMode(Request.param("mode"));
+    std::optional<uint32_t> M = parseChoice(
+        Request.param("mode"), {"naive", "opt1", "opt12", "smart"});
     if (!M)
       return errorResponse("bad-request", "unknown mode '" +
                                               Request.param("mode") +
                                               "' (naive|opt1|opt12|smart)");
-    Mode = static_cast<uint32_t>(*M);
+    Mode = *M;
   }
   if (Request.hasParam("loop-variance")) {
     std::optional<LoopVarianceMode> LV =
@@ -345,14 +424,14 @@ WireMessage ServeCore::handleLoadProgram(const WireMessage &Request) {
     LoopVariance = static_cast<uint32_t>(*LV);
   }
   if (Request.hasParam("on-bad-profile")) {
-    std::string P = toLower(Request.param("on-bad-profile"));
-    if (P == "fail")
-      OnBadProfile = static_cast<uint32_t>(BadProfilePolicy::Fail);
-    else if (P == "quarantine")
-      OnBadProfile = static_cast<uint32_t>(BadProfilePolicy::Quarantine);
-    else
-      return errorResponse("bad-request", "unknown on-bad-profile '" + P +
-                                              "' (fail|quarantine)");
+    std::optional<uint32_t> P =
+        parseChoice(Request.param("on-bad-profile"), {"fail", "quarantine"});
+    if (!P)
+      return errorResponse("bad-request",
+                           "unknown on-bad-profile '" +
+                               toLower(Request.param("on-bad-profile")) +
+                               "' (fail|quarantine)");
+    OnBadProfile = *P;
   }
 
   // Parse + analyze outside every lock (the expensive part), then insert
@@ -377,12 +456,8 @@ WireMessage ServeCore::handleLoadProgram(const WireMessage &Request) {
   return Resp;
 }
 
-WireMessage ServeCore::handleRun(const WireMessage &Request) {
-  std::shared_ptr<SessionEntry> Entry = findSession(Request.param("session"));
-  if (!Entry)
-    return errorResponse("unknown-session", "no session named '" +
-                                                Request.param("session") +
-                                                "'");
+WireMessage ServeCore::handleRun(const WireMessage &Request,
+                                 SessionEntry *Entry, CancelToken *) {
   unsigned Runs = 1;
   if (Request.hasParam("runs")) {
     std::optional<unsigned> N = parseUnsigned(Request.param("runs"));
@@ -425,18 +500,8 @@ WireMessage ServeCore::handleRun(const WireMessage &Request) {
   return Resp;
 }
 
-WireMessage ServeCore::handleEstimate(const WireMessage &Request) {
-  std::shared_ptr<SessionEntry> Entry = findSession(Request.param("session"));
-  if (!Entry)
-    return errorResponse("unknown-session", "no session named '" +
-                                                Request.param("session") +
-                                                "'");
-  CancelToken Token;
-  bool Armed = false;
-  WireMessage Resp;
-  if (!armRequestToken(Request, Opts.DefaultStepBudget, Token, Armed, Resp))
-    return Resp;
-
+WireMessage ServeCore::handleEstimate(const WireMessage &Request,
+                                      SessionEntry *Entry, CancelToken *Token) {
   std::vector<EstimateRequest> Reqs(1);
   Reqs[0].Function = Request.param("function");
   if (Request.hasParam("loop-variance")) {
@@ -449,34 +514,21 @@ WireMessage ServeCore::handleEstimate(const WireMessage &Request) {
     Reqs[0].LoopVariance = *LV;
   }
 
-  std::vector<EstimateResult> Results =
-      Entry->Session->estimate(Reqs, Armed ? &Token : nullptr);
+  std::vector<EstimateResult> Results = Entry->Session->estimate(Reqs, Token);
   bump("serve.estimates");
   const EstimateResult &R = Results[0];
   if (!R.Ok)
-    return errorResponse(Token.expired() ? "timeout" : "estimate-failed",
-                         R.Error);
+    return errorResponse(
+        Token && Token->expired() ? "timeout" : "estimate-failed", R.Error);
 
-  Resp = okResponse();
-  Resp.Params["function"] = R.F ? R.F->name() : Reqs[0].Function;
-  Resp.Params["time"] = preciseDouble(R.Time);
-  Resp.Params["var"] = preciseDouble(R.Var);
-  Resp.Params["stddev"] = preciseDouble(R.StdDev);
-  Resp.Params["degraded"] = R.Degraded ? "1" : "0";
-  Resp.Params["quarantined"] = R.Quarantined ? "1" : "0";
-  if (R.Degraded)
-    Resp.Params["degrade-reason"] = R.DegradeReason;
-  if (R.Quarantined)
-    Resp.Params["quarantine-reason"] = R.QuarantineReason;
+  WireMessage Resp = okResponse();
+  putEstimate(Resp, R, Reqs[0].Function, "");
   return Resp;
 }
 
-WireMessage ServeCore::handleEstimateBatch(const WireMessage &Request) {
-  std::shared_ptr<SessionEntry> Entry = findSession(Request.param("session"));
-  if (!Entry)
-    return errorResponse("unknown-session", "no session named '" +
-                                                Request.param("session") +
-                                                "'");
+WireMessage ServeCore::handleEstimateBatch(const WireMessage &Request,
+                                           SessionEntry *Entry,
+                                           CancelToken *Token) {
   std::optional<unsigned> Count = parseUnsigned(Request.param("count"));
   if (!Count || *Count == 0)
     return errorResponse("bad-request",
@@ -490,12 +542,6 @@ WireMessage ServeCore::handleEstimateBatch(const WireMessage &Request) {
                          "estimate-batch count " + std::to_string(*Count) +
                              " exceeds the cap of " +
                              std::to_string(MaxBatch));
-
-  CancelToken Token;
-  bool Armed = false;
-  WireMessage Resp;
-  if (!armRequestToken(Request, Opts.DefaultStepBudget, Token, Armed, Resp))
-    return Resp;
 
   // A batch-wide `loop-variance` is the default; `loop-variance.I`
   // overrides it per query.
@@ -538,7 +584,7 @@ WireMessage ServeCore::handleEstimateBatch(const WireMessage &Request) {
       if (K.size() <= Prefix.size() || K.substr(0, Prefix.size()) != Prefix)
         continue;
       std::optional<unsigned> Index =
-          parseUnsigned(std::string(K.substr(Prefix.size())));
+          parseUnsigned(K.substr(Prefix.size()));
       if (!Index || *Index >= *Count)
         return errorResponse(
             "bad-request", "estimate-batch count=" + std::to_string(*Count) +
@@ -552,14 +598,13 @@ WireMessage ServeCore::handleEstimateBatch(const WireMessage &Request) {
   // One session call for the whole batch: the session answers every query
   // from one coherent analysis snapshot, and shared dirty functions are
   // recomputed once instead of once per query.
-  std::vector<EstimateResult> Results =
-      Entry->Session->estimate(Reqs, Armed ? &Token : nullptr);
+  std::vector<EstimateResult> Results = Entry->Session->estimate(Reqs, Token);
   bump("serve.estimates", Results.size());
   bump("serve.estimate-batches");
 
   // Per-query failures are reported in-band (`ok.I` = 0 plus `error.I`)
   // so one unknown function does not discard its batch-mates' answers.
-  Resp = okResponse();
+  WireMessage Resp = okResponse();
   Resp.Params["count"] = std::to_string(Results.size());
   unsigned Failed = 0;
   for (unsigned I = 0; I != Results.size(); ++I) {
@@ -570,19 +615,10 @@ WireMessage ServeCore::handleEstimateBatch(const WireMessage &Request) {
       ++Failed;
       Resp.Params["error" + Suffix] = R.Error;
       Resp.Params["error-code" + Suffix] =
-          Token.expired() ? "timeout" : "estimate-failed";
+          Token && Token->expired() ? "timeout" : "estimate-failed";
       continue;
     }
-    Resp.Params["function" + Suffix] = R.F ? R.F->name() : Reqs[I].Function;
-    Resp.Params["time" + Suffix] = preciseDouble(R.Time);
-    Resp.Params["var" + Suffix] = preciseDouble(R.Var);
-    Resp.Params["stddev" + Suffix] = preciseDouble(R.StdDev);
-    Resp.Params["degraded" + Suffix] = R.Degraded ? "1" : "0";
-    Resp.Params["quarantined" + Suffix] = R.Quarantined ? "1" : "0";
-    if (R.Degraded)
-      Resp.Params["degrade-reason" + Suffix] = R.DegradeReason;
-    if (R.Quarantined)
-      Resp.Params["quarantine-reason" + Suffix] = R.QuarantineReason;
+    putEstimate(Resp, R, Reqs[I].Function, Suffix);
   }
   Resp.Params["failed"] = std::to_string(Failed);
   return Resp;
@@ -592,12 +628,8 @@ WireMessage ServeCore::handleEstimateBatch(const WireMessage &Request) {
 /// index | f64 LE delta.
 static constexpr size_t StreamRecordSize = 16;
 
-WireMessage ServeCore::handleStreamDeltas(const WireMessage &Request) {
-  std::shared_ptr<SessionEntry> Entry = findSession(Request.param("session"));
-  if (!Entry)
-    return errorResponse("unknown-session", "no session named '" +
-                                                Request.param("session") +
-                                                "'");
+WireMessage ServeCore::handleStreamDeltas(const WireMessage &Request,
+                                          SessionEntry *Entry, CancelToken *) {
   CounterDeltaStream *Stream = streamFor(*Entry);
 
   // describe=1: serve the cell-address table clients encode records
@@ -665,21 +697,12 @@ WireMessage ServeCore::handleStreamDeltas(const WireMessage &Request) {
   return Resp;
 }
 
-WireMessage ServeCore::handleIngestProfile(const WireMessage &Request) {
-  std::shared_ptr<SessionEntry> Entry = findSession(Request.param("session"));
-  if (!Entry)
-    return errorResponse("unknown-session", "no session named '" +
-                                                Request.param("session") +
-                                                "'");
+WireMessage ServeCore::handleIngestProfile(const WireMessage &Request,
+                                           SessionEntry *Entry,
+                                           CancelToken *Token) {
   if (Request.Body.empty())
     return errorResponse("bad-request",
                          "ingest-profile needs a PTPF image in the body");
-  CancelToken Token;
-  bool Armed = false;
-  WireMessage Resp;
-  if (!armRequestToken(Request, Opts.DefaultStepBudget, Token, Armed, Resp))
-    return Resp;
-
   std::vector<uint8_t> Bytes(Request.Body.begin(), Request.Body.end());
   DiagnosticEngine LoadDiags;
   std::optional<ProfileFile> PF = ProfileFile::deserialize(Bytes, &LoadDiags);
@@ -694,7 +717,7 @@ WireMessage ServeCore::handleIngestProfile(const WireMessage &Request) {
     // bytes, so recovery reproduces the same accept/quarantine decisions.
     std::shared_lock<std::shared_mutex> SL(StructureMu);
     std::lock_guard<std::mutex> DL(Entry->DurableMu);
-    Report = Entry->Session->ingestProfile(*PF, Armed ? &Token : nullptr);
+    Report = Entry->Session->ingestProfile(*PF, Token);
     if (Report.Ok) {
       durable::DurableRecord R;
       R.Type = durable::RecordType::ProfileIngest;
@@ -705,9 +728,9 @@ WireMessage ServeCore::handleIngestProfile(const WireMessage &Request) {
   }
   bump("serve.ingests");
   if (!Report.Ok)
-    return errorResponse(Token.expired() ? "timeout" : "bad-profile",
-                         Report.Error);
-  Resp = okResponse();
+    return errorResponse(
+        Token && Token->expired() ? "timeout" : "bad-profile", Report.Error);
+  WireMessage Resp = okResponse();
   Resp.Params["accepted"] = std::to_string(Report.Accepted);
   Resp.Params["quarantined"] = std::to_string(Report.Quarantined.size());
   if (!Report.Findings.empty())
@@ -715,12 +738,9 @@ WireMessage ServeCore::handleIngestProfile(const WireMessage &Request) {
   return Resp;
 }
 
-WireMessage ServeCore::handleCaptureProfile(const WireMessage &Request) {
-  std::shared_ptr<SessionEntry> Entry = findSession(Request.param("session"));
-  if (!Entry)
-    return errorResponse("unknown-session", "no session named '" +
-                                                Request.param("session") +
-                                                "'");
+WireMessage ServeCore::handleCaptureProfile(const WireMessage &,
+                                            SessionEntry *Entry,
+                                            CancelToken *) {
   std::vector<uint8_t> Bytes = Entry->Session->captureProfile().serialize();
   bump("serve.captures");
   WireMessage Resp = okResponse();
@@ -728,7 +748,8 @@ WireMessage ServeCore::handleCaptureProfile(const WireMessage &Request) {
   return Resp;
 }
 
-WireMessage ServeCore::handleStats() {
+WireMessage ServeCore::handleStats(const WireMessage &, SessionEntry *,
+                                   CancelToken *) {
   if (!Opts.Obs)
     return errorResponse("bad-request",
                          "this daemon runs without observability "
@@ -845,6 +866,27 @@ CounterDeltaStream *ServeCore::streamFor(SessionEntry &Entry) {
   return Entry.Stream.get();
 }
 
+uint64_t ServeCore::sealStreams(
+    const std::vector<std::shared_ptr<SessionEntry>> &Entries) {
+  // Seal outstanding stream epochs: their folds become journal records
+  // below the watermark read next.
+  for (const auto &Entry : Entries)
+    if (CounterDeltaStream *Stream = Entry->builtStream())
+      Stream->flush();
+  return Opts.Store->journal().lastLsn();
+}
+
+durable::DurableSessionState ServeCore::captureState(SessionEntry &Entry) {
+  durable::DurableSessionState S;
+  S.Name = Entry.Name;
+  S.Source = Entry.Source;
+  S.Mode = Entry.Mode;
+  S.LoopVariance = Entry.LoopVariance;
+  S.OnBadProfile = Entry.OnBadProfile;
+  Entry.Session->captureDurableState(S);
+  return S;
+}
+
 bool ServeCore::checkpoint(std::string &Error) {
   if (!Opts.Store)
     return true;
@@ -853,37 +895,13 @@ bool ServeCore::checkpoint(std::string &Error) {
   // rotation the sessions and the journal cannot diverge.
   std::unique_lock<std::shared_mutex> SL(StructureMu);
 
-  std::vector<std::shared_ptr<SessionEntry>> Entries;
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    for (const auto &[Name, Entry] : Sessions)
-      Entries.push_back(Entry);
-  }
-
-  // 1. Seal outstanding stream epochs: their folds become journal
-  // records below the watermark read next.
-  for (const auto &Entry : Entries) {
-    CounterDeltaStream *Stream = nullptr;
-    {
-      std::lock_guard<std::mutex> L(Entry->StreamMu);
-      Stream = Entry->Stream.get();
-    }
-    if (Stream)
-      Stream->flush();
-  }
-
-  // 2+3. Watermark, then snapshot every resident session at it.
-  uint64_t W = Opts.Store->journal().lastLsn();
+  // 1+2. Seal stream epochs, read the watermark; 3. snapshot every
+  // resident session at it.
+  std::vector<std::shared_ptr<SessionEntry>> Entries = residentEntries();
+  uint64_t W = sealStreams(Entries);
   std::set<std::string> Resident;
   for (const auto &Entry : Entries) {
-    durable::DurableSessionState S;
-    S.Name = Entry->Name;
-    S.Source = Entry->Source;
-    S.Mode = Entry->Mode;
-    S.LoopVariance = Entry->LoopVariance;
-    S.OnBadProfile = Entry->OnBadProfile;
-    Entry->Session->captureDurableState(S);
-    if (!Opts.Store->writeSnapshot(S, W, Error))
+    if (!Opts.Store->writeSnapshot(captureState(*Entry), W, Error))
       return false; // Journal NOT rotated: nothing is lost, only long.
     Resident.insert(Entry->Name);
   }
@@ -899,18 +917,69 @@ bool ServeCore::checkpoint(std::string &Error) {
   // full re-bootstrap if we rotate it away — defer rotation until it
   // catches up, unless the journal has grown past the point where an
   // unbounded file is the bigger risk.
-  if (Opts.Repl) {
-    constexpr uint64_t RotateForceBytes = 256ull << 20;
-    if (Opts.Repl->minSubscriberLsn() <= W &&
-        Opts.Store->journal().sizeBytes() < RotateForceBytes) {
-      bump("durable.checkpoints");
-      bump("repl.rotations_deferred");
-      return true;
-    }
-  }
-  if (!Opts.Store->rotateJournal(Error))
+  constexpr uint64_t RotateForceBytes = 256ull << 20;
+  if (Opts.Repl && Opts.Repl->minSubscriberLsn() <= W &&
+      Opts.Store->journal().sizeBytes() < RotateForceBytes)
+    bump("repl.rotations_deferred");
+  else if (!Opts.Store->rotateJournal(Error))
     return false;
   bump("durable.checkpoints");
+  return true;
+}
+
+/// Folds \p Folds (an EpochFold record's or a snapshot's External totals)
+/// into \p Session as one batch. A function the program no longer has is
+/// skipped with a diagnostic prefixed by \p Where.
+static void applyFolds(EstimationSession &Session,
+                       const std::vector<durable::FoldEntry> &Folds,
+                       const std::string &Where,
+                       std::vector<std::string> &Diagnostics) {
+  std::vector<std::pair<const Function *, FrequencyTotals>> Batch;
+  for (const durable::FoldEntry &FE : Folds) {
+    const Function *F = Session.program().findFunction(FE.Function);
+    if (!F) {
+      Diagnostics.push_back(Where + ": function '" + FE.Function +
+                            "' not found; its totals dropped");
+      continue;
+    }
+    FrequencyTotals T;
+    T.Ok = true;
+    for (const durable::CondTotal &C : FE.Conds)
+      T.Cond[ControlCondition{C.Node, static_cast<CfgLabel>(C.Label)}] =
+          C.Total;
+    Batch.emplace_back(F, std::move(T));
+  }
+  if (!Batch.empty())
+    Session.accumulateTotalsBatch(Batch);
+}
+
+/// Re-ingests a snapshotted or journaled PTPF image into \p Session (a
+/// replay: no deadline). A failure costs one diagnostic, led by \p What.
+static void replayProfile(EstimationSession &Session,
+                          const std::vector<uint8_t> &Image,
+                          const std::string &What,
+                          std::vector<std::string> &Diagnostics) {
+  DiagnosticEngine LoadDiags;
+  std::optional<ProfileFile> PF = ProfileFile::deserialize(Image, &LoadDiags);
+  if (!PF) {
+    Diagnostics.push_back(What + " failed to parse: " + LoadDiags.str());
+    return;
+  }
+  ProfileIngestReport Rep = Session.ingestProfile(*PF, nullptr);
+  if (!Rep.Ok)
+    Diagnostics.push_back(What + " failed to ingest: " + Rep.Error);
+}
+
+/// Re-arms \p Fn's saturation diagnostic on \p Session and records it in
+/// \p Journaled. False when the program has no such function.
+static bool markSaturated(EstimationSession &Session,
+                          std::set<std::string> &Journaled,
+                          const std::string &Fn) {
+  const Function *F = Session.program().findFunction(Fn);
+  if (!F)
+    return false;
+  Session.noteExternalSaturation(*F);
+  Journaled.insert(Fn);
   return true;
 }
 
@@ -926,49 +995,15 @@ void ServeCore::applySnapshotState(SessionEntry &Entry,
       Diagnostics.push_back("snapshot '" + State.Name +
                             "': quarantined function '" + Fn +
                             "' not found in the rebuilt program");
-  if (!State.ProfileImage.empty()) {
-    DiagnosticEngine LoadDiags;
-    std::optional<ProfileFile> PF =
-        ProfileFile::deserialize(State.ProfileImage, &LoadDiags);
-    if (!PF) {
-      Diagnostics.push_back("snapshot '" + State.Name +
-                            "': profile image failed to parse: " +
-                            LoadDiags.str());
-    } else {
-      ProfileIngestReport Rep = Entry.Session->ingestProfile(*PF, nullptr);
-      if (!Rep.Ok)
-        Diagnostics.push_back("snapshot '" + State.Name +
-                              "': profile image failed to ingest: " +
-                              Rep.Error);
-    }
-  }
-  std::vector<std::pair<const Function *, FrequencyTotals>> Batch;
-  for (const durable::FoldEntry &FE : State.External) {
-    const Function *F = Entry.Prog->findFunction(FE.Function);
-    if (!F) {
-      Diagnostics.push_back("snapshot '" + State.Name + "': function '" +
-                            FE.Function + "' not found; its totals dropped");
-      continue;
-    }
-    FrequencyTotals T;
-    T.Ok = true;
-    for (const durable::CondTotal &C : FE.Conds)
-      T.Cond[ControlCondition{C.Node, static_cast<CfgLabel>(C.Label)}] =
-          C.Total;
-    Batch.emplace_back(F, std::move(T));
-  }
-  if (!Batch.empty())
-    Entry.Session->accumulateTotalsBatch(Batch);
-  for (const std::string &Fn : State.Saturated) {
-    const Function *F = Entry.Prog->findFunction(Fn);
-    if (!F) {
+  if (!State.ProfileImage.empty())
+    replayProfile(*Entry.Session, State.ProfileImage,
+                  "snapshot '" + State.Name + "': profile image", Diagnostics);
+  applyFolds(*Entry.Session, State.External, "snapshot '" + State.Name + "'",
+             Diagnostics);
+  for (const std::string &Fn : State.Saturated)
+    if (!markSaturated(*Entry.Session, Entry.JournaledSaturation, Fn))
       Diagnostics.push_back("snapshot '" + State.Name +
                             "': saturated function '" + Fn + "' not found");
-      continue;
-    }
-    Entry.Session->noteExternalSaturation(*F);
-    Entry.JournaledSaturation.insert(Fn);
-  }
 }
 
 void ServeCore::restore(const durable::StateStore::Recovery &Recovered,
@@ -1056,30 +1091,9 @@ void ServeCore::applyRecord(const durable::DurableRecord &R,
       Diagnostics.push_back(Where + ": no such session; fold dropped");
       break;
     }
-    std::vector<std::pair<const Function *, FrequencyTotals>> Batch;
-    for (const durable::FoldEntry &FE : R.Folds) {
-      const Function *F = Entry->Prog->findFunction(FE.Function);
-      if (!F) {
-        Diagnostics.push_back(Where + ": function '" + FE.Function +
-                              "' not found; its totals dropped");
-        continue;
-      }
-      FrequencyTotals T;
-      T.Ok = true;
-      for (const durable::CondTotal &C : FE.Conds)
-        T.Cond[ControlCondition{C.Node, static_cast<CfgLabel>(C.Label)}] =
-            C.Total;
-      Batch.emplace_back(F, std::move(T));
-    }
-    if (!Batch.empty())
-      Entry->Session->accumulateTotalsBatch(Batch);
-    for (const std::string &Fn : R.Clamped) {
-      const Function *F = Entry->Prog->findFunction(Fn);
-      if (!F)
-        continue;
-      Entry->Session->noteExternalSaturation(*F);
-      Entry->JournaledSaturation.insert(Fn);
-    }
+    applyFolds(*Entry->Session, R.Folds, Where, Diagnostics);
+    for (const std::string &Fn : R.Clamped)
+      markSaturated(*Entry->Session, Entry->JournaledSaturation, Fn);
     break;
   }
   case durable::RecordType::ProfileIngest: {
@@ -1088,18 +1102,8 @@ void ServeCore::applyRecord(const durable::DurableRecord &R,
       Diagnostics.push_back(Where + ": no such session; profile dropped");
       break;
     }
-    DiagnosticEngine LoadDiags;
-    std::optional<ProfileFile> PF =
-        ProfileFile::deserialize(R.Profile, &LoadDiags);
-    if (!PF) {
-      Diagnostics.push_back(Where + ": profile failed to parse: " +
-                            LoadDiags.str());
-      break;
-    }
-    ProfileIngestReport Rep = Entry->Session->ingestProfile(*PF, nullptr);
-    if (!Rep.Ok)
-      Diagnostics.push_back(Where + ": profile failed to ingest: " +
-                            Rep.Error);
+    replayProfile(*Entry->Session, R.Profile, Where + ": profile",
+                  Diagnostics);
     break;
   }
   case durable::RecordType::SaturationMark: {
@@ -1108,14 +1112,10 @@ void ServeCore::applyRecord(const durable::DurableRecord &R,
       Diagnostics.push_back(Where + ": no such session; mark dropped");
       break;
     }
-    const Function *F = Entry->Prog->findFunction(R.FunctionName);
-    if (!F) {
+    if (!markSaturated(*Entry->Session, Entry->JournaledSaturation,
+                       R.FunctionName))
       Diagnostics.push_back(Where + ": function '" + R.FunctionName +
                             "' not found; mark dropped");
-      break;
-    }
-    Entry->Session->noteExternalSaturation(*F);
-    Entry->JournaledSaturation.insert(R.FunctionName);
     break;
   }
   }
@@ -1135,35 +1135,13 @@ bool ServeCore::captureBootstrap(BootstrapCapture &Out, std::string &Error) {
   // and the captures, so every image covers exactly LSNs <= Watermark.
   std::unique_lock<std::shared_mutex> SL(StructureMu);
 
-  std::vector<std::shared_ptr<SessionEntry>> Entries;
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    for (const auto &[Name, Entry] : Sessions)
-      Entries.push_back(Entry);
-  }
-  for (const auto &Entry : Entries) {
-    CounterDeltaStream *Stream = nullptr;
-    {
-      std::lock_guard<std::mutex> L(Entry->StreamMu);
-      Stream = Entry->Stream.get();
-    }
-    if (Stream)
-      Stream->flush();
-  }
-
-  Out.Watermark = Opts.Store->journal().lastLsn();
+  std::vector<std::shared_ptr<SessionEntry>> Entries = residentEntries();
+  Out.Watermark = sealStreams(Entries);
   Out.Snapshots.clear();
-  for (const auto &Entry : Entries) {
-    durable::DurableSessionState S;
-    S.Name = Entry->Name;
-    S.Source = Entry->Source;
-    S.Mode = Entry->Mode;
-    S.LoopVariance = Entry->LoopVariance;
-    S.OnBadProfile = Entry->OnBadProfile;
-    Entry->Session->captureDurableState(S);
+  for (const auto &Entry : Entries)
     Out.Snapshots.push_back(
-        {Entry->Name, durable::encodeSnapshot(S, Out.Watermark)});
-  }
+        {Entry->Name,
+         durable::encodeSnapshot(captureState(*Entry), Out.Watermark)});
   bump("repl.bootstraps_served");
   return true;
 }
@@ -1286,29 +1264,16 @@ void ServeCore::flusherLoop() {
     bool SyncDue =
         Now - LastSync >= std::chrono::milliseconds(Opts.FlushIntervalMs);
 
-    std::vector<std::shared_ptr<SessionEntry>> Entries;
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      for (const auto &[Name, Entry] : Sessions)
-        Entries.push_back(Entry);
-    }
+    std::vector<std::shared_ptr<SessionEntry>> Entries = residentEntries();
     // Drop staleness stamps of evicted sessions so the map tracks only
     // live entries.
-    for (auto It = PendingSince.begin(); It != PendingSince.end();) {
-      bool Live = false;
-      for (const auto &Entry : Entries)
-        if (Entry.get() == It->first) {
-          Live = true;
-          break;
-        }
-      It = Live ? std::next(It) : PendingSince.erase(It);
-    }
+    std::erase_if(PendingSince, [&](const auto &Stamp) {
+      return std::none_of(
+          Entries.begin(), Entries.end(),
+          [&](const auto &Entry) { return Entry.get() == Stamp.first; });
+    });
     for (const auto &Entry : Entries) {
-      CounterDeltaStream *Stream = nullptr;
-      {
-        std::lock_guard<std::mutex> L(Entry->StreamMu);
-        Stream = Entry->Stream.get();
-      }
+      CounterDeltaStream *Stream = Entry->builtStream();
       if (!Stream || Stream->pendingAppends() == 0) {
         PendingSince.erase(Entry.get());
         continue;
@@ -1354,7 +1319,8 @@ void ServeCore::flusherLoop() {
   }
 }
 
-WireMessage ServeCore::handleCheckpoint() {
+WireMessage ServeCore::handleCheckpoint(const WireMessage &, SessionEntry *,
+                                        CancelToken *) {
   if (!Opts.Store)
     return errorResponse("bad-request",
                          "this daemon runs without durable state "

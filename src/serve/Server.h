@@ -18,11 +18,11 @@
 /// yanks a session out from under an in-flight request — the request keeps
 /// its reference, the registry just forgets the name.
 ///
-/// Deadlines are per request: `estimate` and `ingest-profile` accept
-/// `deadline-ms` and `step-budget` parameters that arm a stack CancelToken
-/// for that one call, layered over the session's DeadlinePolicy (the
-/// daemon default is Degrade, so interactive callers get a tagged
-/// static-frequency answer instead of an error when their deadline trips).
+/// Deadlines are per request: the verbs whose verb-table row (Server.cpp)
+/// accepts them read `deadline-ms` and `step-budget` into a stack
+/// CancelToken for that one call, layered over the session's
+/// DeadlinePolicy (the daemon default is Degrade, so interactive callers
+/// get a tagged static-frequency answer instead of an error).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +46,7 @@
 #include <set>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -85,8 +86,8 @@ struct ServeOptions {
   unsigned MaxSessions = 64;
   /// What a session does when a request's deadline trips mid-estimation.
   DeadlinePolicy OnDeadline = DeadlinePolicy::Degrade;
-  /// Step budget armed on every estimate/ingest token when the request
-  /// does not send its own `step-budget` (0 = unbounded). The daemon's
+  /// Step budget armed on the token of every verb that accepts deadlines
+  /// when the request sends no `step-budget` (0 = unbounded). The daemon's
   /// load-shedding backstop against runaway queries.
   uint64_t DefaultStepBudget = 0;
   /// Registry every session and the dispatcher report into; the `stats`
@@ -129,6 +130,10 @@ public:
   /// number of threads concurrently: the registry has its own lock, and
   /// each EstimationSession serializes its callers.
   WireMessage handle(const WireMessage &Request);
+
+  /// The request verbs handle() accepts, in verb-table order (tests walk
+  /// them so that a new verb cannot skip the standby-gate check).
+  static std::vector<std::string_view> verbNames();
 
   /// Resident sessions right now (tests assert eviction through this).
   unsigned sessionCount() const;
@@ -244,6 +249,11 @@ private:
     /// flushers).
     std::mutex StreamMu;
     std::unique_ptr<CounterDeltaStream> Stream;
+    /// Stream when a stream-deltas request has built it, else null.
+    CounterDeltaStream *builtStream() {
+      std::lock_guard<std::mutex> L(StreamMu);
+      return Stream.get();
+    }
     uint64_t MemBytes = 0;
     /// Logical LRU stamp (registry clock value of the last touch).
     uint64_t LastUsed = 0;
@@ -267,18 +277,31 @@ private:
   };
   class DurableFoldObserver;
 
-  WireMessage handleLoadProgram(const WireMessage &Request);
-  WireMessage handleRun(const WireMessage &Request);
-  WireMessage handleEstimate(const WireMessage &Request);
-  WireMessage handleEstimateBatch(const WireMessage &Request);
-  WireMessage handleStreamDeltas(const WireMessage &Request);
-  WireMessage handleIngestProfile(const WireMessage &Request);
-  WireMessage handleCaptureProfile(const WireMessage &Request);
-  WireMessage handleCheckpoint();
-  WireMessage handleStats();
+  /// The verb table (Server.cpp), the one list of request verbs.
+  struct Verb;
+  static const Verb Verbs[];
+
+  /// A verb handler. It gets the request, the session the request names
+  /// (verbs whose row needs one; null otherwise) and the request's armed
+  /// deadline token (null when the verb takes none or the request set no
+  /// bound), and parses only its own verb's parameters.
+  using Handler = WireMessage(const WireMessage &Request, SessionEntry *Entry,
+                              CancelToken *Token);
+  Handler handleLoadProgram, handleRun, handleEstimate, handleEstimateBatch,
+      handleStreamDeltas, handleIngestProfile, handleCaptureProfile,
+      handleCheckpoint, handleStats, handlePing, handlePromote;
 
   /// Looks up \p Name and stamps its LRU clock. Null when unknown.
   std::shared_ptr<SessionEntry> findSession(const std::string &Name);
+  /// The resident entries right now (a copy taken under Mu).
+  std::vector<std::shared_ptr<SessionEntry>> residentEntries() const;
+  /// Seals every stream epoch of \p Entries, then returns the journal's
+  /// last LSN: the watermark the captures that follow cover. Caller holds
+  /// StructureMu unique (the checkpoint barrier).
+  uint64_t sealStreams(
+      const std::vector<std::shared_ptr<SessionEntry>> &Entries);
+  /// \p Entry's creation parameters plus its session's accumulated state.
+  static durable::DurableSessionState captureState(SessionEntry &Entry);
   /// Evicts least-recently-used entries (never \p Keep) until the memory
   /// budget and session cap hold, journaling a SessionEvict per victim.
   /// Caller holds Mu (and, when durable, StructureMu shared).

@@ -8,9 +8,12 @@
 /// Tests for the ptran-serve core with no socket in sight: the frame
 /// codec round-trips (including binary bodies) and rejects malformed
 /// frames, ServeCore dispatches every verb, per-request budgets degrade or
-/// fail per policy, LRU eviction enforces the memory budget, and — the
-/// point of the file — many threads hammering one ServeCore concurrently
-/// get responses byte-identical to a single-threaded reference run. The
+/// fail per policy and unrepresentable deadlines are refused, the verb
+/// table marks exactly the state-changing requests as mutating (a walk
+/// over every row on a durable primary and a standby), LRU eviction
+/// enforces the memory budget, and — the point of the file — many
+/// threads hammering one ServeCore concurrently get responses
+/// byte-identical to a single-threaded reference run. The
 /// tsan preset reruns this binary under ThreadSanitizer, which is what
 /// actually certifies the locking.
 ///
@@ -24,13 +27,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -915,4 +922,268 @@ TEST(ServeCoreTest, StreamDeltasValidatesBodyAndRecords) {
   EXPECT_EQ(Resp.param("appended"), "0");
   EXPECT_EQ(Resp.param("flushed-cells"), "0");
   EXPECT_EQ(Resp.param("epoch"), "1");
+}
+
+//===--- Per-request deadlines --------------------------------------------===//
+
+TEST(ServeCoreTest, DeadlinesBeyondTheRepresentableLimitAreRejected) {
+  ServeOptions Opts;
+  ServeCore Core(Opts);
+  loadAndRun(Core, "s0");
+  WireMessage Ref = Core.handle(makeRequest("estimate", "s0"));
+  ASSERT_EQ(Ref.Verb, "ok") << Ref.param("message");
+
+  // A long but representable deadline is honoured: the exact answer.
+  WireMessage Far = makeRequest("estimate", "s0");
+  Far.Params["deadline-ms"] = "1e9";
+  WireMessage R = Core.handle(Far);
+  ASSERT_EQ(R.Verb, "ok") << R.param("message");
+  EXPECT_EQ(R.param("degraded"), "0");
+  EXPECT_EQ(R.param("time"), Ref.param("time"));
+
+  // Past the limit the nanosecond budget no longer fits in int64_t. Such a
+  // deadline used to wrap into the past and be served as already expired
+  // (a degraded static-frequency answer); it is now a bad request naming
+  // the limit, on every verb that takes a deadline.
+  for (const char *Verb : {"estimate", "estimate-batch", "ingest-profile"})
+    for (const char *Ms : {"1e13", "9.3e12", "1e300"}) {
+      WireMessage Huge = makeRequest(Verb, "s0");
+      Huge.Params["deadline-ms"] = Ms;
+      R = Core.handle(Huge);
+      EXPECT_EQ(R.Verb, "error") << Verb << " " << Ms;
+      EXPECT_EQ(R.param("code"), "bad-request") << Verb << " " << Ms;
+      EXPECT_NE(R.param("message").find("1e12"), std::string::npos)
+          << R.param("message");
+    }
+}
+
+//===--- The verb table ---------------------------------------------------===//
+
+namespace {
+
+/// A fresh directory under /tmp, removed (one level deep) on destruction.
+struct TempDir {
+  std::string Path;
+  TempDir() {
+    char Buf[] = "/tmp/ptran-serve-XXXXXX";
+    EXPECT_NE(::mkdtemp(Buf), nullptr);
+    Path = Buf;
+  }
+  ~TempDir() {
+    for (const auto &[Name, Size] : listFiles())
+      ::unlink((Path + "/" + Name).c_str());
+    ::rmdir(Path.c_str());
+  }
+  /// (name, size) of every file in the directory, sorted by name.
+  std::vector<std::pair<std::string, long long>> listFiles() const {
+    std::vector<std::pair<std::string, long long>> Files;
+    DIR *D = ::opendir(Path.c_str());
+    if (!D)
+      return Files;
+    while (dirent *E = ::readdir(D)) {
+      std::string Name = E->d_name;
+      struct stat St;
+      if (Name != "." && Name != ".." &&
+          ::stat((Path + "/" + Name).c_str(), &St) == 0)
+        Files.emplace_back(Name, static_cast<long long>(St.st_size));
+    }
+    ::closedir(D);
+    std::sort(Files.begin(), Files.end());
+    return Files;
+  }
+};
+
+/// A ServeCore over its own state directory (durable) or none, with a
+/// stats registry, a no-op promote hook, and session s0 loaded and run.
+struct TestDaemon {
+  TempDir Dir;
+  std::unique_ptr<durable::StateStore> Store;
+  ObsRegistry Obs;
+  std::unique_ptr<ServeCore> Core;
+
+  explicit TestDaemon(bool Durable) {
+    ServeOptions Opts;
+    if (Durable) {
+      std::string Error;
+      durable::StateStore::Recovery Recovered;
+      Store = durable::StateStore::open(Dir.Path, durable::FsyncPolicy::Never,
+                                        Recovered, Error);
+      EXPECT_TRUE(Store) << Error;
+      Opts.Store = Store.get();
+    }
+    Opts.Obs = &Obs;
+    Opts.Promote = [](std::string &) { return true; };
+    Core = std::make_unique<ServeCore>(Opts);
+    loadAndRun(*Core, "s0");
+  }
+
+  /// Everything a request could change: the journal, the state-dir files,
+  /// the registry, and each session's captured profile and estimates.
+  std::vector<std::string> state() {
+    std::vector<std::string> S;
+    S.push_back("journal lsn=" + std::to_string(Store->journal().lastLsn()) +
+                " bytes=" + std::to_string(Store->journal().sizeBytes()));
+    for (const auto &[Name, Size] : Dir.listFiles())
+      S.push_back(Name + " " + std::to_string(Size));
+    S.push_back("sessions=" + std::to_string(Core->sessionCount()));
+    for (const char *Session : {"s0", "s1"}) {
+      WireMessage Cap = Core->handle(makeRequest("capture-profile", Session));
+      S.push_back(Cap.Verb + " profile of " + std::to_string(Cap.Body.size()) +
+                  " bytes, hash " +
+                  std::to_string(std::hash<std::string>{}(Cap.Body)));
+      for (const char *Fn : {"", "leaf"}) {
+        WireMessage Est = makeRequest("estimate", Session);
+        Est.Params["function"] = Fn;
+        WireMessage R = Core->handle(Est);
+        S.push_back(R.Verb + " " + R.param("time") + " " + R.param("var"));
+      }
+    }
+    return S;
+  }
+};
+
+/// One valid request per verb (two for stream-deltas: a flushed append
+/// and the read-only describe), built against a daemon set up by
+/// TestDaemon. Every verb in the table must have an entry here.
+struct VerbRequests {
+  bool AcceptsDeadline;
+  std::function<std::vector<WireMessage>(ServeCore &)> Build;
+};
+
+std::map<std::string, VerbRequests> verbRequests() {
+  auto One = [](const char *Verb, const char *Session) {
+    return [=](ServeCore &) {
+      return std::vector<WireMessage>{makeRequest(Verb, Session)};
+    };
+  };
+  std::map<std::string, VerbRequests> M;
+  M["estimate"] = {true, [](ServeCore &) {
+                     WireMessage R = makeRequest("estimate", "s0");
+                     R.Params["function"] = "leaf";
+                     return std::vector<WireMessage>{R};
+                   }};
+  M["estimate-batch"] = {true, [](ServeCore &) {
+                           WireMessage R = makeRequest("estimate-batch", "s0");
+                           R.Params["count"] = "2";
+                           R.Params["function.0"] = "main";
+                           R.Params["function.1"] = "leaf";
+                           return std::vector<WireMessage>{R};
+                         }};
+  M["stream-deltas"] = {false, [](ServeCore &Core) {
+                          unsigned Leaf =
+                              describeFunctionIndex(Core, "s0", "leaf");
+                          WireMessage Append =
+                              makeRequest("stream-deltas", "s0");
+                          appendRecord(Append.Body, Leaf, 0, 2.0);
+                          Append.Params["flush"] = "1";
+                          WireMessage Describe =
+                              makeRequest("stream-deltas", "s0");
+                          Describe.Params["describe"] = "1";
+                          return std::vector<WireMessage>{Append, Describe};
+                        }};
+  M["ingest-profile"] = {true, [](ServeCore &Core) {
+                           WireMessage R = makeRequest("ingest-profile", "s0");
+                           R.Body = Core.handle(makeRequest("capture-profile",
+                                                            "s0"))
+                                        .Body;
+                           return std::vector<WireMessage>{R};
+                         }};
+  M["capture-profile"] = {false, One("capture-profile", "s0")};
+  M["run"] = {false, One("run", "s0")};
+  M["load-program"] = {false, [](ServeCore &) {
+                         WireMessage R = makeRequest("load-program", "s1");
+                         R.Params["workload"] = "simple";
+                         return std::vector<WireMessage>{R};
+                       }};
+  M["checkpoint"] = {false, One("checkpoint", "")};
+  M["stats"] = {false, One("stats", "")};
+  M["ping"] = {false, One("ping", "")};
+  M["shutdown"] = {false, One("shutdown", "")};
+  M["promote"] = {false, One("promote", "")};
+  return M;
+}
+
+} // namespace
+
+TEST(VerbTable, EveryVerbHasARequestBuilder) {
+  std::map<std::string, VerbRequests> Requests = verbRequests();
+  std::vector<std::string_view> Names = ServeCore::verbNames();
+  for (std::string_view Name : Names)
+    EXPECT_TRUE(Requests.count(std::string(Name)))
+        << "verb '" << Name << "' has no request builder in verbRequests()";
+  for (const auto &[Name, Unused] : Requests)
+    EXPECT_NE(std::find(Names.begin(), Names.end(), Name), Names.end())
+        << "verbRequests() builds '" << Name << "', which is not a verb";
+}
+
+TEST(VerbTable, ExactlyTheStateChangingRequestsAreRefusedOnAStandby) {
+  std::map<std::string, VerbRequests> Requests = verbRequests();
+  unsigned Mutating = 0, Reads = 0;
+  for (std::string_view Name : ServeCore::verbNames()) {
+    auto It = Requests.find(std::string(Name));
+    if (It == Requests.end())
+      continue; // EveryVerbHasARequestBuilder reports it.
+    TestDaemon Probe(/*Durable=*/true);
+    size_t N = It->second.Build(*Probe.Core).size();
+    for (size_t I = 0; I != N; ++I) {
+      SCOPED_TRACE(std::string(Name) + " request " + std::to_string(I));
+      // Primary: a valid request answers ok; record whether it changed
+      // any state.
+      TestDaemon Primary(/*Durable=*/true);
+      WireMessage Req = It->second.Build(*Primary.Core)[I];
+      std::vector<std::string> Before = Primary.state();
+      WireMessage Resp = Primary.Core->handle(Req);
+      ASSERT_EQ(Resp.Verb, "ok") << Resp.param("message");
+      bool Changed = Primary.state() != Before;
+      (Changed ? Mutating : Reads)++;
+
+      // Standby: a state change is refused with read-only and leaves the
+      // journal and every file untouched; anything else answers.
+      TestDaemon Standby(/*Durable=*/true);
+      Req = It->second.Build(*Standby.Core)[I];
+      Standby.Core->setReadOnly(true);
+      Before = Standby.state();
+      WireMessage StandbyResp = Standby.Core->handle(Req);
+      EXPECT_EQ(Standby.state(), Before);
+      if (Changed) {
+        EXPECT_EQ(StandbyResp.Verb, "error");
+        EXPECT_EQ(StandbyResp.param("code"), "read-only");
+      } else {
+        EXPECT_EQ(StandbyResp.Verb, "ok") << StandbyResp.param("message");
+      }
+    }
+  }
+  // load-program, run, stream-deltas append, ingest-profile, checkpoint;
+  // and at least estimate, estimate-batch, describe, capture, stats, ping.
+  EXPECT_GE(Mutating, 5u);
+  EXPECT_GE(Reads, 6u);
+}
+
+TEST(VerbTable, MalformedDeadlinesAreRejectedExactlyWhereAccepted) {
+  std::map<std::string, VerbRequests> Requests = verbRequests();
+  for (std::string_view Name : ServeCore::verbNames()) {
+    auto It = Requests.find(std::string(Name));
+    if (It == Requests.end())
+      continue;
+    for (const char *Param : {"deadline-ms", "step-budget"})
+      for (const char *Bad : {"soon", "-1", ""}) {
+        SCOPED_TRACE(std::string(Name) + " " + Param + "=" + Bad);
+        TestDaemon Plain(/*Durable=*/false), Junk(/*Durable=*/false);
+        WireMessage Want = Plain.Core->handle(It->second.Build(*Plain.Core)[0]);
+        WireMessage Req = It->second.Build(*Junk.Core)[0];
+        Req.Params[Param] = Bad;
+        WireMessage Got = Junk.Core->handle(Req);
+        if (It->second.AcceptsDeadline) {
+          EXPECT_EQ(Got.Verb, "error");
+          EXPECT_EQ(Got.param("code"), "bad-request");
+          EXPECT_NE(Got.param("message").find(Param), std::string::npos)
+              << Got.param("message");
+        } else {
+          // The parameter is not this verb's: ignored.
+          EXPECT_EQ(Got.Verb, Want.Verb);
+          EXPECT_EQ(Got.param("code"), Want.param("code"));
+          EXPECT_EQ(Got.param("message"), Want.param("message"));
+        }
+      }
+  }
 }
