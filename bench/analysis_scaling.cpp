@@ -258,11 +258,10 @@ void printParallelSpeedupTable() {
   std::printf("%s\n", T.str().c_str());
 }
 
-// TIME/VAR kernel comparison: the CSR sweep (dense arena arrays, zero
-// hot-path allocation) against the node-object reference (Digraph walks,
-// map-backed frequency lookups) on the interprocedural SCC-wave pass,
-// per job count, with a bit-for-bit memcmp of every function's TIME/VAR.
-void printCsrKernelTable() {
+// The TIME/VAR sweep on the interprocedural SCC-wave pass, per job
+// count, with a bit-for-bit memcmp of every function's TIME/VAR against
+// the jobs=1 run.
+void printTimeVarSweepTable() {
   constexpr unsigned Funcs = 511;
   std::unique_ptr<Program> Prog = makeManyFunctionProgram(Funcs, 6);
   CostModel CM = CostModel::optimizing();
@@ -273,10 +272,8 @@ void printCsrKernelTable() {
   std::map<const Function *, Frequencies> Freqs =
       syntheticFrequencies(*Prog, *PA);
 
-  auto RunOnce = [&](TimeKernel Kernel, unsigned Jobs,
-                     std::vector<double> &Estimates) {
+  auto RunOnce = [&](unsigned Jobs, std::vector<double> &Estimates) {
     TimeAnalysisOptions Opts;
-    Opts.Kernel = Kernel;
     Opts.Exec.Jobs = Jobs;
     auto Start = std::chrono::steady_clock::now();
     TimeAnalysis TA = TimeAnalysis::run(*PA, Freqs, CM, Opts);
@@ -289,28 +286,24 @@ void printCsrKernelTable() {
     return std::chrono::duration<double>(End - Start).count();
   };
 
-  std::printf("=== TIME/VAR kernels on the SCC-wave pass (%u functions, "
+  std::printf("=== TIME/VAR sweep on the SCC-wave pass (%u functions, "
               "depth 6) ===\n",
               Funcs);
-  TablePrinter T({"jobs", "csr [ms]", "node-objects [ms]", "csr speedup",
-                  "output"});
+  TablePrinter T({"jobs", "sweep [ms]", "output"});
+  std::vector<double> Reference;
   for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
-    double BestCsr = 1e100, BestRef = 1e100;
-    std::vector<double> CsrEst, RefEst;
-    for (int Rep = 0; Rep < 5; ++Rep) {
-      BestCsr = std::min(BestCsr, RunOnce(TimeKernel::Csr, Jobs, CsrEst));
-      BestRef =
-          std::min(BestRef, RunOnce(TimeKernel::NodeObjects, Jobs, RefEst));
-    }
-    bool Identical = CsrEst.size() == RefEst.size() &&
-                     std::memcmp(CsrEst.data(), RefEst.data(),
-                                 CsrEst.size() * sizeof(double)) == 0;
-    char CsrMs[32], RefMs[32], Ratio[32];
-    std::snprintf(CsrMs, sizeof(CsrMs), "%.3f", BestCsr * 1e3);
-    std::snprintf(RefMs, sizeof(RefMs), "%.3f", BestRef * 1e3);
-    std::snprintf(Ratio, sizeof(Ratio), "%.2fx", BestRef / BestCsr);
-    T.addRow({std::to_string(Jobs), CsrMs, RefMs, Ratio,
-              Identical ? "identical" : "DIFFERS"});
+    double Best = 1e100;
+    std::vector<double> Est;
+    for (int Rep = 0; Rep < 5; ++Rep)
+      Best = std::min(Best, RunOnce(Jobs, Est));
+    if (Jobs == 1)
+      Reference = Est;
+    bool Identical = Est.size() == Reference.size() &&
+                     std::memcmp(Est.data(), Reference.data(),
+                                 Est.size() * sizeof(double)) == 0;
+    char Ms[32];
+    std::snprintf(Ms, sizeof(Ms), "%.3f", Best * 1e3);
+    T.addRow({std::to_string(Jobs), Ms, Identical ? "identical" : "DIFFERS"});
   }
   std::printf("%s\n", T.str().c_str());
 }
@@ -1060,7 +1053,7 @@ void printStaticScalingTable() {
 
 int main(int Argc, char **Argv) {
   printStaticScalingTable();
-  printCsrKernelTable();
+  printTimeVarSweepTable();
   printParallelSpeedupTable();
   printIncrementalReestimationTable();
   printObservabilityOverheadTable();

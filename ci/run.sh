@@ -24,17 +24,11 @@
 # explicit availability budgets — boot recovery and standby promotion must
 # land inside the PTRAN_RECOVERY_SLO_MS / PTRAN_PROMOTE_SLO_MS wall-clock
 # SLOs exported below (pre-set either variable to tighten or loosen the
-# gate). Under tsan the serve_test, stream_test and repl_test concurrency
-# suites rerun with halt_on_error to certify the daemon core's locking,
-# the streaming ingest epoch protocol, and the shipper/standby hook
-# contract; under ubsan stream_test, durable_test, repl_test,
-# format_compat_test and serve_test rerun to certify the cell-index
-# arithmetic, LE record decoding, the every-byte-length journal-truncation
-# scan, the appendRaw frame validator on garbled replication input, and
-# the daemon core's handling of untrusted request parameters. The asan
-# preset (AddressSanitizer plus UBSan) runs the full suite, so every
-# decoder of untrusted bytes is also checked for out-of-bounds reads and
-# leaks. Both UBSan presets include float-cast-overflow (see the top-level
+# gate). Under tsan and ubsan a set of suites reruns with halt_on_error;
+# the *_tsan and *_ubsan blocks in tests/CMakeLists.txt are the one list
+# of them. The asan preset (AddressSanitizer plus UBSan) runs the full
+# suite, so every decoder of untrusted bytes is also checked for
+# out-of-bounds reads and leaks. Both UBSan presets include float-cast-overflow (see the top-level
 # CMakeLists.txt).
 #
 #===----------------------------------------------------------------------===#

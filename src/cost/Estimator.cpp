@@ -59,8 +59,6 @@ TimeAnalysis Estimator::analyze() {
 }
 
 TimeAnalysis Estimator::analyze(TimeAnalysisOptions TAOpts) {
-  if (TAOpts.Kernel == TimeKernel::Csr)
-    TAOpts.Kernel = Opts.Kernel;
   if (TAOpts.LoopVariance == LoopVarianceMode::Profiled && !TAOpts.Stats)
     TAOpts.Stats = Stats.get();
   if (!TAOpts.Exec.Pool && TAOpts.Exec.Jobs == 1)

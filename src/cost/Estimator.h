@@ -42,10 +42,6 @@ struct EstimatorOptions {
   /// Default loop-variance model for analyze() calls (and session queries)
   /// that do not specify one.
   LoopVarianceMode LoopVariance = LoopVarianceMode::Zero;
-  /// TIME/VAR propagation kernel for analyze() calls and session queries.
-  /// Csr (the default) and NodeObjects are bit-identical; NodeObjects
-  /// exists for differential testing and benchmarking.
-  TimeKernel Kernel = TimeKernel::Csr;
   /// Sink for analysis/estimation diagnostics; null drops them. Must
   /// outlive the estimator when set.
   DiagnosticEngine *Diags = nullptr;
@@ -95,10 +91,6 @@ struct EstimatorOptions {
   }
   EstimatorOptions &loopVariance(LoopVarianceMode M) {
     LoopVariance = M;
-    return *this;
-  }
-  EstimatorOptions &kernel(TimeKernel K) {
-    Kernel = K;
     return *this;
   }
   EstimatorOptions &diags(DiagnosticEngine &D) {

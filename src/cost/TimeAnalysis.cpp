@@ -20,8 +20,11 @@ using namespace ptran;
 
 namespace {
 
-/// Loop-frequency variance per Section 5, Case 1 (shared by both kernels;
-/// the arithmetic must match bit for bit).
+/// Fixed-point iterations for a recursive call-graph cycle (the paper
+/// defers recursion; see DESIGN.md).
+constexpr unsigned RecursionIterations = 16;
+
+/// Loop-frequency variance per Section 5, Case 1.
 double loopFreqVariance(const FunctionAnalysis &FA,
                         const TimeAnalysisOptions &Opts, NodeId Ph,
                         double Mean) {
@@ -53,125 +56,13 @@ double loopFreqVariance(const FunctionAnalysis &FA,
   PTRAN_UNREACHABLE("unknown LoopVarianceMode");
 }
 
-/// Computes one function's estimates bottom-up over its FCDG — the
-/// original node-object formulation (TimeKernel::NodeObjects), kept as
-/// the differential-testing reference for the CSR kernel below.
-std::vector<NodeEstimates>
-computeFunction(const FunctionAnalysis &FA, const Frequencies &Freqs,
-                const CostModel &CM, const TimeAnalysisOptions &Opts,
-                const std::map<const Function *, FunctionSummary> &Callees,
-                const Program &Prog, ThreadSafeDiagnostics *Unresolved) {
-  const ControlDependence &CD = FA.cd();
-  const Ecfg &E = FA.ecfg();
-  const Cfg &C = E.cfg();
-  const Function &F = FA.function();
-
-  std::vector<NodeEstimates> Est(C.numNodes());
-
-  // Local cost and local cost-variance of a node.
-  auto LocalCost = [&](NodeId N, double &Cost, double &SelfCost,
-                       double &VarCost) {
-    Cost = 0.0;
-    SelfCost = 0.0;
-    VarCost = 0.0;
-    StmtId S = C.origin(N);
-    if (S == InvalidStmt)
-      return; // START/STOP/preheader/postexit carry no local work.
-    const Stmt *St = F.stmt(S);
-    std::optional<double> Overridden;
-    if (Opts.LocalCostOverride)
-      Overridden = Opts.LocalCostOverride(F, St);
-    Cost = Overridden ? *Overridden : CM.statementCost(St);
-    SelfCost = Cost;
-    if (const auto *Call = dyn_cast<CallStmt>(St)) {
-      // Rule 2: a call's cost includes the callee's average time.
-      const Function *Callee = Prog.findFunction(Call->callee());
-      auto It = Callee ? Callees.find(Callee) : Callees.end();
-      if (It != Callees.end()) {
-        Cost += It->second.Time;
-        if (Opts.PropagateCalleeVariance)
-          VarCost = It->second.Var;
-      } else if (Unresolved) {
-        // An external/undefined procedure contributes zero callee time;
-        // say so (once per callee) instead of silently underestimating.
-        Unresolved->warningOnce("call to unresolved procedure '" +
-                                Call->callee() +
-                                "' contributes zero callee time");
-      }
-    }
-  };
-
-  // Bottom-up: children before parents.
-  const std::vector<NodeId> &Topo = CD.topoOrder();
-  for (auto It = Topo.rbegin(); It != Topo.rend(); ++It) {
-    NodeId U = *It;
-    NodeEstimates &EU = Est[U];
-    double VarCost = 0.0;
-    LocalCost(U, EU.Cost, EU.SelfCost, VarCost);
-
-    bool IsPreheader = E.headerOf(U) != InvalidNode;
-    if (IsPreheader) {
-      // Case 1. Only the U label matters; the pseudo labels have zero
-      // frequency (and the body sum below therefore ignores them).
-      double Freq = Freqs.freqOf({U, CfgLabel::U});
-      double SumTime = 0.0;
-      double SumVar = 0.0;
-      for (NodeId V : CD.childrenOf(U, CfgLabel::U)) {
-        SumTime += Est[V].Time;
-        SumVar += Est[V].Var;
-      }
-      double FreqVar = loopFreqVariance(FA, Opts, U, Freq);
-      EU.Time = EU.Cost + Freq * SumTime;
-      EU.Var = VarCost + Freq * Freq * SumVar +
-               FreqVar * SumTime * SumTime + FreqVar * SumVar;
-    } else {
-      // Case 2: TIME_C and E[TIME_C^2] over the label outcomes.
-      bool Deterministic =
-          Opts.DeterministicDoHeaders && U < E.numOriginalNodes() &&
-          FA.intervals().isHeader(U) &&
-          FA.intervals().isExitFreeDoLoop(FA.cfg(), U);
-      double TimeC = 0.0;
-      double TimeCSq = 0.0;
-      double ChildVar = 0.0;
-      for (CfgLabel L : CD.labelsOf(U)) {
-        double Freq = Freqs.freqOf({U, L});
-        double SumTime = 0.0;
-        double SumVar = 0.0;
-        for (NodeId V : CD.childrenOf(U, L)) {
-          SumTime += Est[V].Time;
-          SumVar += Est[V].Var;
-        }
-        TimeC += Freq * SumTime;
-        TimeCSq += Freq * (SumVar + SumTime * SumTime);
-        ChildVar += Freq * SumVar;
-      }
-      EU.Time = EU.Cost + TimeC;
-      if (Deterministic) {
-        // The header's outcome is not a random draw; only the children's
-        // variance flows through.
-        EU.Var = VarCost + ChildVar;
-      } else {
-        EU.Var = VarCost + (TimeCSq - TimeC * TimeC);
-      }
-      if (EU.Var < 0.0)
-        EU.Var = 0.0; // Floating-point cancellation guard.
-    }
-    EU.TimeSq = EU.Var + EU.Time * EU.Time;
-    EU.StdDev = std::sqrt(EU.Var);
-  }
-  return Est;
-}
-
-/// The CSR propagation kernel (TimeKernel::Csr): one reverse linear sweep
-/// over the FlowArena with dense per-position TIME/VAR buffers, dense
-/// FREQ lookups and a precomputed callee-resolution table. Performs the
-/// exact floating-point operation sequence of computeFunction above —
-/// the arena stores label groups in labelsOf() order and children in
-/// childrenOf() order — so results are bit-identical; only layout and
-/// lookup costs differ. The propagation loop performs no heap allocation;
-/// the delta observed by HotpathAllocScope is accumulated into
-/// \p HotpathAllocs (surfaced as the cost.hotpath.allocs counter).
-std::vector<NodeEstimates> computeFunctionCsr(
+/// Computes one function's estimates bottom-up over its FCDG: one reverse
+/// linear sweep over the FlowArena with dense per-position TIME/VAR
+/// buffers, dense FREQ lookups and a precomputed callee-resolution table.
+/// The propagation loop performs no heap allocation; the delta observed
+/// by HotpathAllocScope is accumulated into \p HotpathAllocs (surfaced as
+/// the cost.hotpath.allocs counter).
+std::vector<NodeEstimates> computeFunction(
     const FunctionAnalysis &FA, const Frequencies &Freqs,
     const CostModel &CM, const TimeAnalysisOptions &Opts,
     const std::map<const Function *, FunctionSummary> &Callees,
@@ -190,17 +81,12 @@ std::vector<NodeEstimates> computeFunctionCsr(
   std::vector<double> TimeBuf(NumPos, 0.0);
   std::vector<double> VarBuf(NumPos, 0.0);
 
-  // Dense FREQ per arena group. Every in-tree producer fills GroupFreq;
-  // a hand-built Frequencies (dense form missing) gets one here.
+  // Dense FREQ per arena group: every producer must fill GroupFreq
+  // (computeFrequencies does; others call populateGroupFreq).
+  if (Freqs.GroupFreq.size() != A.numGroups())
+    reportFatalError("frequencies of function " + F.name() +
+                     " lack the dense GroupFreq form");
   const double *GF = Freqs.GroupFreq.data();
-  std::vector<double> LocalGF;
-  if (Freqs.GroupFreq.size() != A.numGroups()) {
-    LocalGF.assign(A.numGroups(), 0.0);
-    for (unsigned P = 0; P < NumPos; ++P)
-      for (uint32_t Gi = A.groupsBegin(P); Gi != A.groupsEnd(P); ++Gi)
-        LocalGF[Gi] = Freqs.freqOf({A.node(P), A.group(Gi).Label});
-    GF = LocalGF.data();
-  }
 
   // Bottom-up: positions are topological, so a reverse walk sees every
   // child before its parent. Allocation-free from here on.
@@ -224,8 +110,7 @@ std::vector<NodeEstimates> computeFunctionCsr(
         auto It = Callee ? Callees.find(Callee) : Callees.end();
         if (It != Callees.end()) {
           EU.Cost += It->second.Time;
-          if (Opts.PropagateCalleeVariance)
-            VarCost = It->second.Var;
+          VarCost = It->second.Var;
         } else if (Unresolved) {
           Unresolved->warningOnce("call to unresolved procedure '" +
                                   Call->callee() +
@@ -282,6 +167,8 @@ std::vector<NodeEstimates> computeFunctionCsr(
       }
       EU.Time = EU.Cost + TimeC;
       if (Deterministic) {
+        // The header's outcome is not a random draw; only the children's
+        // variance flows through.
         EU.Var = VarCost + ChildVar;
       } else {
         EU.Var = VarCost + (TimeCSq - TimeC * TimeC);
@@ -378,24 +265,22 @@ TimeAnalysis TimeAnalysis::runImpl(
     Out.PerFunction[F];
   }
 
-  // The CSR kernel resolves callees through a per-function table built
-  // once per run (findFunction is a linear scan; the sweep must not pay
-  // it per call node per fixpoint iteration, and must not allocate).
-  const bool UseCsr = Opts.Kernel == TimeKernel::Csr;
+  // The sweep resolves callees through a per-function table built once
+  // per run (findFunction is a linear scan; the sweep must not pay it per
+  // call node per fixpoint iteration, and must not allocate).
   std::map<const Function *, std::vector<const Function *>> CalleeTables;
-  if (UseCsr)
-    for (const Function *F : Funcs) {
-      const Cfg &C = PA.of(*F).ecfg().cfg();
-      std::vector<const Function *> &Table = CalleeTables[F];
-      Table.assign(C.numNodes(), nullptr);
-      for (NodeId N = 0; N < C.numNodes(); ++N) {
-        StmtId S = C.origin(N);
-        if (S == InvalidStmt)
-          continue;
-        if (const auto *Call = dyn_cast<CallStmt>(F->stmt(S)))
-          Table[N] = Resolve(Call->callee());
-      }
+  for (const Function *F : Funcs) {
+    const Cfg &C = PA.of(*F).ecfg().cfg();
+    std::vector<const Function *> &Table = CalleeTables[F];
+    Table.assign(C.numNodes(), nullptr);
+    for (NodeId N = 0; N < C.numNodes(); ++N) {
+      StmtId S = C.origin(N);
+      if (S == InvalidStmt)
+        continue;
+      if (const auto *Call = dyn_cast<CallStmt>(F->stmt(S)))
+        Table[N] = Resolve(Call->callee());
     }
+  }
 
   // Incremental mode: a component is dirty if it contains a changed
   // function or calls into a dirty component. Tarjan numbers components
@@ -450,11 +335,8 @@ TimeAnalysis TimeAnalysis::runImpl(
   auto Recompute = [&](const Function *F) {
     const FunctionAnalysis &FA = PA.of(*F);
     std::vector<NodeEstimates> Est =
-        UseCsr ? computeFunctionCsr(FA, FreqsOf(F), CM, Opts, Summaries,
-                                    CalleeTables.find(F)->second,
-                                    &Unresolved, HotAllocs)
-               : computeFunction(FA, FreqsOf(F), CM, Opts, Summaries, Prog,
-                                 &Unresolved);
+        computeFunction(FA, FreqsOf(F), CM, Opts, Summaries,
+                        CalleeTables.find(F)->second, &Unresolved, HotAllocs);
     NodeId Start = FA.ecfg().start();
     Summaries.find(F)->second = {Est[Start].Time, Est[Start].Var};
     Out.PerFunction.find(F)->second = std::move(Est);
@@ -525,7 +407,7 @@ TimeAnalysis TimeAnalysis::runImpl(
       Done[Comp] = 1;
       return;
     }
-    for (unsigned Iter = 0; Iter < Opts.RecursionIterations; ++Iter) {
+    for (unsigned Iter = 0; Iter < RecursionIterations; ++Iter) {
       if (Iter > 0 && Cancel && Cancel->checkpoint())
         return; // Partial fixpoint: abandon, members stay unfinished.
       for (NodeId M : Members)
@@ -533,7 +415,7 @@ TimeAnalysis TimeAnalysis::runImpl(
     }
     if (Obs)
       Obs->addCounter("timeanalysis.fixpoint_iterations",
-                      Opts.RecursionIterations);
+                      RecursionIterations);
     Done[Comp] = 1;
   };
 
@@ -601,8 +483,7 @@ TimeAnalysis TimeAnalysis::runImpl(
   Out.Evaluations = Evals.load();
   if (Obs) {
     Obs->addCounter("timeanalysis.evaluations", Out.Evaluations);
-    if (UseCsr)
-      Obs->addCounter("cost.hotpath.allocs", HotAllocs.load());
+    Obs->addCounter("cost.hotpath.allocs", HotAllocs.load());
   }
   return Out;
 }

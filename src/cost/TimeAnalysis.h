@@ -16,10 +16,10 @@
 /// VAR(FREQ(u,l)) supplied by a configurable model — identically zero, a
 /// closed-form distribution assumption (geometric/uniform), or the
 /// profiled second moment E[FREQ^2]; Case 2 (branch probabilities)
-/// computes E[TIME_C^2] across the label outcomes. As an extension
-/// (flagged), a call's COST may carry the callee's variance instead of the
-/// paper's VAR(COST(u)) = 0 assumption, and recursive call graphs are
-/// handled by fixed-point iteration (the paper defers them).
+/// computes E[TIME_C^2] across the label outcomes. As extensions, a
+/// call's COST always carries the callee's variance instead of the paper's
+/// VAR(COST(u)) = 0 assumption, and recursive call graphs are handled by a
+/// fixed 16-iteration fixpoint (the paper defers them).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,25 +50,11 @@ enum class LoopVarianceMode {
              ///< VAR = ((2*mean-1)^2 - 1) / 12.
 };
 
-/// Which propagation kernel evaluates the Section 4/5 recurrences. Both
-/// kernels compute bit-identical TIME/VAR/STD_DEV (asserted by the csr
-/// test suite across job counts); they differ only in data layout and
-/// speed.
-enum class TimeKernel {
-  /// Linear sweeps over the FlowArena's topologically-indexed CSR arrays
-  /// with dense per-position TIME/VAR buffers and dense FREQ lookups; no
-  /// heap allocation inside the sweep (proved by cost.hotpath.allocs).
-  Csr,
-  /// The original formulation walking the FCDG Digraph through
-  /// childrenOf()/labelsOf() and the map-backed freqOf(). Kept as the
-  /// reference for differential testing and benchmarking.
-  NodeObjects,
-};
-
-/// Options for the time/variance analysis.
+/// Options for the time/variance analysis. The Section 4/5 recurrences
+/// run as one linear sweep per function over the FlowArena's
+/// topologically-indexed CSR arrays, with dense FREQ lookups and no heap
+/// allocation inside the sweep (proved by cost.hotpath.allocs).
 struct TimeAnalysisOptions {
-  /// Propagation kernel; Csr unless you are differential-testing.
-  TimeKernel Kernel = TimeKernel::Csr;
   LoopVarianceMode LoopVariance = LoopVarianceMode::Zero;
   /// Required when LoopVariance == Profiled.
   const LoopFrequencyStats *Stats = nullptr;
@@ -77,17 +63,12 @@ struct TimeAnalysisOptions {
   /// CostModel's estimate.
   std::function<std::optional<double>(const Function &, const Stmt *)>
       LocalCostOverride;
-  /// Extension: propagate the callee's variance into call nodes instead of
-  /// the paper's VAR(COST) = 0 assumption.
-  bool PropagateCalleeVariance = true;
   /// Extension: the paper's Case 2 treats every branch — including a DO
   /// header's continue/exit test — as an independent Bernoulli draw, so
   /// even a compile-time-constant loop acquires variance. With this flag
   /// the headers of exit-free DO loops are treated as deterministic: only
   /// their children's variance propagates, no branch-outcome term.
   bool DeterministicDoHeaders = false;
-  /// Fixed-point iterations for recursive call-graph cycles.
-  unsigned RecursionIterations = 16;
   /// Workers (or a shared pool) for the interprocedural pass. The call
   /// graph is condensed with Tarjan's SCCs, the condensation is ordered
   /// into topological waves, and every SCC of a wave is evaluated

@@ -400,7 +400,6 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache) {
   }
 
   TimeAnalysisOptions TAOpts;
-  TAOpts.Kernel = Opts.Kernel;
   TAOpts.LoopVariance = Cache.LoopVariance;
   if (Cache.LoopVariance == LoopVarianceMode::Profiled)
     TAOpts.Stats = &Est->loopStats();

@@ -6,19 +6,26 @@
 ///
 /// \file
 /// Slow, obviously-correct reference implementations used to validate the
-/// production algorithms: reachability-based dominators and a literal
-/// transcription of the paper's Definition 2 of control dependence.
+/// production algorithms: reachability-based dominators, a literal
+/// transcription of the paper's Definition 2 of control dependence, and
+/// an absorbing-Markov-chain model of average execution time and its
+/// variance that shares nothing with the paper's FCDG algorithm.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PTRAN_TESTS_REFERENCE_H
 #define PTRAN_TESTS_REFERENCE_H
 
-#include "cdg/ControlDependence.h"
 #include "graph/Digraph.h"
+#include "interp/CostModel.h"
+#include "interp/Observer.h"
 
+#include <functional>
+#include <map>
+#include <optional>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace ptran {
@@ -41,6 +48,59 @@ std::vector<std::set<NodeId>> bruteForcePostDominators(const Digraph &G,
 /// postdominated by Y. Returns (X, Y, L) triples.
 std::set<std::tuple<NodeId, NodeId, LabelId>>
 bruteForceControlDependence(const Digraph &G, NodeId Stop);
+
+/// Counts, per function, what an interpreter run did: activations,
+/// statement executions, the first statement of each activation, and
+/// every statement-to-statement transfer (To = InvalidStmt when control
+/// leaves the procedure). These are the empirical transition counts of
+/// the probabilistic control-flow graph (Amtoft & Banerjee, "A Semantics
+/// for Probabilistic Control-Flow Graphs").
+class ChainObserver : public ExecutionObserver {
+public:
+  struct Counts {
+    uint64_t Activations = 0;
+    std::map<StmtId, uint64_t> Executions;
+    std::map<StmtId, uint64_t> Firsts;
+    std::map<std::pair<StmtId, StmtId>, uint64_t> Transfers;
+  };
+
+  void onProcedureEntry(const Function &F, unsigned Depth) override;
+  void onStatement(const Function &F, StmtId S, unsigned Depth) override;
+  void onTransfer(const Function &F, StmtId From, CfgLabel Label, StmtId To,
+                  unsigned Depth) override;
+
+  const std::map<const Function *, Counts> &counts() const {
+    return PerFunction;
+  }
+
+private:
+  std::map<const Function *, Counts> PerFunction;
+  /// Per call depth: the activation has not executed a statement yet.
+  std::vector<bool> Fresh;
+};
+
+/// Mean and variance of one procedure's execution time.
+struct ChainMoments {
+  double Time = 0.0;
+  double Var = 0.0;
+};
+
+/// Replaces the CostModel's local cost of a statement (nullopt keeps it).
+using StmtCostOverride =
+    std::function<std::optional<double>(const Function &, const Stmt *)>;
+
+/// Models every executed procedure as an absorbing Markov chain over its
+/// executed statements, with P(s -> t) = transfers(s -> t) / executions(s)
+/// and the first-statement distribution as the initial one. A statement
+/// costs its CostModel (or \p Override) cost; a call additionally draws
+/// the callee's time independently, contributing the callee's mean and
+/// variance. With Q the transient transition matrix, c the mean cost and
+/// E[c^2] its second moment, the expected remaining time t and second
+/// moment s solve (I - Q) t = c and (I - Q) s = E[c^2] + 2 c (t - c).
+/// Callees are solved before callers; recursion is a fatal error.
+std::map<const Function *, ChainMoments>
+markovMoments(const Program &P, const ChainObserver &Observed,
+              const CostModel &CM, const StmtCostOverride &Override = {});
 
 } // namespace testing
 } // namespace ptran

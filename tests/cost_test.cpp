@@ -228,6 +228,12 @@ TEST(TimeAnalysisUnit, LoopVarianceModesAreOrdered) {
   // Distribution assumptions add loop-frequency variance on top.
   EXPECT_GT(Geometric, Zero);
   EXPECT_GT(Uniform, Zero);
+  // Case 1 at MAIN's preheader: m = FREQ = 10, and the loop body sums to
+  // TIME = 92, VAR = 900, so VAR = m^2*900 + VAR(FREQ)*(92^2 + 900)
+  // = 90000 + 9364*VAR(FREQ). Geometric: VAR(FREQ) = m^2 - m = 90.
+  // Uniform on {1..2m-1}: VAR(FREQ) = ((2m-1)^2 - 1)/12 = 30.
+  EXPECT_DOUBLE_EQ(Geometric, 932760.0);
+  EXPECT_DOUBLE_EQ(Uniform, 370920.0);
 }
 
 TEST(TimeAnalysisUnit, ProfiledLoopVarianceUsesMoments) {

@@ -7,29 +7,33 @@
 //   - CsrGraph reproduces a Digraph's adjacency (both directions) in
 //     insertion order with stable EdgeIds, and GraphView::reversed() is an
 //     exact role swap;
-//   - the CSR TIME/VAR kernel is bit-identical (memcmp of every node
-//     estimate) to the node-object reference kernel across the Figure 1/3
-//     program, random reducible programs, the many-function workload, a
-//     program with an irreducible function, and the quarantine-degrade
-//     path, at one and many jobs.
+//   - the CSR TIME/VAR sweep agrees with an independent absorbing-Markov-
+//     chain oracle (tests/Reference.h) built from interpreter transition
+//     counts: TIME on every executed function of the Figure 1 program,
+//     random reducible programs and the many-function workload, TIME and
+//     VAR on loop-free functions, and a pinned Case-1 divergence on
+//     Figure 1 — at one and many jobs.
 //
 //===----------------------------------------------------------------------===//
 
+#include "Reference.h"
 #include "TestPrograms.h"
 
 #include "cost/Estimator.h"
 #include "graph/DepthFirst.h"
 #include "graph/Dominators.h"
 #include "graph/Scc.h"
+#include "interp/Interpreter.h"
 #include "parser/Parser.h"
-#include "session/EstimationSession.h"
+#include "support/FatalError.h"
 #include "support/Rng.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <set>
+#include <algorithm>
+#include <cmath>
+#include <string>
 
 using namespace ptran;
 using namespace ptran::testing;
@@ -146,263 +150,182 @@ TEST(GraphView, EmptyAndIsolatedGraphs) {
 }
 
 //===----------------------------------------------------------------------===//
-// Kernel bit-identity: Csr vs NodeObjects
+// MarkovOracle: the TIME/VAR sweep against an absorbing-chain model
 //===----------------------------------------------------------------------===//
 
-// Synthetic but structurally valid frequencies, identical for every run
-// (same construction as parallel_test's). Functions whose analysis failed
-// (irreducible) are skipped, as TimeAnalysis itself skips them.
-std::map<const Function *, Frequencies>
-syntheticFrequencies(const Program &Prog, const ProgramAnalysis &PA) {
-  std::map<const Function *, Frequencies> Freqs;
-  for (const auto &F : Prog.functions()) {
-    const FunctionAnalysis *FA = PA.tryOf(*F);
-    if (!FA)
-      continue;
-    FrequencyTotals Totals;
-    Totals.Ok = true;
-    for (const ControlCondition &C : FA->cd().conditions()) {
-      double V = 1.0;
-      if (C.Label == CfgLabel::Z)
-        V = 0.0;
-      else if (FA->ecfg().headerOf(C.Node) != InvalidNode)
-        V = 3.0;
-      Totals.Cond[C] = V;
-    }
-    Totals.Cond[{FA->ecfg().start(), CfgLabel::U}] = 1.0;
-    Totals.Node = nodeTotalsFromConds(*FA, Totals.Cond);
-    Freqs[F.get()] = computeFrequencies(*FA, Totals);
-  }
-  return Freqs;
+/// Relative agreement: |A - B| <= Tol * max(|A|, |B|).
+void expectRelNear(double A, double B, double Tol, const std::string &What) {
+  EXPECT_LE(std::fabs(A - B), Tol * std::max(std::fabs(A), std::fabs(B)))
+      << What << ": sweep " << A << " vs chain " << B;
 }
 
-/// Every analyzable function's node estimates must be byte-identical
-/// between the two analyses.
-void expectKernelsBitIdentical(const Program &Prog, const ProgramAnalysis &PA,
-                               const TimeAnalysis &Csr,
-                               const TimeAnalysis &Ref) {
-  for (const auto &F : Prog.functions()) {
-    if (!PA.tryOf(*F))
-      continue;
-    const std::vector<NodeEstimates> &EA = Csr.estimatesOf(*F);
-    const std::vector<NodeEstimates> &EB = Ref.estimatesOf(*F);
-    ASSERT_EQ(EA.size(), EB.size()) << F->name();
-    EXPECT_EQ(std::memcmp(EA.data(), EB.data(),
-                          EA.size() * sizeof(NodeEstimates)),
-              0)
-        << "kernels disagree bitwise on " << F->name();
-  }
+/// The chain oracle's moments for one interpreter run of \p Prog.
+std::map<const Function *, ChainMoments>
+chainMoments(const Program &Prog, const StmtCostOverride &Override = {}) {
+  ChainObserver Observed;
+  Interpreter Interp(Prog, CostModel::optimizing());
+  Interp.addObserver(&Observed);
+  EXPECT_TRUE(Interp.run().Ok);
+  return markovMoments(Prog, Observed, CostModel::optimizing(), Override);
 }
 
-/// Runs both kernels on \p Prog with synthetic frequencies at \p Jobs and
-/// asserts bit-identity.
-void compareKernels(const Program &Prog, unsigned Jobs,
-                    TimeAnalysisOptions Base) {
+/// TIME/VAR of every function from the profiled pipeline's sweep over
+/// \p Prog at \p Jobs workers.
+std::map<const Function *, FunctionSummary>
+sweepAt(const Program &Prog, unsigned Jobs,
+        TimeAnalysisOptions Opts = TimeAnalysisOptions()) {
   DiagnosticEngine Diags;
-  AnalysisOptions AOpts;
-  AOpts.Exec.Jobs = Jobs;
-  auto PA = ProgramAnalysis::compute(Prog, Diags, AOpts);
-  ASSERT_NE(PA, nullptr) << Diags.str();
-  std::map<const Function *, Frequencies> Freqs =
-      syntheticFrequencies(Prog, *PA);
-
-  Base.Exec.Jobs = Jobs;
-  Base.Kernel = TimeKernel::Csr;
-  TimeAnalysis Csr =
-      TimeAnalysis::run(*PA, Freqs, CostModel::optimizing(), Base);
-  Base.Kernel = TimeKernel::NodeObjects;
-  TimeAnalysis Ref =
-      TimeAnalysis::run(*PA, Freqs, CostModel::optimizing(), Base);
-
-  expectKernelsBitIdentical(Prog, *PA, Csr, Ref);
-  EXPECT_EQ(Csr.programTime(), Ref.programTime());
-  EXPECT_EQ(Csr.programStdDev(), Ref.programStdDev());
+  auto Est = Estimator::create(Prog, CostModel::optimizing(),
+                               EstimatorOptions(Diags).jobs(Jobs));
+  if (!Est)
+    reportFatalError("estimator creation failed:\n" + Diags.str());
+  EXPECT_TRUE(Est->profiledRun().Ok);
+  Opts.Exec.Jobs = Jobs;
+  TimeAnalysis TA = Est->analyze(Opts);
+  std::map<const Function *, FunctionSummary> Out;
+  for (const auto &F : Prog.functions())
+    Out[F.get()] = {TA.functionTime(*F), TA.functionVariance(*F)};
+  return Out;
 }
 
-TEST(KernelBitIdentity, Figure1AtOneAndManyJobs) {
-  Figure1Program Fix = makeFigure1();
-  for (unsigned Jobs : {1u, 4u})
-    compareKernels(*Fix.Prog, Jobs, figure3CostOptions());
-}
-
-TEST(KernelBitIdentity, Figure3ExactValuesThroughTheCsrKernel) {
-  // The full profiled pipeline (default kernel = Csr) must still land on
-  // the paper's Figure 3 numbers exactly, and a NodeObjects re-analysis of
-  // the same estimator state must agree to the bit.
-  Figure1Program Fix = makeFigure1();
-  DiagnosticEngine Diags;
-  auto Est = Estimator::create(*Fix.Prog, CostModel::optimizing(),
-                               EstimatorOptions(Diags));
-  ASSERT_NE(Est, nullptr) << Diags.str();
-  ASSERT_TRUE(Est->profiledRun().Ok);
-
-  TimeAnalysisOptions CsrOpts = figure3CostOptions();
-  CsrOpts.Kernel = TimeKernel::Csr;
-  TimeAnalysis Csr = Est->analyze(CsrOpts);
-  TimeAnalysisOptions RefOpts = figure3CostOptions();
-  RefOpts.Kernel = TimeKernel::NodeObjects;
-  TimeAnalysis Ref = Est->analyze(RefOpts);
-
-  EXPECT_EQ(Csr.programTime(), Ref.programTime());
-  EXPECT_EQ(Csr.programStdDev(), Ref.programStdDev());
-  for (const auto &F : Fix.Prog->functions()) {
-    const std::vector<NodeEstimates> &EA = Csr.estimatesOf(*F);
-    const std::vector<NodeEstimates> &EB = Ref.estimatesOf(*F);
-    ASSERT_EQ(EA.size(), EB.size());
-    EXPECT_EQ(std::memcmp(EA.data(), EB.data(),
-                          EA.size() * sizeof(NodeEstimates)),
-              0)
-        << F->name();
+/// TIME of every executed function must match the chain's mean; with
+/// profiled frequencies both equal the observed cost per activation.
+void expectTimesAgree(const Program &Prog) {
+  std::map<const Function *, ChainMoments> Chain = chainMoments(Prog);
+  ASSERT_FALSE(Chain.empty());
+  for (unsigned Jobs : {1u, 4u}) {
+    std::map<const Function *, FunctionSummary> Sweep = sweepAt(Prog, Jobs);
+    for (const auto &[F, M] : Chain)
+      expectRelNear(Sweep[F].Time, M.Time, 1e-9,
+                    "TIME of " + F->name() + " at jobs " +
+                        std::to_string(Jobs));
   }
 }
 
-class KernelBitIdentityRandom : public ::testing::TestWithParam<uint64_t> {};
+TEST(MarkovOracle, Figure1TimeAgrees) {
+  Figure1Program Fix = makeFigure1();
+  expectTimesAgree(*Fix.Prog);
+}
 
-TEST_P(KernelBitIdentityRandom, RandomProgramsAtOneAndManyJobs) {
+class MarkovOracleRandom : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MarkovOracleRandom, RandomProgramTimesAgree) {
   std::unique_ptr<Program> Prog =
       makeRandomProgram(GetParam(), RandomProgramConfig());
   ASSERT_NE(Prog, nullptr);
-  for (unsigned Jobs : {1u, 4u})
-    compareKernels(*Prog, Jobs, TimeAnalysisOptions());
+  expectTimesAgree(*Prog);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, KernelBitIdentityRandom,
+INSTANTIATE_TEST_SUITE_P(Seeds, MarkovOracleRandom,
                          ::testing::Values(1, 2, 3, 17, 99));
 
-TEST(KernelBitIdentity, ManyFunctionWorkloadAcrossJobs) {
+TEST(MarkovOracle, ManyFunctionWorkloadTimesAgree) {
   std::unique_ptr<Program> Prog = makeManyFunctionProgram(31, 2);
-  for (unsigned Jobs : {1u, 8u})
-    compareKernels(*Prog, Jobs, TimeAnalysisOptions());
+  expectTimesAgree(*Prog);
 }
 
-TEST(KernelBitIdentity, SurvivesAnIrreducibleFunction) {
-  // bad() is the textbook irreducible GOTO weave; the partial analysis
-  // skips it and both kernels must agree on the survivors.
+TEST(MarkovOracle, LoopFreeFunctionsAgreeOnTimeAndVariance) {
+  // Without loops every statement runs at most once per activation, and
+  // the paper's Case 2 (each branch an independent FREQ-weighted draw)
+  // is exactly the chain's model, so VAR must agree as well. An
+  // in-program LCG drives 240 activations of each callee; nest() calls
+  // the branch-only leaf() on one path, pick() is a computed GOTO.
   const char *Src = R"(
 program main
-  integer a
-  a = 0
-  call good(a)
+  integer i, seed, r
+  seed = 7
+  do 10 i = 1, 240
+    seed = mod(seed * 1103 + 7919, 100003)
+    r = mod(seed, 100)
+    call nest(r)
+    call pick(r)
+10 continue
 end
 
-subroutine good(a)
-  integer a
-  a = a + 1
+subroutine nest(r)
+  integer r, x
+  x = 0
+  if (r .lt. 30) goto 20
+  x = x + 1
+  if (r .lt. 70) goto 30
+  x = x + 2
+  call leaf(r)
+  goto 40
+30 x = x + 3
+  x = x * 2
+  goto 40
+20 if (mod(r, 2) .eq. 0) goto 25
+  x = x - 1
+25 x = x + 5
+40 x = x + 1
 end
 
-subroutine bad(a)
-  integer a
-  if (a .gt. 0) goto 20
-10 a = a + 1
-  goto 30
-20 a = a + 2
-30 if (a .lt. 5) goto 20
-  if (a .lt. 9) goto 10
+subroutine leaf(r)
+  integer r, y
+  y = r
+  if (mod(r, 3) .eq. 0) goto 50
+  y = y + 1
+  if (mod(r, 5) .eq. 0) goto 50
+  y = y * 3
+50 y = y - 2
+end
+
+subroutine pick(r)
+  integer r, k, z
+  k = mod(r, 4)
+  goto (10, 20, 30), k
+  z = 0
+  goto 40
+10 z = 1
+  goto 40
+20 z = 2
+  z = z + 1
+  goto 40
+30 z = 3
+40 z = z + k
 end
 )";
   DiagnosticEngine Diags;
   std::unique_ptr<Program> Prog = parseProgram(Src, Diags);
   ASSERT_NE(Prog, nullptr) << Diags.str();
-  for (unsigned Jobs : {1u, 4u})
-    compareKernels(*Prog, Jobs, TimeAnalysisOptions());
-}
-
-TEST(KernelBitIdentity, LoopVarianceModelsAgree) {
-  // The Case 1 VAR(FREQ) models go through loopFreqVariance in both
-  // kernels; cover the closed-form ones on the Figure 1 loop.
-  Figure1Program Fix = makeFigure1();
-  for (LoopVarianceMode Mode :
-       {LoopVarianceMode::Geometric, LoopVarianceMode::Uniform}) {
-    TimeAnalysisOptions Opts = figure3CostOptions();
-    Opts.LoopVariance = Mode;
-    compareKernels(*Fix.Prog, 1, Opts);
-  }
-}
-
-TEST(KernelBitIdentity, QuarantineDegradePathsAgree) {
-  // Two sessions differing only in kernel choice ingest the same corrupt
-  // profile under BadProfilePolicy::Quarantine: the degraded (static-
-  // frequency) estimates must also be bit-identical between kernels.
-  const char *Src = R"FTN(
-program main
-  x = 0.0
-  call mid(x)
-  print x
-end
-subroutine mid(x)
-  call leaf(x)
-end
-subroutine leaf(x)
-  do 10 i = 1, 4
-    x = x + 1.0
-10 continue
-end
-)FTN";
-  DiagnosticEngine ParseDiags;
-  std::unique_ptr<Program> Prog = parseProgram(Src, ParseDiags);
-  ASSERT_NE(Prog, nullptr) << ParseDiags.str();
-
-  // Produce a profile, then corrupt the mid section.
-  DiagnosticEngine ProdDiags;
-  auto Producer = EstimationSession::create(
-      *Prog, CostModel::optimizing(),
-      EstimatorOptions(ProdDiags).onBadProfile(BadProfilePolicy::Quarantine));
-  ASSERT_NE(Producer, nullptr) << ProdDiags.str();
-  ASSERT_TRUE(Producer->profiledRun().Ok);
-  ProfileFile Corrupt = Producer->captureProfile();
-  bool Poisoned = false;
-  for (FunctionSection &S : Corrupt.sectionsMutable()) {
-    if (S.Name == "mid") {
-      S.Valid = false;
-      S.Issue = "section checksum mismatch (corrupt data)";
-      S.Counters.clear();
-      S.Loops.clear();
-      Poisoned = true;
+  std::map<const Function *, ChainMoments> Chain = chainMoments(*Prog);
+  for (unsigned Jobs : {1u, 4u}) {
+    std::map<const Function *, FunctionSummary> Sweep = sweepAt(*Prog, Jobs);
+    for (const char *Name : {"nest", "leaf", "pick"}) {
+      const Function *F = Prog->findFunction(Name);
+      ASSERT_TRUE(F && Chain.count(F)) << Name;
+      ASSERT_GT(Chain[F].Var, 0.0) << Name;
+      expectRelNear(Sweep[F].Time, Chain[F].Time, 1e-9,
+                    std::string("TIME of ") + Name);
+      expectRelNear(Sweep[F].Var, Chain[F].Var, 1e-9,
+                    std::string("VAR of ") + Name);
     }
   }
-  ASSERT_TRUE(Poisoned);
+}
 
-  auto IngestAndEstimate = [&](TimeKernel K, DiagnosticEngine &Diags) {
-    auto S = EstimationSession::create(
-        *Prog, CostModel::optimizing(),
-        EstimatorOptions(Diags)
-            .kernel(K)
-            .onBadProfile(BadProfilePolicy::Quarantine));
-    EXPECT_NE(S, nullptr) << Diags.str();
-    ProfileIngestReport Report = S->ingestProfile(Corrupt);
-    EXPECT_TRUE(Report.Ok) << Report.Error;
-    EXPECT_EQ(Report.Quarantined, std::vector<std::string>{"mid"});
-    return S;
-  };
-  DiagnosticEngine D1, D2;
-  auto CsrSession = IngestAndEstimate(TimeKernel::Csr, D1);
-  auto RefSession = IngestAndEstimate(TimeKernel::NodeObjects, D2);
-  ASSERT_TRUE(CsrSession && RefSession);
+TEST(MarkovOracle, Figure1LoopVarianceDiffersByDesign) {
+  // Case 1 is where the models part. The chain draws the loop's exit
+  // test afresh on every iteration, so the trip count is geometric and
+  // coupled to the body's draws; the paper's product-variance rule takes
+  // FREQ and the body time as independent, with VAR(FREQ) from the
+  // configured model. The means agree; the variances do not.
+  Figure1Program Fix = makeFigure1();
+  TimeAnalysisOptions Opts = figure3CostOptions();
+  std::map<const Function *, ChainMoments> Chain =
+      chainMoments(*Fix.Prog, Opts.LocalCostOverride);
+  ASSERT_TRUE(Chain.count(Fix.Main));
+  EXPECT_NEAR(Chain[Fix.Main].Time, 920.0, 920.0 * 1e-12);
+  EXPECT_NEAR(Chain[Fix.Main].Var, 936360.0, 936360.0 * 1e-12);
 
-  // The quarantined function's own query carries the tag in both kernels.
-  EstimateResult CsrMid = CsrSession->estimate(EstimateRequest("mid"));
-  EstimateResult RefMid = RefSession->estimate(EstimateRequest("mid"));
-  ASSERT_TRUE(CsrMid.Ok) << CsrMid.Error;
-  ASSERT_TRUE(RefMid.Ok) << RefMid.Error;
-  EXPECT_TRUE(CsrMid.Quarantined);
-  EXPECT_TRUE(RefMid.Quarantined);
-  EXPECT_EQ(CsrMid.Time, RefMid.Time);
-  EXPECT_EQ(CsrMid.Var, RefMid.Var);
-
-  EstimateResult CsrRes = CsrSession->estimateEntry();
-  EstimateResult RefRes = RefSession->estimateEntry();
-  ASSERT_TRUE(CsrRes.Ok) << CsrRes.Error;
-  ASSERT_TRUE(RefRes.Ok) << RefRes.Error;
-  EXPECT_EQ(CsrRes.Time, RefRes.Time);
-  EXPECT_EQ(CsrRes.Var, RefRes.Var);
-  for (const auto &F : Prog->functions()) {
-    const std::vector<NodeEstimates> &EA = CsrRes.Analysis->estimatesOf(*F);
-    const std::vector<NodeEstimates> &EB = RefRes.Analysis->estimatesOf(*F);
-    ASSERT_EQ(EA.size(), EB.size()) << F->name();
-    EXPECT_EQ(std::memcmp(EA.data(), EB.data(),
-                          EA.size() * sizeof(NodeEstimates)),
-              0)
-        << "degraded estimates of " << F->name() << " differ between kernels";
+  for (unsigned Jobs : {1u, 4u}) {
+    FunctionSummary Paper = sweepAt(*Fix.Prog, Jobs, Opts)[Fix.Main];
+    EXPECT_DOUBLE_EQ(Paper.Time, 920.0);
+    EXPECT_DOUBLE_EQ(Paper.Var, 90000.0); // STD_DEV 300, as in Figure 3.
+    TimeAnalysisOptions GeoOpts = Opts;
+    GeoOpts.LoopVariance = LoopVarianceMode::Geometric;
+    FunctionSummary Geo = sweepAt(*Fix.Prog, Jobs, GeoOpts)[Fix.Main];
+    EXPECT_DOUBLE_EQ(Geo.Time, 920.0);
+    EXPECT_DOUBLE_EQ(Geo.Var, 932760.0);
   }
 }
 
