@@ -5,11 +5,12 @@
 #
 # The complete CI gate, runnable locally with no arguments:
 #
-#   ci/run.sh            # tier-1 + TSan + UBSan + ASan (what CI runs)
+#   ci/run.sh            # tier-1 + TSan + UBSan + ASan + perfbench (what CI runs)
 #   ci/run.sh tier1      # just the plain build + ctest
 #   ci/run.sh tsan       # just the -DPTRAN_SANITIZE=thread preset
 #   ci/run.sh ubsan      # just the -DPTRAN_SANITIZE=undefined preset
 #   ci/run.sh asan       # just the -DPTRAN_SANITIZE=address preset
+#   ci/run.sh perfbench  # just build the serve benchmark's own CMake project
 #
 # Each preset builds into its own directory (build-ci-*), so a CI run
 # never disturbs a developer's ./build tree, and the sanitizer trees run
@@ -29,7 +30,9 @@
 # of them. The asan preset (AddressSanitizer plus UBSan) runs the full
 # suite, so every decoder of untrusted bytes is also checked for
 # out-of-bounds reads and leaks. Both UBSan presets include float-cast-overflow (see the top-level
-# CMakeLists.txt).
+# CMakeLists.txt). The perfbench preset only configures and builds
+# perfbench/, which compiles src/ and tools/ through its own CMake project,
+# so a header or link change that breaks perfbench/run.py fails CI.
 #
 #===----------------------------------------------------------------------===#
 
@@ -61,20 +64,30 @@ run_preset() {
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
 }
 
+build_perfbench() {
+  local dir="build-ci-perfbench"
+  echo "=== perfbench: configure (${dir}) ==="
+  cmake -B "${dir}" -S perfbench
+  echo "=== perfbench: build ==="
+  cmake --build "${dir}" -j "${JOBS}"
+}
+
 what="${1:-all}"
 case "${what}" in
 tier1) run_preset tier1 "" ;;
 tsan) run_preset tsan thread ;;
 ubsan) run_preset ubsan undefined ;;
 asan) run_preset asan address ;;
+perfbench) build_perfbench ;;
 all)
   run_preset tier1 ""
   run_preset tsan thread
   run_preset ubsan undefined
   run_preset asan address
+  build_perfbench
   ;;
 *)
-  echo "usage: ci/run.sh [tier1|tsan|ubsan|asan|all]" >&2
+  echo "usage: ci/run.sh [tier1|tsan|ubsan|asan|perfbench|all]" >&2
   exit 2
   ;;
 esac

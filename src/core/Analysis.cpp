@@ -18,8 +18,7 @@ FunctionAnalysis::compute(const Function &F, DiagnosticEngine &Diags,
   {
     TimingSpan Span(Obs, "analysis.cfg", F.name());
     FA->C = buildCfg(F);
-    if (Opts.ElideGotos)
-      elideGotoNodes(FA->C);
+    elideGotoNodes(FA->C);
   }
 
   {
@@ -45,8 +44,7 @@ FunctionAnalysis::compute(const Function &F, DiagnosticEngine &Diags,
 std::unique_ptr<ProgramAnalysis>
 ProgramAnalysis::compute(const Program &P, DiagnosticEngine &Diags,
                          const AnalysisOptions &Opts) {
-  TimingSpan Span(Opts.Obs.Registry, "analysis.program",
-                  Opts.ElideGotos ? "" : "goto-preserving");
+  TimingSpan Span(Opts.Obs.Registry, "analysis.program");
   auto PA = std::unique_ptr<ProgramAnalysis>(new ProgramAnalysis());
   PA->P = &P;
 

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Convenience drivers chaining the paper's program representations:
-/// statement CFG -> interval structure -> extended CFG -> (forward)
+/// statement CFG (GOTOs folded into edges, as the paper draws it) ->
+/// interval structure -> extended CFG -> (forward)
 /// control dependence graph, per function and per program. Everything
 /// downstream (profiling plans, frequency recovery, time and variance
 /// estimation) consumes these bundles.
@@ -33,9 +34,6 @@ namespace ptran {
 
 /// Options controlling the per-function pipeline.
 struct AnalysisOptions {
-  /// Fold GOTO statements into edges first (recovers the compact CFGs the
-  /// paper draws; on by default).
-  bool ElideGotos = true;
   /// Worker threads (or a shared pool) for ProgramAnalysis::compute.
   /// Functions are analyzed independently, so the fan-out is
   /// embarrassingly parallel; each task reports into its own

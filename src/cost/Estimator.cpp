@@ -29,18 +29,13 @@ std::unique_ptr<Estimator> Estimator::create(const Program &P,
   // DeadlinePolicy (the cancellation diagnostic is already on Diags).
   if (!Est->PA || !Est->PA->allOk())
     return nullptr;
-  AnalysisOptions Raw = AOpts;
-  Raw.ElideGotos = false;
-  Est->RawPA = ProgramAnalysis::compute(P, Diags, Raw);
-  if (!Est->RawPA || !Est->RawPA->allOk())
-    return nullptr;
   {
     TimingSpan Span(Opts.Obs.Registry, "plan.counters");
     Est->Plan = ProgramPlan::build(*Est->PA, Opts.Mode);
   }
   Est->Runtime = std::make_unique<ProfileRuntime>(*Est->PA, Est->Plan, CM,
                                                   Opts.Obs.Registry);
-  Est->Stats = std::make_unique<LoopFrequencyStats>(*Est->RawPA);
+  Est->Stats = std::make_unique<LoopFrequencyStats>(*Est->PA);
   return Est;
 }
 

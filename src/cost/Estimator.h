@@ -145,9 +145,6 @@ public:
 
   const EstimatorOptions &options() const { return Opts; }
   const ProgramAnalysis &analysis() const { return *PA; }
-  /// The goto-preserving analysis driving run-time loop tracking (its
-  /// statement ids key the loop-frequency moments).
-  const ProgramAnalysis &rawAnalysis() const { return *RawPA; }
   const ProgramPlan &plan() const { return Plan; }
   const ProfileRuntime &runtime() const { return *Runtime; }
   /// Mutable runtime access (e.g. to reset counters between epochs).
@@ -169,8 +166,6 @@ private:
   CostModel CM;
   EstimatorOptions Opts;
   std::unique_ptr<ProgramAnalysis> PA;
-  /// Goto-preserving analysis for run-time loop tracking.
-  std::unique_ptr<ProgramAnalysis> RawPA;
   ProgramPlan Plan;
   std::unique_ptr<ProfileRuntime> Runtime;
   std::unique_ptr<LoopFrequencyStats> Stats;

@@ -73,7 +73,9 @@ double CostModel::statementCost(const Stmt *S) const {
   case StmtKind::IfGoto:
     return BranchCost + exprCost(cast<IfGotoStmt>(S)->cond());
   case StmtKind::Goto:
-    return GotoCost;
+    // Folded GOTOs have no CFG node; a charge would put the interpreter's
+    // clock out of step with the estimates.
+    return 0.0;
   case StmtKind::ComputedGoto:
     // An indexed jump table: one branch plus the index computation.
     return BranchCost + exprCost(cast<ComputedGotoStmt>(S)->index());

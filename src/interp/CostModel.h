@@ -41,12 +41,6 @@ public:
   /// Base cost of evaluating a branch (jump machinery, on top of the
   /// condition expression).
   double BranchCost = 1.0;
-  /// Cost of an unconditional GOTO. Zero by default: the analysis elides
-  /// GOTO nodes into edges (recovering the paper's compact statement
-  /// CFGs), and a zero jump cost keeps the interpreter's clock consistent
-  /// with the estimates. Set it nonzero when analyzing with
-  /// AnalysisOptions::ElideGotos = false.
-  double GotoCost = 0.0;
   /// Per-execution overhead of a DO header (trip test + induction update,
   /// charged at the header like the paper's statement-level model).
   double LoopOverheadCost = 2.0;

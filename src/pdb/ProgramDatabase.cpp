@@ -11,17 +11,10 @@
 
 using namespace ptran;
 
-uint64_t ProgramDatabase::structuralFingerprint(const FunctionAnalysis &FA) {
-  // The hash itself lives in the profile layer so ProfileFile (which the
-  // database links against, not vice versa) can bind sections to the very
-  // same values the session cache keys use.
-  return structuralFingerprintOf(FA);
-}
-
 void ProgramDatabase::accumulateTotals(const FunctionAnalysis &FA,
                                        const FrequencyTotals &Totals) {
   FunctionRecord &Rec = Functions[FA.function().name()];
-  Rec.Fingerprint = structuralFingerprint(FA);
+  Rec.Fingerprint = structuralFingerprintOf(FA);
   for (const auto &[Cond, Total] : Totals.Cond)
     Rec.Cond[{Cond.Node, static_cast<unsigned>(Cond.Label)}] += Total;
 }
@@ -40,7 +33,7 @@ FrequencyTotals ProgramDatabase::totalsFor(const FunctionAnalysis &FA) const {
   FrequencyTotals Out;
   auto It = Functions.find(FA.function().name());
   if (It == Functions.end() ||
-      It->second.Fingerprint != structuralFingerprint(FA))
+      It->second.Fingerprint != structuralFingerprintOf(FA))
     return Out; // Ok stays false.
   for (const auto &[Key, Total] : It->second.Cond)
     Out.Cond[{Key.first, static_cast<CfgLabel>(Key.second)}] = Total;

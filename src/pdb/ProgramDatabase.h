@@ -70,15 +70,9 @@ public:
   static std::optional<ProgramDatabase> loadFromFile(const std::string &Path,
                                                      DiagnosticEngine &Diags);
 
-  /// Structural fingerprint of one function's shape: numbers of
-  /// statements, ECFG nodes and conditions. Guards against profiles from
-  /// a different program version; incremental estimation sessions reuse
-  /// it as the structural part of their summary-cache keys.
-  static uint64_t structuralFingerprint(const FunctionAnalysis &FA);
-
 private:
   struct FunctionRecord {
-    /// Structural fingerprint (see structuralFingerprint()).
+    /// Structural fingerprint (see structuralFingerprintOf()).
     uint64_t Fingerprint = 0;
     /// Condition totals keyed by (node, label).
     std::map<std::pair<NodeId, unsigned>, double> Cond;

@@ -16,9 +16,8 @@
 using namespace ptran;
 
 uint64_t ptran::structuralFingerprintOf(const FunctionAnalysis &FA) {
-  // FNV offset basis + golden-ratio mixing; must stay identical to the
-  // historical ProgramDatabase::structuralFingerprint (which now
-  // delegates here) so on-disk fingerprints match session cache keys.
+  // FNV offset basis + golden-ratio mixing; on-disk fingerprints (PTPF and
+  // the program database) must keep matching session cache keys.
   uint64_t H = 1469598103934665603ULL;
   auto Mix = [&H](uint64_t V) {
     H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);

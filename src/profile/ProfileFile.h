@@ -53,8 +53,8 @@ namespace ptran {
 
 /// Structural fingerprint of one function: statement count, ECFG size and
 /// the full control-condition list. Profiles recorded against a different
-/// version of the function hash differently. (ProgramDatabase::
-/// structuralFingerprint delegates here; the values are identical.)
+/// version of the function hash differently. The program database and the
+/// session's summary-cache keys use the same values.
 uint64_t structuralFingerprintOf(const FunctionAnalysis &FA);
 
 /// Fingerprint of a whole analyzed program: the per-function fingerprints

@@ -2,6 +2,7 @@
 
 #include "profile/ProfileRuntime.h"
 
+#include "support/Casting.h"
 #include "support/FatalError.h"
 #include "support/FaultInjection.h"
 
@@ -198,8 +199,8 @@ FrequencyTotals ExactProfile::totals(const Function &F) const {
 // LoopFrequencyStats
 //===----------------------------------------------------------------------===//
 
-LoopFrequencyStats::LoopFrequencyStats(const ProgramAnalysis &RawPA) {
-  for (const auto &[F, FA] : RawPA.all()) {
+LoopFrequencyStats::LoopFrequencyStats(const ProgramAnalysis &PA) {
+  for (const auto &[F, FA] : PA.all()) {
     std::vector<LoopShape> FnShapes;
     const IntervalStructure &IS = FA->intervals();
     const Cfg &C = FA->cfg();
@@ -227,18 +228,9 @@ void LoopFrequencyStats::onProcedureEntry(const Function &F, unsigned Depth) {
 void LoopFrequencyStats::onProcedureExit(const Function &F, unsigned Depth) {
   if (Depth >= Frames.size())
     return;
-  FunctionState &State = Frames[Depth];
   // Close any loops still open (closed normally via the exit transfer, but
   // a fault can interrupt execution mid-loop).
-  while (!State.Active.empty()) {
-    ActiveLoop &A = State.Active.back();
-    const LoopShape &Shape = Shapes[&F][A.LoopIdx];
-    Moments &M = Stats[{&F, Shape.HeaderStmt}];
-    M.Entries += 1;
-    M.Sum += A.HeaderExecs;
-    M.SumSq += A.HeaderExecs * A.HeaderExecs;
-    State.Active.pop_back();
-  }
+  closeLoopsOutside(Frames[Depth], F, InvalidStmt);
   Frames.resize(Depth);
 }
 
@@ -284,7 +276,11 @@ void LoopFrequencyStats::closeLoopsOutside(FunctionState &State,
 
 void LoopFrequencyStats::onTransfer(const Function &F, StmtId, CfgLabel,
                                     StmtId To, unsigned Depth) {
-  if (Depth >= Frames.size())
+  // A folded GOTO is in no loop body; its own transfer decides. A GOTO
+  // that elision keeps (a self-loop or GOTO cycle) never terminates, so
+  // skipping transfers into it loses no loop exit either.
+  if (Depth >= Frames.size() ||
+      (To != InvalidStmt && isa<GotoStmt>(F.stmt(To))))
     return;
   closeLoopsOutside(Frames[Depth], F, To);
 }

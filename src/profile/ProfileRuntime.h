@@ -132,12 +132,12 @@ private:
 };
 
 /// Per-loop frequency moments: for each loop entry, the number of header
-/// executions until the loop was left. Uses a goto-preserving analysis so
-/// that statement/loop membership matches run-time events exactly.
+/// executions until the loop was left. Loops are the intervals of \p PA,
+/// the analysis TimeAnalysis reads, so moments are keyed by the header it
+/// looks up (for a loop entered through a folded GOTO, the GOTO's target).
 class LoopFrequencyStats : public ExecutionObserver {
 public:
-  /// \p RawPA must be computed with AnalysisOptions{.ElideGotos = false}.
-  explicit LoopFrequencyStats(const ProgramAnalysis &RawPA);
+  explicit LoopFrequencyStats(const ProgramAnalysis &PA);
 
   void onProcedureEntry(const Function &F, unsigned Depth) override;
   void onProcedureExit(const Function &F, unsigned Depth) override;
@@ -161,7 +161,7 @@ public:
   };
 
   /// Moments for the loop whose header is the statement \p HeaderStmt of
-  /// \p F (statement ids are stable across goto elision).
+  /// \p F.
   const Moments *momentsFor(const Function &F, StmtId HeaderStmt) const;
 
   /// All recorded loop moments of \p F, ordered by header statement (the
@@ -188,6 +188,8 @@ private:
     std::vector<ActiveLoop> Active;
   };
 
+  /// Records and pops active loops, innermost first, until one whose body
+  /// holds \p Target (InvalidStmt closes them all).
   void closeLoopsOutside(FunctionState &State, const Function &F,
                          StmtId Target);
 

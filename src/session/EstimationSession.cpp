@@ -18,7 +18,7 @@ static bool sameCostModel(const CostModel &A, const CostModel &B) {
   return A.OpCost == B.OpCost && A.ScalarRefCost == B.ScalarRefCost &&
          A.ArrayRefCost == B.ArrayRefCost &&
          A.IntrinsicCost == B.IntrinsicCost && A.AssignCost == B.AssignCost &&
-         A.BranchCost == B.BranchCost && A.GotoCost == B.GotoCost &&
+         A.BranchCost == B.BranchCost &&
          A.LoopOverheadCost == B.LoopOverheadCost &&
          A.CallOverheadCost == B.CallOverheadCost && A.ArgCost == B.ArgCost &&
          A.PrintCost == B.PrintCost &&
@@ -128,11 +128,12 @@ void EstimationSession::noteExternalSaturation(const Function &F) {
 
 uint64_t EstimationSession::inputKeyOf(const Function &F,
                                        const FrequencyTotals &Totals) const {
-  // The structural part is the program database's fingerprint; the data
-  // part folds in the accumulated condition totals and loop-frequency
-  // moments. Any input TimeAnalysis can observe is covered, so equal keys
-  // mean a function's summary is reusable verbatim.
-  uint64_t H = ProgramDatabase::structuralFingerprint(Est->analysis().of(F));
+  // The structural part is the profile fingerprint; the data part folds in
+  // the accumulated condition totals and loop-frequency moments. Any input
+  // TimeAnalysis can observe is covered, so equal keys mean a function's
+  // summary is reusable verbatim.
+  const FunctionAnalysis &FA = Est->analysis().of(F);
+  uint64_t H = structuralFingerprintOf(FA);
   auto Mix = [&H](uint64_t V) {
     H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
   };
@@ -143,21 +144,17 @@ uint64_t EstimationSession::inputKeyOf(const Function &F,
     Mix(static_cast<uint64_t>(Cond.Label));
     MixDouble(Total);
   }
-  // Loop moments live on the goto-preserving analysis (its statement ids
-  // key LoopFrequencyStats). They can change while condition totals stay
-  // identical — e.g. per-entry counts 1,3 vs 2,2 — so they must be part
-  // of the key for Profiled variance to invalidate correctly.
-  const FunctionAnalysis *RawFA = Est->rawAnalysis().tryOf(F);
-  if (RawFA) {
-    for (NodeId Header : RawFA->intervals().headers()) {
-      StmtId S = RawFA->cfg().origin(Header);
-      if (const LoopFrequencyStats::Moments *M =
-              Est->loopStats().momentsFor(F, S)) {
-        Mix(static_cast<uint64_t>(S));
-        MixDouble(M->Entries);
-        MixDouble(M->Sum);
-        MixDouble(M->SumSq);
-      }
+  // Loop moments (keyed by header statement) can change while condition
+  // totals stay identical — e.g. per-entry counts 1,3 vs 2,2 — so they
+  // must be part of the key for Profiled variance to invalidate correctly.
+  for (NodeId Header : FA.intervals().headers()) {
+    StmtId S = FA.cfg().origin(Header);
+    if (const LoopFrequencyStats::Moments *M =
+            Est->loopStats().momentsFor(F, S)) {
+      Mix(static_cast<uint64_t>(S));
+      MixDouble(M->Entries);
+      MixDouble(M->Sum);
+      MixDouble(M->SumSq);
     }
   }
   return H;
@@ -213,7 +210,7 @@ void EstimationSession::degradeForDeadline(const Function &F,
   // Static frequencies depend only on structure; the salt keeps the key
   // distinct from both profiled and quarantined keys.
   InputState &In = Inputs[&F];
-  In.Key = ProgramDatabase::structuralFingerprint(Est->analysis().of(F)) ^
+  In.Key = structuralFingerprintOf(Est->analysis().of(F)) ^
            0x4445475241ULL; // "DEGRA"
   FreqsByFunction[&F] = computeStaticFrequencies(Est->analysis().of(F)).Freqs;
   if (ObsRegistry *Obs = Opts.Obs.Registry)
@@ -229,9 +226,8 @@ std::string EstimationSession::refreshFunction(const Function &F,
     // Static frequencies depend only on the function's structure, so the
     // key is the structural fingerprint salted to never collide with a
     // profiled key.
-    uint64_t Key =
-        ProgramDatabase::structuralFingerprint(Est->analysis().of(F)) ^
-        0x5155415241ULL; // "QUARA"
+    uint64_t Key = structuralFingerprintOf(Est->analysis().of(F)) ^
+                   0x5155415241ULL; // "QUARA"
     if (In.Key != Key || !FreqsByFunction.count(&F)) {
       In.Key = Key;
       FreqsByFunction[&F] =

@@ -12,8 +12,8 @@
 /// TimeAnalysis only over the functions whose inputs actually changed.
 ///
 /// Every function's cached summary is keyed by the structural fingerprint
-/// the program database already uses (ProgramDatabase::
-/// structuralFingerprint) mixed with a hash of its accumulated condition
+/// that profile files and the program database bind their sections to
+/// (structuralFingerprintOf) mixed with a hash of its accumulated condition
 /// totals and loop-frequency moments; every cached analysis additionally
 /// remembers the exact cost model and loop-variance mode it was computed
 /// under. A query after new profiled runs therefore invalidates only the
@@ -57,7 +57,7 @@
 
 #include "cost/Estimator.h"
 #include "durable/Snapshot.h"
-#include "pdb/ProgramDatabase.h"
+#include "profile/ProfileFile.h"
 
 #include <map>
 #include <memory>

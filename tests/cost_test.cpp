@@ -10,6 +10,7 @@
 #include "TestPrograms.h"
 
 #include "cost/Estimator.h"
+#include "parser/Parser.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -236,6 +237,22 @@ TEST(TimeAnalysisUnit, LoopVarianceModesAreOrdered) {
   EXPECT_DOUBLE_EQ(Uniform, 370920.0);
 }
 
+/// Profiles \p Src once and reads the entry's VAR under the Profiled and
+/// Zero loop-variance modes.
+void profiledAndZeroVariance(const char *Src, double &Prof, double &Zero) {
+  DiagnosticEngine Diags;
+  std::unique_ptr<Program> P = parseProgram(Src, Diags);
+  ASSERT_NE(P, nullptr) << Diags.str();
+  auto Est = Estimator::create(*P, CostModel::optimizing(),
+                               EstimatorOptions(Diags));
+  ASSERT_NE(Est, nullptr) << Diags.str();
+  ASSERT_TRUE(Est->profiledRun().Ok);
+  TimeAnalysisOptions ProfOpts;
+  ProfOpts.LoopVariance = LoopVarianceMode::Profiled;
+  Prof = Est->analyze(ProfOpts).functionVariance(*P->entry());
+  Zero = Est->analyze(TimeAnalysisOptions()).functionVariance(*P->entry());
+}
+
 TEST(TimeAnalysisUnit, ProfiledLoopVarianceUsesMoments) {
   // A loop whose trip count varies across entries: profiled mode must
   // exceed the zero assumption.
@@ -271,6 +288,36 @@ TEST(TimeAnalysisUnit, ProfiledLoopVarianceUsesMoments) {
   EXPECT_DOUBLE_EQ(M->Entries, 6.0);
   EXPECT_DOUBLE_EQ(M->mean(), 4.5);
   EXPECT_NEAR(M->variance(), (49.0 - 1.0) / 12.0 - 0.0, 3.0); // ~2.9.
+
+  // The same inner loop spelled twice: once with a plain back edge, once
+  // entered through a GOTO that elision folds into an edge. The analysis
+  // sees one CFG, so Profiled VAR must agree, and the moments must be
+  // found under the elided header for it to exceed the Zero mode.
+  double PlainProf = 0, PlainZero = 0, GotoProf = 0, GotoZero = 0;
+  ASSERT_NO_FATAL_FAILURE(profiledAndZeroVariance(R"(
+program main
+  integer i, j
+  do i = 1, 6
+    j = 0
+20  j = j + 1
+    if (j .lt. i) goto 20
+  enddo
+end
+)", PlainProf, PlainZero));
+  ASSERT_NO_FATAL_FAILURE(profiledAndZeroVariance(R"(
+program main
+  integer i, j
+  do i = 1, 6
+    j = 0
+10  goto 20
+20  j = j + 1
+    if (j .lt. i) goto 10
+  enddo
+end
+)", GotoProf, GotoZero));
+  EXPECT_EQ(GotoZero, PlainZero);
+  EXPECT_EQ(GotoProf, PlainProf);
+  EXPECT_GT(GotoProf, GotoZero);
 }
 
 TEST(FrequenciesUnit, ZeroDenominatorGuard) {

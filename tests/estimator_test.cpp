@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace ptran;
 using namespace ptran::testing;
 
@@ -62,6 +64,35 @@ end
   EXPECT_EQ(Est, nullptr);
   EXPECT_NE(Diags.str().find("irreducible"), std::string::npos)
       << Diags.str();
+}
+
+TEST(Estimator, AcceptsLoopReducibleAfterGotoElision) {
+  // Without elision the inner loop has two entries (label 10 from the
+  // back edge, label 20 from the early exit of the IF). Folding the GOTO
+  // into an edge leaves a single header, which the estimator must accept.
+  const char *Src = R"(
+program main
+  integer i, j
+  do i = 1, 6
+    j = 0
+    if (i .gt. 3) goto 20
+10  goto 20
+20  j = j + 1
+    if (j .lt. i) goto 10
+  enddo
+end
+)";
+  DiagnosticEngine Diags;
+  std::unique_ptr<Program> P = parseProgram(Src, Diags);
+  ASSERT_NE(P, nullptr) << Diags.str();
+  auto Est = Estimator::create(*P, CostModel::optimizing(), EstimatorOptions(Diags));
+  ASSERT_NE(Est, nullptr) << Diags.str();
+
+  RunResult R = Est->profiledRun();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  TimeAnalysis TA = Est->analyze();
+  EXPECT_TRUE(std::isfinite(TA.programTime()));
+  EXPECT_NEAR(TA.programTime(), R.Cycles, 1e-6 * R.Cycles);
 }
 
 TEST(Estimator, AnalysisMatchesRunCyclesOnWorkloads) {

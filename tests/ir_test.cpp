@@ -289,6 +289,7 @@ TEST(CfgBuild, GotoElisionRedirectsEdges) {
   ASSERT_NE(F, nullptr) << Diags.str();
 
   Cfg C = buildCfg(*F);
+  const Cfg Before = C;
   unsigned Elided = elideGotoNodes(C);
   EXPECT_EQ(Elided, 1u);
   NodeId GotoNode = C.nodeForStmt(Jump);
@@ -298,6 +299,19 @@ TEST(CfgBuild, GotoElisionRedirectsEdges) {
   EXPECT_NE(C.graph().findEdge(0, C.nodeForStmt(Target),
                                static_cast<LabelId>(CfgLabel::U)),
             InvalidEdge);
+
+  // Statement ids are stable across elision (run-time loop tracking keys
+  // on them): every node keeps its origin, and the nodes left detached
+  // are exactly the elided GOTO statements.
+  ASSERT_EQ(C.numNodes(), Before.numNodes());
+  for (NodeId N = 0; N < C.numNodes(); ++N) {
+    EXPECT_EQ(C.origin(N), Before.origin(N)) << "node " << N;
+    StmtId S = C.origin(N);
+    bool IsGoto = S != InvalidStmt && isa<GotoStmt>(F->stmt(S));
+    bool Detached =
+        C.graph().inDegree(N) == 0 && C.graph().outDegree(N) == 0;
+    EXPECT_EQ(Detached, IsGoto) << "node " << N;
+  }
 }
 
 TEST(CfgBuild, SelfLoopGotoIsKept) {

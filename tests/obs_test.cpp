@@ -344,6 +344,12 @@ TEST(ObsEndToEnd, EstimatorRecordsEveryPass) {
         "analysis.ecfg", "analysis.fcdg", "plan.counters", "profiled-run",
         "timeanalysis.run", "timeanalysis.wave", "timeanalysis.scc"})
     EXPECT_TRUE(Names.count(Expected)) << "missing span " << Expected;
+  // One program analysis per estimator: counter plans, recovery, loop
+  // tracking and TIME/VAR all read the same one.
+  size_t ProgramSpans = 0;
+  for (const ObsRegistry::SpanRecord &S : Reg.spans())
+    ProgramSpans += S.Name == "analysis.program";
+  EXPECT_EQ(ProgramSpans, 1u);
   EXPECT_GT(Reg.counterValue("recovery.calls"), 0u);
   EXPECT_GT(Reg.counterValue("recovery.fixpoint_iterations"), 0u);
   EXPECT_GT(Reg.counterValue("timeanalysis.evaluations"), 0u);
