@@ -434,7 +434,7 @@ void printObservabilityOverheadTable() {
   auto RunOnce = [&](ObsRegistry *Obs) {
     DiagnosticEngine Diags;
     AnalysisOptions AOpts;
-    AOpts.Obs.Registry = Obs;
+    AOpts.Obs = Obs;
     auto Start = std::chrono::steady_clock::now();
     auto PA = ProgramAnalysis::compute(*Prog, Diags, AOpts);
     if (!PA || !PA->allOk())
@@ -442,7 +442,7 @@ void printObservabilityOverheadTable() {
     std::map<const Function *, Frequencies> Freqs =
         syntheticFrequencies(*Prog, *PA);
     TimeAnalysisOptions TAOpts;
-    TAOpts.Obs.Registry = Obs;
+    TAOpts.Obs = Obs;
     TimeAnalysis TA = TimeAnalysis::run(*PA, Freqs, CM, TAOpts);
     auto End = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(TA.programTime());

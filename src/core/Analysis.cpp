@@ -12,7 +12,7 @@ using namespace ptran;
 std::unique_ptr<FunctionAnalysis>
 FunctionAnalysis::compute(const Function &F, DiagnosticEngine &Diags,
                           const AnalysisOptions &Opts) {
-  ObsRegistry *Obs = Opts.Obs.Registry;
+  ObsRegistry *Obs = Opts.Obs;
   auto FA = std::unique_ptr<FunctionAnalysis>(new FunctionAnalysis());
   FA->F = &F;
   {
@@ -44,7 +44,7 @@ FunctionAnalysis::compute(const Function &F, DiagnosticEngine &Diags,
 std::unique_ptr<ProgramAnalysis>
 ProgramAnalysis::compute(const Program &P, DiagnosticEngine &Diags,
                          const AnalysisOptions &Opts) {
-  TimingSpan Span(Opts.Obs.Registry, "analysis.program");
+  TimingSpan Span(Opts.Obs, "analysis.program");
   auto PA = std::unique_ptr<ProgramAnalysis>(new ProgramAnalysis());
   PA->P = &P;
 
@@ -59,7 +59,7 @@ ProgramAnalysis::compute(const Program &P, DiagnosticEngine &Diags,
   std::vector<char> SkipFlags(Funcs.size(), 0);
   CancelToken *Cancel = Opts.Cancel;
 
-  PoolLease Pool(Opts.Exec, Funcs.size(), Opts.Obs.Registry);
+  PoolLease Pool(Opts.Exec, Funcs.size(), Opts.Obs);
   if (Pool->workerCount() == 0) {
     for (size_t I = 0; I < Funcs.size(); ++I) {
       if (Cancel && Cancel->checkpoint()) {

@@ -41,11 +41,11 @@ struct AnalysisOptions {
   /// results and diagnostics are bit-for-bit identical under every
   /// policy.
   ExecutionPolicy Exec;
-  /// Tracing/metrics sink: when enabled, every pass of the pipeline (CFG,
+  /// Tracing/metrics sink: when set, every pass of the pipeline (CFG,
   /// intervals, ECFG, FCDG) records a per-function timing span and the
   /// pool reports task counters. Disabled (the default) costs one branch
   /// per pass.
-  ObservabilityOptions Obs;
+  ObsRegistry *Obs = nullptr;
   /// Cooperative cancellation: the fan-out polls the token once per
   /// function, so an expired token stops scheduling new work and the
   /// remaining functions land in skipped() with a structured

@@ -30,17 +30,17 @@ std::unique_ptr<Estimator> Estimator::create(const Program &P,
   if (!Est->PA || !Est->PA->allOk())
     return nullptr;
   {
-    TimingSpan Span(Opts.Obs.Registry, "plan.counters");
+    TimingSpan Span(Opts.Obs, "plan.counters");
     Est->Plan = ProgramPlan::build(*Est->PA, Opts.Mode);
   }
   Est->Runtime = std::make_unique<ProfileRuntime>(*Est->PA, Est->Plan, CM,
-                                                  Opts.Obs.Registry);
+                                                  Opts.Obs);
   Est->Stats = std::make_unique<LoopFrequencyStats>(*Est->PA);
   return Est;
 }
 
 RunResult Estimator::profiledRun(uint64_t MaxSteps) {
-  TimingSpan Span(Opts.Obs.Registry, "profiled-run");
+  TimingSpan Span(Opts.Obs, "profiled-run");
   Interpreter Interp(*P, CM);
   Interp.addObserver(Runtime.get());
   Interp.addObserver(Stats.get());
@@ -60,7 +60,7 @@ TimeAnalysis Estimator::analyze(TimeAnalysisOptions TAOpts) {
     TAOpts.Exec = Opts.Exec;
   if (!TAOpts.Diags)
     TAOpts.Diags = Opts.Diags;
-  if (!TAOpts.Obs.enabled())
+  if (!TAOpts.Obs)
     TAOpts.Obs = Opts.Obs;
   if (!TAOpts.Cancel)
     TAOpts.Cancel = Opts.Cancel;

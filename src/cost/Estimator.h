@@ -49,7 +49,7 @@ struct EstimatorOptions {
   /// (analysis spans, plan construction, profiled runs, counter recovery,
   /// the TIME/VAR waves). Disabled by default; the registry must outlive
   /// the estimator when set.
-  ObservabilityOptions Obs;
+  ObsRegistry *Obs = nullptr;
   /// What an EstimationSession does with a function whose profile data
   /// fails validation (recovery divergence, non-finite totals, checksum
   /// or Σ-identity failures on ingest). Fail preserves the historical
@@ -98,7 +98,7 @@ struct EstimatorOptions {
     return *this;
   }
   EstimatorOptions &observability(ObsRegistry &R) {
-    Obs.Registry = &R;
+    Obs = &R;
     return *this;
   }
   EstimatorOptions &onBadProfile(BadProfilePolicy Policy) {

@@ -209,7 +209,7 @@ TimeAnalysis TimeAnalysis::runImpl(
     const CostModel &CM, const TimeAnalysisOptions &Opts,
     const TimeAnalysis *Previous, const std::vector<const Function *> *Changed) {
   const Program &Prog = PA.program();
-  ObsRegistry *Obs = Opts.Obs.Registry;
+  ObsRegistry *Obs = Opts.Obs;
   TimingSpan RunSpan(Obs, "timeanalysis.run",
                      Previous ? "incremental" : "full");
   TimeAnalysis Out;

@@ -80,11 +80,11 @@ struct TimeAnalysisOptions {
   /// (or otherwise unsummarized) contribute zero time, and are reported
   /// here once per callee instead of being silently dropped.
   DiagnosticEngine *Diags = nullptr;
-  /// Tracing/metrics sink: when enabled, the whole pass, every wave of
+  /// Tracing/metrics sink: when set, the whole pass, every wave of
   /// the SCC condensation and every component evaluation record timing
   /// spans, and fixpoint-iteration / evaluation counters accumulate in
   /// the registry. Disabled (the default) costs one branch per site.
-  ObservabilityOptions Obs;
+  ObsRegistry *Obs = nullptr;
   /// Cooperative cancellation: polled at every SCC-component entry and
   /// every recursion-fixpoint iteration, and estimate storage is charged
   /// against the token's memory budget. Once the token expires no further

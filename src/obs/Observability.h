@@ -15,10 +15,10 @@
 ///     destruction records the completed span. A null registry makes both
 ///     ends no-ops — no clock reads, no string copies — so instrumented
 ///     passes pay one pointer test when observability is disabled;
-///   - ObservabilityOptions is the knob carried by AnalysisOptions,
-///     TimeAnalysisOptions and EstimatorOptions (and therefore by
-///     EstimationSession); `--trace=FILE` / `--stats` in ptran-estimate
-///     attach one registry to the whole pipeline.
+///   - every pass option struct (AnalysisOptions, TimeAnalysisOptions,
+///     EstimatorOptions and therefore EstimationSession) carries a plain
+///     `ObsRegistry *Obs`, null by default; `--trace=FILE` / `--stats` in
+///     ptran-estimate attach one registry to the whole pipeline.
 ///
 /// Every producer in the tree writes through one registry, including pool
 /// workers, so all methods lock; spans here bound whole passes (a
@@ -135,15 +135,6 @@ private:
   std::string Name;
   std::string Detail;
   std::chrono::steady_clock::time_point Start;
-};
-
-/// The observability knob every pass option struct carries. Disabled by
-/// default; pointing Registry at an ObsRegistry turns on span/counter
-/// collection for that pass (the registry must outlive the pass).
-struct ObservabilityOptions {
-  ObsRegistry *Registry = nullptr;
-
-  bool enabled() const { return Registry != nullptr; }
 };
 
 } // namespace ptran

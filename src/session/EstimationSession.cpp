@@ -69,7 +69,7 @@ RunResult EstimationSession::profiledRun(uint64_t MaxSteps) {
   std::lock_guard<std::mutex> L(Mu);
   ++Runs;
   RuntimeStale = true;
-  if (ObsRegistry *Obs = Opts.Obs.Registry)
+  if (ObsRegistry *Obs = Opts.Obs)
     Obs->addCounter("session.runs");
   return Est->profiledRun(MaxSteps);
 }
@@ -181,7 +181,7 @@ void EstimationSession::quarantine(const Function &F,
   // Force a refresh so the function's frequencies switch to the static
   // estimate before the next query.
   ExternalDirty.insert(&F);
-  if (ObsRegistry *Obs = Opts.Obs.Registry)
+  if (ObsRegistry *Obs = Opts.Obs)
     Obs->addCounter("session.quarantined_functions");
   if (Opts.Diags)
     Opts.Diags->warning("quarantining function " + F.name() + ": " + Reason +
@@ -194,7 +194,7 @@ void EstimationSession::noteSaturation(const Function &F) {
   // bounds, not exact counts.
   if (!SaturatedFns.insert(&F).second)
     return;
-  if (ObsRegistry *Obs = Opts.Obs.Registry)
+  if (ObsRegistry *Obs = Opts.Obs)
     Obs->addCounter("session.saturated_functions");
   if (Opts.Diags)
     Opts.Diags->warning("accumulate: totals for " + F.name() +
@@ -213,7 +213,7 @@ void EstimationSession::degradeForDeadline(const Function &F,
   In.Key = structuralFingerprintOf(Est->analysis().of(F)) ^
            0x4445475241ULL; // "DEGRA"
   FreqsByFunction[&F] = computeStaticFrequencies(Est->analysis().of(F)).Freqs;
-  if (ObsRegistry *Obs = Opts.Obs.Registry)
+  if (ObsRegistry *Obs = Opts.Obs)
     Obs->addCounter("resilience.degraded_functions");
   if (Opts.Diags)
     Opts.Diags->warning("degrading function " + F.name() +
@@ -237,18 +237,13 @@ std::string EstimationSession::refreshFunction(const Function &F,
   }
 
   FrequencyTotals Totals = In.Base;
-  auto It = External.find(&F);
-  bool HasExternal = It != External.end() && !It->second.empty();
-  if (HasExternal) {
+  bool Saturated = false;
+  if (addExternal(F, Totals, Saturated)) {
     // Base and the external accumulator are each bounded by 2^53, but
-    // their sum is not; clamp it with the same lower-bounds diagnostic.
-    bool Saturated = false;
-    for (const auto &[Cond, Total] : It->second)
-      Saturated |= saturatingAdd(Totals.Cond[Cond], Total);
+    // their sum is not; a clamped sum gets the same lower-bounds
+    // diagnostic.
     if (Saturated)
       noteSaturation(F);
-    // Node totals follow from condition totals via the FCDG recurrence.
-    Totals.Node = nodeTotalsFromConds(Est->analysis().of(F), Totals.Cond);
     // Each delta was value-checked on arrival, but their sum can still
     // overflow to infinity; catch that before it poisons the cache. (The
     // Σ identities are deliberately not enforced here — deltas may be
@@ -270,6 +265,27 @@ std::string EstimationSession::refreshFunction(const Function &F,
   return {};
 }
 
+bool EstimationSession::addExternal(const Function &F,
+                                    FrequencyTotals &Totals,
+                                    bool &Saturated) const {
+  Saturated = false;
+  auto It = External.find(&F);
+  if (It == External.end() || It->second.empty())
+    return false;
+  for (const auto &[Cond, Total] : It->second)
+    Saturated |= saturatingAdd(Totals.Cond[Cond], Total);
+  // Node totals follow from condition totals via the FCDG recurrence.
+  Totals.Node = nodeTotalsFromConds(Est->analysis().of(F), Totals.Cond);
+  return true;
+}
+
+FrequencyTotals EstimationSession::totalsFor(const Function &F) const {
+  FrequencyTotals Totals = Est->runtime().recover(F);
+  bool Saturated = false;
+  addExternal(F, Totals, Saturated);
+  return Totals;
+}
+
 bool EstimationSession::refreshInputs(std::string &Error) {
   if (!RuntimeStale && ExternalDirty.empty())
     return true;
@@ -280,7 +296,7 @@ bool EstimationSession::refreshInputs(std::string &Error) {
     InputState &In = Inputs[F.get()];
     if (!CutShort && Cancel && Cancel->checkpoint()) {
       CutShort = true;
-      if (ObsRegistry *Obs = Opts.Obs.Registry)
+      if (ObsRegistry *Obs = Opts.Obs)
         Obs->addCounter(Cancel->reason() == CancelReason::Cancelled
                             ? "resilience.cancellations"
                             : "resilience.deadline_hits");
@@ -372,7 +388,7 @@ EstimationSession::configFor(const CostModel &ConfigCM, LoopVarianceMode LV) {
 }
 
 std::string EstimationSession::refreshConfig(ConfigCache &Cache) {
-  ObsRegistry *Obs = Opts.Obs.Registry;
+  ObsRegistry *Obs = Opts.Obs;
   std::vector<const Function *> Changed;
   if (Cache.Analysis) {
     for (const auto &F : P->functions()) {
@@ -460,7 +476,7 @@ EstimationSession::estimate(const std::vector<EstimateRequest> &Requests,
 std::vector<EstimateResult>
 EstimationSession::estimateLocked(const std::vector<EstimateRequest> &Requests) {
   LastEvals = 0;
-  ObsRegistry *Obs = Opts.Obs.Registry;
+  ObsRegistry *Obs = Opts.Obs;
   CancelToken *Cancel = Opts.Cancel;
   uint64_t PollsBefore = Cancel ? Cancel->polls() : 0;
   auto RecordPolls = [&] {
@@ -561,7 +577,7 @@ bool EstimationSession::saveProfile(const std::string &Path,
                                     DiagnosticEngine *Diags) const {
   std::lock_guard<std::mutex> L(Mu);
   return captureProfileLocked().saveToFile(Path, Diags, Opts.IoRetry,
-                                           Opts.Obs.Registry);
+                                           Opts.Obs);
 }
 
 void EstimationSession::captureDurableState(
@@ -620,7 +636,7 @@ ProfileIngestReport EstimationSession::ingestProfile(const ProfileFile &PF,
 ProfileIngestReport
 EstimationSession::ingestProfileLocked(const ProfileFile &PF) {
   ProfileIngestReport Report;
-  ObsRegistry *Obs = Opts.Obs.Registry;
+  ObsRegistry *Obs = Opts.Obs;
   if (Obs)
     Obs->addCounter("session.ingest.profiles");
 

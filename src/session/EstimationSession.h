@@ -41,8 +41,8 @@
 ///     and must not dereference Analysis once other threads may mutate the
 ///     session. The serving daemon only ships the scalars.
 ///   - The introspection accessors (quarantined(), degraded(),
-///     lastEvaluations() and friends) are unlocked reads for tests and
-///     single-threaded tools; call them only while no other thread is
+///     frequencies(), totalsFor(), lastEvaluations() and friends) are
+///     unlocked reads for tests and single-threaded tools; call them only while no other thread is
 ///     inside the session.
 ///
 /// The per-call estimate/ingestProfile overloads taking a CancelToken
@@ -138,7 +138,7 @@ public:
   /// \p Opts.Diags when set. When \p Opts.Exec names no external pool,
   /// the session creates one sized by Opts.Exec.Jobs and routes every
   /// pass — per-function analysis, each TimeAnalysis wave — through it.
-  /// When \p Opts.Obs is enabled, the session reports `session.*`
+  /// When \p Opts.Obs is set, the session reports `session.*`
   /// counters (runs, queries, cache hits/misses, dirty-closure sizes,
   /// evaluations) and every underlying pass records spans into the same
   /// registry.
@@ -265,10 +265,17 @@ public:
   uint64_t cacheHits() const { return CacheHits; }
   /// Profiled runs executed so far.
   unsigned runsExecuted() const { return Runs; }
+  /// Every function's frequencies as the most recent estimate() evaluated
+  /// them (static for quarantined and deadline-degraded functions).
+  const std::map<const Function *, Frequencies> &frequencies() const {
+    return FreqsByFunction;
+  }
+  /// \p F's accumulated totals: the counters recovered from the runtime
+  /// plus the ingested/external deltas, node totals re-derived.
+  FrequencyTotals totalsFor(const Function &F) const;
 
   const Program &program() const { return *P; }
   const Estimator &estimator() const { return *Est; }
-  Estimator &estimatorMutable() { return *Est; }
 
 private:
   EstimationSession() = default;
@@ -314,6 +321,11 @@ private:
   /// BadProfilePolicy::Fail — why externally contributed totals failed
   /// validation.
   std::string refreshFunction(const Function &F, InputState &In);
+  /// Adds \p F's external deltas onto \p Totals (each sum clamped at 2^53)
+  /// and re-derives the node totals. \returns false, leaving \p Totals
+  /// untouched, when \p F has none; \p Saturated reports a clamped sum.
+  bool addExternal(const Function &F, FrequencyTotals &Totals,
+                   bool &Saturated) const;
   /// Why \p Totals are unusable as recovered profile data ("" = fine).
   std::string totalsIssue(const FrequencyTotals &Totals) const;
   /// Marks \p F quarantined (first reason wins) and schedules its switch

@@ -22,7 +22,7 @@ CounterDeltaStream::create(EstimationSession &Session, const Options &O) {
   S->Session = &Session;
   S->Obs = O.Obs;
   unsigned HW = std::thread::hardware_concurrency();
-  S->Shards = O.Shards ? O.Shards : std::min(HW ? HW : 1u, 16u);
+  S->Shards = std::min(HW ? HW : 1u, 16u);
 
   const ProgramAnalysis &PA = Session.estimator().analysis();
   size_t Base = 0;

@@ -91,9 +91,6 @@ public:
 class CounterDeltaStream {
 public:
   struct Options {
-    /// Shard count (0 = one per hardware thread, capped at 16). Writers
-    /// are spread across shards round-robin by slot index.
-    unsigned Shards = 0;
     /// Maximum concurrently checked-out writers (announcement slots).
     unsigned MaxWriters = 64;
     /// `stream.*` counters are reported here once per flush (never on the
@@ -193,8 +190,6 @@ public:
   /// when the function has no such condition.
   unsigned conditionIndexOf(unsigned FuncIdx, const ControlCondition &C) const;
 
-  unsigned numShards() const { return Shards; }
-
   /// Checks out a writer slot; the returned handle is falsy when all
   /// Options::MaxWriters slots are in use.
   Writer acquireWriter();
@@ -258,6 +253,8 @@ private:
   EpochFoldObserver *Observer = nullptr;
   std::vector<FuncEntry> Funcs;
   size_t NumCells = 0;
+  /// One per hardware thread, capped at 16; writers are spread across
+  /// shards round-robin by slot index.
   unsigned Shards = 1;
 
   /// 2 banks x Shards x NumCells, zero-initialized.

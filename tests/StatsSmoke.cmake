@@ -1,8 +1,10 @@
 # End-to-end observability smoke test: runs ptran-estimate with --stats
-# and --trace on a multi-function workload (classic and --session paths),
-# checks that the trace file is valid JSON carrying the expected span
-# names and that the stats tables reach stdout, and that the strict
-# numeric-flag parsing rejects garbage with an actionable message.
+# and --trace on a multi-function workload (default and two worker
+# threads), checks that the trace file is valid JSON carrying the expected
+# span names and that the stats tables reach stdout, and that the strict
+# numeric-flag parsing rejects garbage with an actionable message. It also
+# checks that the listings read the same accumulated totals as TIME/VAR
+# when those come from a saved profile or a program database.
 # Invoked by CTest as:
 #
 #   cmake -DESTIMATOR=<path> -DWORK_DIR=<dir> -P StatsSmoke.cmake
@@ -44,34 +46,34 @@ function(check_trace_and_stats LABEL TRACE_FILE STDOUT_FILE)
   endif()
 endfunction()
 
-# Classic path.
+# Default worker count.
 execute_process(
   COMMAND ${ESTIMATOR} --workload=loops --runs=2 --stats
-          --trace=${WORK_DIR}/classic_trace.json
-  OUTPUT_FILE ${WORK_DIR}/classic.txt
-  RESULT_VARIABLE CLASSIC_RC)
-if(NOT CLASSIC_RC EQUAL 0)
-  message(FATAL_ERROR "classic --stats run failed (rc=${CLASSIC_RC})")
+          --trace=${WORK_DIR}/default_trace.json
+  OUTPUT_FILE ${WORK_DIR}/default.txt
+  RESULT_VARIABLE DEFAULT_RC)
+if(NOT DEFAULT_RC EQUAL 0)
+  message(FATAL_ERROR "--stats run failed (rc=${DEFAULT_RC})")
 endif()
-check_trace_and_stats(classic ${WORK_DIR}/classic_trace.json
-                      ${WORK_DIR}/classic.txt)
+check_trace_and_stats(default ${WORK_DIR}/default_trace.json
+                      ${WORK_DIR}/default.txt)
 
-# Session path: must additionally report session.* and threadpool.*
+# Two workers: must additionally report session.* and threadpool.*
 # counters.
 execute_process(
-  COMMAND ${ESTIMATOR} --workload=loops --runs=2 --session --jobs=2 --stats
-          --trace=${WORK_DIR}/session_trace.json
-  OUTPUT_FILE ${WORK_DIR}/session.txt
-  RESULT_VARIABLE SESSION_RC)
-if(NOT SESSION_RC EQUAL 0)
-  message(FATAL_ERROR "--session --stats run failed (rc=${SESSION_RC})")
+  COMMAND ${ESTIMATOR} --workload=loops --runs=2 --jobs=2 --stats
+          --trace=${WORK_DIR}/jobs2_trace.json
+  OUTPUT_FILE ${WORK_DIR}/jobs2.txt
+  RESULT_VARIABLE JOBS2_RC)
+if(NOT JOBS2_RC EQUAL 0)
+  message(FATAL_ERROR "--jobs=2 --stats run failed (rc=${JOBS2_RC})")
 endif()
-check_trace_and_stats(session ${WORK_DIR}/session_trace.json
-                      ${WORK_DIR}/session.txt)
-file(READ ${WORK_DIR}/session.txt SESSION_OUT)
+check_trace_and_stats(jobs2 ${WORK_DIR}/jobs2_trace.json
+                      ${WORK_DIR}/jobs2.txt)
+file(READ ${WORK_DIR}/jobs2.txt JOBS2_OUT)
 foreach(COUNTER session.runs session.queries threadpool.tasks_executed)
-  if(NOT SESSION_OUT MATCHES "${COUNTER}")
-    message(FATAL_ERROR "session --stats is missing counter '${COUNTER}'")
+  if(NOT JOBS2_OUT MATCHES "${COUNTER}")
+    message(FATAL_ERROR "--jobs=2 --stats is missing counter '${COUNTER}'")
   endif()
 endforeach()
 
@@ -121,41 +123,68 @@ if(NOT RUNS0_ERR MATCHES "profile-in")
     "bare '--runs=0' diagnostic not actionable: ${RUNS0_ERR}")
 endif()
 
-# Durable-profile round trip: save from a profiled session, then estimate
-# with no new runs purely from the validated + ingested file.
-execute_process(
-  COMMAND ${ESTIMATOR} --workload=simple --session --runs=2
-          --profile-out=${WORK_DIR}/smoke.ptpf
-  OUTPUT_QUIET
-  ERROR_VARIABLE SAVE_ERR
-  RESULT_VARIABLE SAVE_RC)
-if(NOT SAVE_RC EQUAL 0)
-  message(FATAL_ERROR "--profile-out failed: ${SAVE_ERR}")
-endif()
-execute_process(
-  COMMAND ${ESTIMATOR} --workload=simple --session --runs=0
-          --profile-in=${WORK_DIR}/smoke.ptpf --on-bad-profile=fail
-  OUTPUT_VARIABLE INGEST_OUT
-  ERROR_VARIABLE INGEST_ERR
-  RESULT_VARIABLE INGEST_RC)
-if(NOT INGEST_RC EQUAL 0)
-  message(FATAL_ERROR "--profile-in round trip failed: ${INGEST_ERR}")
-endif()
+# The report from the flat profile to the end: everything printed from
+# the accumulated totals. Invocations that accumulate the same totals must
+# print it byte for byte alike.
+function(estimate_block OUT_VAR LABEL TEXT)
+  string(FIND "${TEXT}" "flat profile" POS)
+  if(POS EQUAL -1)
+    message(FATAL_ERROR "${LABEL}: no flat profile in the report: ${TEXT}")
+  endif()
+  string(SUBSTRING "${TEXT}" ${POS} -1 BLOCK)
+  set(${OUT_VAR} "${BLOCK}" PARENT_SCOPE)
+endfunction()
+
+function(run_estimate OUT_VAR LABEL)
+  execute_process(
+    COMMAND ${ESTIMATOR} ${ARGN}
+    OUTPUT_VARIABLE OUT
+    ERROR_VARIABLE ERR
+    RESULT_VARIABLE RC)
+  if(NOT RC EQUAL 0)
+    message(FATAL_ERROR "${LABEL} failed (rc=${RC}): ${ERR}")
+  endif()
+  set(${OUT_VAR} "${OUT}" PARENT_SCOPE)
+endfunction()
+
+# Durable-profile round trip: save from the profiled runs, then estimate
+# with no new runs purely from the validated + ingested file. The flat
+# profile, statement table and annotated listing must read the ingested
+# totals, so the whole estimate block equals the saving run's.
+set(LISTINGS --statements=simple --annotate=simple)
+run_estimate(SAVE_OUT "--profile-out" --workload=simple --runs=2
+             --profile-out=${WORK_DIR}/smoke.ptpf ${LISTINGS})
+run_estimate(INGEST_OUT "--profile-in round trip" --workload=simple --runs=0
+             --profile-in=${WORK_DIR}/smoke.ptpf --on-bad-profile=fail
+             ${LISTINGS})
 if(NOT INGEST_OUT MATCHES "ingested")
   message(FATAL_ERROR "--profile-in printed no ingest report: ${INGEST_OUT}")
 endif()
-# --profile-in without --session must point at --session.
-execute_process(
-  COMMAND ${ESTIMATOR} --workload=simple --profile-in=${WORK_DIR}/smoke.ptpf
-  OUTPUT_QUIET
-  ERROR_VARIABLE NOSESSION_ERR
-  RESULT_VARIABLE NOSESSION_RC)
-if(NOSESSION_RC EQUAL 0)
-  message(FATAL_ERROR "--profile-in without --session was accepted")
+estimate_block(SAVE_BLOCK "--profile-out" "${SAVE_OUT}")
+estimate_block(INGEST_BLOCK "--profile-in" "${INGEST_OUT}")
+if(NOT SAVE_BLOCK STREQUAL INGEST_BLOCK)
+  message(FATAL_ERROR "--profile-in estimates differ from the saving run's:\n"
+          "saved:\n${SAVE_BLOCK}\ningested:\n${INGEST_BLOCK}")
 endif()
-if(NOT NOSESSION_ERR MATCHES "--session")
-  message(FATAL_ERROR
-    "--profile-in/--session diagnostic not actionable: ${NOSESSION_ERR}")
+
+# Program-database round trip: two one-run invocations accumulate the
+# same totals as one two-run invocation, and the second one's listings
+# must read the database totals, not just its own run.
+file(REMOVE ${WORK_DIR}/smoke.pdb)
+foreach(I 1 2)
+  run_estimate(PDB_OUT "--pdb run ${I}" --workload=simple --runs=1
+               --annotate=simple --pdb=${WORK_DIR}/smoke.pdb)
+endforeach()
+if(NOT PDB_OUT MATCHES "covers 2 accumulation")
+  message(FATAL_ERROR "--pdb did not accumulate two runs: ${PDB_OUT}")
+endif()
+run_estimate(RUNS2_OUT "--runs=2" --workload=simple --runs=2
+             --annotate=simple)
+estimate_block(PDB_BLOCK "--pdb" "${PDB_OUT}")
+estimate_block(RUNS2_BLOCK "--runs=2" "${RUNS2_OUT}")
+if(NOT PDB_BLOCK STREQUAL RUNS2_BLOCK)
+  message(FATAL_ERROR "--pdb estimates differ from a two-run invocation's:\n"
+          "--pdb:\n${PDB_BLOCK}\n--runs=2:\n${RUNS2_BLOCK}")
 endif()
 
 message(STATUS "observability smoke test passed")

@@ -414,6 +414,10 @@ TEST(EstimationSession, CorruptSectionsQuarantineExactlyAndOthersBitIdentical) {
       << QRes.QuarantineReason;
   EXPECT_TRUE(VictimRes.Quarantined);
   EXPECT_FALSE(CleanRes.Quarantined);
+  // frequencies() reports what the estimate read: static for Mid.
+  EXPECT_EQ(Victim->frequencies().at(Mid).NodeFreq,
+            computeStaticFrequencies(Victim->estimator().analysis().of(*Mid))
+                .Freqs.NodeFreq);
 
   // The clean functions' node estimates are bit-identical between the two
   // sessions; the quarantined ones differ (static vs profiled branches
@@ -430,6 +434,36 @@ TEST(EstimationSession, CorruptSectionsQuarantineExactlyAndOthersBitIdentical) {
                           EA.size() * sizeof(NodeEstimates)),
               0)
         << "clean function " << F->name() << " drifted bitwise";
+  }
+}
+
+// totalsFor() and frequencies() report the totals the estimates came from:
+// a session that only ingested a profile reads exactly what the producing
+// session recovered from its own counters.
+TEST(EstimationSession, IngestedTotalsAndFrequenciesMatchTheProducer) {
+  std::unique_ptr<Program> Prog = parseDiamond();
+  DiagnosticEngine D1, D2;
+  auto Producer = runSession(*Prog, 2, D1);
+  auto Consumer = runSession(*Prog, 0, D2);
+  ASSERT_NE(Producer, nullptr);
+  ASSERT_NE(Consumer, nullptr);
+  ProfileIngestReport Report =
+      Consumer->ingestProfile(Producer->captureProfile());
+  ASSERT_TRUE(Report.Ok) << Report.Error;
+  EstimateResult Want = Producer->estimateEntry();
+  EstimateResult Got = Consumer->estimateEntry();
+  ASSERT_TRUE(Want.Ok) << Want.Error;
+  ASSERT_TRUE(Got.Ok) << Got.Error;
+  EXPECT_EQ(Got.Time, Want.Time);
+  EXPECT_EQ(Got.Var, Want.Var);
+  for (const auto &F : Prog->functions()) {
+    FrequencyTotals WantTotals = Producer->totalsFor(*F);
+    FrequencyTotals GotTotals = Consumer->totalsFor(*F);
+    EXPECT_EQ(GotTotals.Cond, WantTotals.Cond) << F->name();
+    EXPECT_EQ(GotTotals.Node, WantTotals.Node) << F->name();
+    EXPECT_EQ(Consumer->frequencies().at(F.get()).NodeFreq,
+              Producer->frequencies().at(F.get()).NodeFreq)
+        << F->name();
   }
 }
 

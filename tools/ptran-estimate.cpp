@@ -1,6 +1,8 @@
 //===--- tools/ptran-estimate.cpp - Command-line estimation driver --------===//
 //
-// The whole framework behind one command:
+// The whole framework behind one command. One EstimationSession owns the
+// runs, the accumulated totals and the estimates; every listing reads the
+// totals and frequencies the printed TIME/VAR came from.
 //
 //   ptran-estimate FILE.f [options]
 //   ptran-estimate --workload=loops|simple [options]
@@ -20,14 +22,12 @@
 //   --jobs=N                analysis worker threads (default: hardware
 //                           concurrency; 1 = serial; results are identical
 //                           for every value)
-//   --session               drive the run/estimate flow through an
-//                           incremental EstimationSession (same output)
 //   --check                 verify the Section 3 identities on the profile
 //                           (findings make the exit code nonzero)
 //   --profile-out=FILE      save the accumulated counters + loop moments
 //                           as a durable, checksummed profile file
-//   --profile-in=FILE       (with --session) validate and ingest a saved
-//                           profile before estimating
+//   --profile-in=FILE       validate and ingest a saved profile before
+//                           estimating
 //   --on-bad-profile=fail|quarantine   what to do with functions whose
 //                           profile data fails validation (default
 //                           quarantine: degrade them to static
@@ -63,7 +63,6 @@
 #include "support/TablePrinter.h"
 #include "workloads/Workloads.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -95,7 +94,6 @@ struct Options {
   std::string PdbFile;
   enum class FreqSource { Profile, Static, Hybrid } Freq = FreqSource::Profile;
   bool Check = false;
-  bool Session = false;
   /// Durable profile to write after the runs (empty = none).
   std::string ProfileOut;
   /// Durable profile to validate and ingest before estimating.
@@ -132,11 +130,10 @@ const char *const UsageText =
     "  --chunk=P,OVERHEAD      Kruskal-Weiss advice for every DO loop\n"
     "  --freq=profile|static|hybrid   frequency source (default profile)\n"
     "  --jobs=N                worker threads (0 = hardware concurrency)\n"
-    "  --session               drive the flow through an EstimationSession\n"
     "  --check                 verify the Section 3 identities (findings\n"
     "                          make the exit code nonzero)\n"
     "  --profile-out=FILE      save the accumulated profile (checksummed)\n"
-    "  --profile-in=FILE       validate + ingest a saved profile (--session)\n"
+    "  --profile-in=FILE       validate + ingest a saved profile\n"
     "  --on-bad-profile=fail|quarantine   bad-profile policy (default\n"
     "                          quarantine: degrade to static frequencies)\n"
     "  --deadline-ms=N         wall-clock deadline for the invocation\n"
@@ -258,8 +255,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts, std::string &Error) {
       if (!J)
         return Invalid("--jobs", Value("--jobs="), "a non-negative number");
       Opts.Jobs = *J;
-    } else if (Arg == "--session") {
-      Opts.Session = true;
     } else if (Arg == "--check") {
       Opts.Check = true;
     } else if (Arg.rfind("--profile-out=", 0) == 0) {
@@ -323,30 +318,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts, std::string &Error) {
     Error = "no input: pass FILE.f or --workload=loops|simple";
     return false;
   }
-  if (Opts.Session) {
-    // The session path owns the run/recover/estimate flow end to end;
-    // flags that swap in a different frequency source or attach extra
-    // observers only exist on the classic path.
-    if (!Opts.PdbFile.empty()) {
-      Error = "--session does not combine with --pdb (the session is its "
-              "own accumulator); drop one of the two";
-      return false;
-    }
-    if (Opts.SamplingPeriod > 0.0) {
-      Error = "--session does not combine with --sampling; drop one of "
-              "the two";
-      return false;
-    }
-    if (Opts.Freq != Options::FreqSource::Profile) {
-      Error = "--session only supports --freq=profile";
-      return false;
-    }
-  }
-  if (!Opts.ProfileIn.empty() && !Opts.Session) {
-    Error = "--profile-in needs --session (ingestion goes through the "
-            "session's validator); add --session";
-    return false;
-  }
   if (Opts.Runs == 0 && Opts.ProfileIn.empty()) {
     Error = "--runs=0 only makes sense with --profile-in (no runs and no "
             "profile leaves nothing to estimate from)";
@@ -379,17 +350,9 @@ std::unique_ptr<Program> loadProgram(const Options &Opts,
   return P;
 }
 
-void printStatementTable(const Estimator &Est, const Function &F,
+void printStatementTable(const FunctionAnalysis &FA, const Frequencies &Freqs,
                          const TimeAnalysis &TA) {
-  const FunctionAnalysis &FA = Est.analysis().of(F);
-  FrequencyTotals Totals = Est.totalsFor(F);
-  if (!Totals.Ok) {
-    std::fprintf(stderr,
-                 "no recoverable frequencies for %s (naive mode?)\n",
-                 F.name().c_str());
-    return;
-  }
-  Frequencies Freqs = computeFrequencies(FA, Totals);
+  const Function &F = FA.function();
   TablePrinter T({"statement", "NODE_FREQ", "COST", "TIME", "VAR",
                   "STD_DEV"});
   for (StmtId S = 0; S < F.numStmts(); ++S) {
@@ -405,21 +368,19 @@ void printStatementTable(const Estimator &Est, const Function &F,
               T.str().c_str());
 }
 
-void printChunkAdvice(const Estimator &Est, const TimeAnalysis &TA,
-                      unsigned P, double Overhead) {
+void printChunkAdvice(const ProgramAnalysis &PA,
+                      const std::map<const Function *, Frequencies> &Freqs,
+                      const TimeAnalysis &TA, unsigned P, double Overhead) {
   TablePrinter T({"procedure", "DO loop", "trips", "E[body]", "VAR[body]",
                   "KW chunk"});
-  for (const auto &F : Est.analysis().program().functions()) {
-    const FunctionAnalysis &FA = Est.analysis().of(*F);
-    FrequencyTotals Totals = Est.totalsFor(*F);
-    if (!Totals.Ok)
-      continue;
-    Frequencies Freqs = computeFrequencies(FA, Totals);
+  for (const auto &F : PA.program().functions()) {
+    const FunctionAnalysis &FA = PA.of(*F);
     for (NodeId H : FA.intervals().headers()) {
       StmtId S = FA.cfg().origin(H);
       if (S == InvalidStmt || F->stmt(S)->kind() != StmtKind::DoStart)
         continue;
-      LoopScheduleAdvice A = adviseChunkSize(TA, FA, Freqs, H, P, Overhead);
+      LoopScheduleAdvice A =
+          adviseChunkSize(TA, FA, Freqs.at(F.get()), H, P, Overhead);
       T.addRow({F->name(), printStmt(*F, F->stmt(S)),
                 formatDouble(A.TripCount, 5), formatDouble(A.BodyMean, 5),
                 formatDouble(A.BodyVar, 5), std::to_string(A.Chunk)});
@@ -429,7 +390,7 @@ void printChunkAdvice(const Estimator &Est, const TimeAnalysis &TA,
               formatDouble(Overhead).c_str(), T.str().c_str());
 }
 
-/// Prints the run header shared by the classic and session paths.
+/// Prints the run header.
 void printRunSummary(const Options &Opts, const Estimator &Est,
                      double Cycles) {
   std::printf("%u run(s), %s simulated cycles total; profiling overhead "
@@ -442,15 +403,30 @@ void printRunSummary(const Options &Opts, const Estimator &Est,
                   Est.runtime().dynamicAdds()));
 }
 
-/// Prints the estimate block shared by the classic and session paths.
+/// Replays the runs under a sampling profiler. The sampler keeps its own
+/// clock from the cost model, so a plain interpreter yields the samples
+/// it would have taken riding along the profiled runs.
+void printSamplingReport(const Options &Opts, const Program &Prog,
+                         const CostModel &CM) {
+  SamplingProfile Sampler(CM, Opts.SamplingPeriod);
+  for (unsigned R = 0; R < Opts.Runs; ++R) {
+    Interpreter Interp(Prog, CM);
+    Interp.addObserver(&Sampler);
+    Interp.run();
+  }
+  std::printf("%s\n", Sampler.report().c_str());
+}
+
+/// Prints the flat profile, TIME/VAR and the requested listings. They all
+/// read \p Freqs (what \p TA was evaluated from) and the session's totals.
 /// Returns 0, or 1 when a named procedure does not exist.
-int printEstimates(const Options &Opts, const Program &Prog,
-                   const Estimator &Est,
+int printEstimates(const Options &Opts, const EstimationSession &Session,
                    const std::map<const Function *, Frequencies> &Freqs,
                    const TimeAnalysis &TA) {
+  const Program &Prog = Session.program();
+  const ProgramAnalysis &PA = Session.estimator().analysis();
   std::printf("flat profile (estimated):\n%s\n",
-              formatProcedureReport(
-                  buildProcedureReport(Est.analysis(), Freqs, TA))
+              formatProcedureReport(buildProcedureReport(PA, Freqs, TA))
                   .c_str());
   std::printf("TIME(START)    = %s cycles\n",
               formatDouble(TA.programTime(), 8).c_str());
@@ -465,7 +441,7 @@ int printEstimates(const Options &Opts, const Program &Prog,
       return 1;
     }
     std::printf("\n");
-    printStatementTable(Est, *F, TA);
+    printStatementTable(PA.of(*F), Freqs.at(F), TA);
   }
 
   if (!Opts.AnnotateProc.empty()) {
@@ -476,25 +452,24 @@ int printEstimates(const Options &Opts, const Program &Prog,
       return 1;
     }
     std::printf("\n%s\n",
-                annotatedListing(Est.analysis().of(*F), Est.totalsFor(*F),
-                                 TA)
+                annotatedListing(PA.of(*F), Session.totalsFor(*F), TA)
                     .c_str());
   }
 
   if (Opts.ChunkP > 0) {
     std::printf("\n");
-    printChunkAdvice(Est, TA, Opts.ChunkP, Opts.ChunkOverhead);
+    printChunkAdvice(PA, Freqs, TA, Opts.ChunkP, Opts.ChunkOverhead);
   }
   return 0;
 }
 
 /// \returns the number of findings, so callers can fail the invocation —
 /// a consistency violation that exits 0 is invisible to scripts.
-unsigned printFrequencyCheck(const Program &Prog, const Estimator &Est) {
+unsigned printFrequencyCheck(const EstimationSession &Session) {
   unsigned Issues = 0;
-  for (const auto &F : Prog.functions()) {
+  for (const auto &F : Session.program().functions()) {
     std::vector<std::string> Findings = checkFrequencyConsistency(
-        Est.analysis().of(*F), Est.totalsFor(*F));
+        Session.estimator().analysis().of(*F), Session.totalsFor(*F));
     for (const std::string &Finding : Findings) {
       std::printf("consistency: %s\n", Finding.c_str());
       ++Issues;
@@ -559,16 +534,105 @@ void printPlansAndDot(const Options &Opts, const Program &Prog,
   }
 }
 
-/// The incremental path: one EstimationSession owns the runs, the cached
-/// summaries and the analysis; the tool is a thin client of estimate().
-int runSessionPath(const Options &Opts, const Program &Prog,
-                   const CostModel &CM, ObsRegistry *Obs) {
-  DiagnosticEngine TADiags;
+/// Adds this invocation's totals to the program database in Opts.PdbFile
+/// and folds the database's earlier accumulations into the session, so
+/// the estimates and every listing read the database totals.
+void foldProgramDatabase(const Options &Opts, EstimationSession &Session) {
+  DiagnosticEngine Diags;
+  ProgramDatabase Db;
+  struct stat St;
+  if (::stat(Opts.PdbFile.c_str(), &St) == 0) {
+    auto Loaded = ProgramDatabase::loadFromFile(Opts.PdbFile, Diags);
+    if (Loaded)
+      Db = std::move(*Loaded);
+    else
+      std::fprintf(stderr, "ignoring unreadable program database:\n%s",
+                   Diags.str().c_str());
+  }
+  std::vector<std::pair<const Function *, FrequencyTotals>> Earlier;
+  for (const auto &F : Session.program().functions()) {
+    const FunctionAnalysis &FA = Session.estimator().analysis().of(*F);
+    FrequencyTotals T = Db.totalsFor(FA);
+    if (T.Ok)
+      Earlier.emplace_back(F.get(), std::move(T));
+    Db.accumulateTotals(FA, Session.totalsFor(*F));
+  }
+  Db.noteRunCompleted();
+  if (!Db.saveToFile(Opts.PdbFile, Diags))
+    std::fprintf(stderr, "%s", Diags.str().c_str());
+  else
+    std::printf("program database %s now covers %u accumulation(s)\n\n",
+                Opts.PdbFile.c_str(), Db.runsRecorded());
+  Session.accumulateTotalsBatch(Earlier);
+}
+
+/// --freq=static|hybrid. The session estimates from profiled frequencies
+/// only, and these sources are a tool option rather than a library one,
+/// so the tool evaluates them itself from the session's totals.
+int estimateFromFrequencyModel(const Options &Opts, const CostModel &CM,
+                               const EstimationSession &Session,
+                               DiagnosticEngine &Diags) {
+  const Estimator &Est = Session.estimator();
+  const EstimatorOptions &EOpts = Est.options();
+  std::map<const Function *, Frequencies> Freqs;
+  for (const auto &F : Session.program().functions()) {
+    const FunctionAnalysis &FA = Est.analysis().of(*F);
+    StaticFrequencies S = computeStaticFrequencies(FA);
+    if (Opts.Freq == Options::FreqSource::Static) {
+      Freqs[F.get()] = S.Freqs;
+    } else {
+      FrequencyTotals T = Session.totalsFor(*F);
+      Freqs[F.get()] = hybridFrequencies(FA, S, &T);
+    }
+  }
+
+  TimeAnalysisOptions TAOpts;
+  TAOpts.LoopVariance = Opts.LoopVariance;
+  TAOpts.Stats = &Est.loopStats();
+  TAOpts.Exec = EOpts.Exec;
+  TAOpts.Obs = EOpts.Obs;
+  TAOpts.Diags = &Diags;
+  TAOpts.Cancel = EOpts.Cancel;
+  TimeAnalysis TA = TimeAnalysis::run(Est.analysis(), Freqs, CM, TAOpts);
+  std::map<const Function *, std::string> Degraded;
+  if (TA.cutShort()) {
+    if (Opts.OnDeadline == DeadlinePolicy::Fail) {
+      if (!Diags.diagnostics().empty())
+        std::fprintf(stderr, "%s", Diags.str().c_str());
+      std::fprintf(stderr, "estimation failed: %s\n",
+                   cancelMessage(*EOpts.Cancel, "estimation").c_str());
+      return 1;
+    }
+    // Degrade: unfinished procedures fall back to static frequencies and
+    // an unbudgeted incremental rerun completes them; everything the
+    // budgeted run finished is reused bit-identically.
+    std::vector<const Function *> Unfinished = TA.unfinished();
+    for (const Function *F : Unfinished) {
+      Freqs[F] = computeStaticFrequencies(Est.analysis().of(*F)).Freqs;
+      Degraded[F] = EOpts.Cancel->describe();
+    }
+    TAOpts.Cancel = nullptr;
+    TA = TimeAnalysis::rerun(Est.analysis(), Freqs, CM, TAOpts, TA,
+                             Unfinished);
+  }
+  if (!Diags.diagnostics().empty())
+    std::fprintf(stderr, "%s", Diags.str().c_str());
+
+  int Rc = printEstimates(Opts, Session, Freqs, TA);
+  printDegradeSummary(Degraded);
+  return Rc;
+}
+
+/// The whole invocation: one EstimationSession owns the runs, the
+/// accumulated totals and the estimates.
+int run(const Options &Opts, const Program &Prog, const CostModel &CM,
+        ObsRegistry *Obs) {
+  DiagnosticEngine Diags;
   RetryPolicy IoRetry = RetryPolicy().retries(Opts.IoRetries);
   // The token outlives the session (same scope) and is armed before any
   // work, so the deadline covers the whole invocation.
   CancelToken Token;
-  EstimatorOptions EOpts = EstimatorOptions(TADiags)
+  EstimatorOptions EOpts = EstimatorOptions(Diags)
                                .mode(Opts.Mode)
                                .jobs(Opts.Jobs)
                                .loopVariance(Opts.LoopVariance)
@@ -583,7 +647,7 @@ int runSessionPath(const Options &Opts, const Program &Prog,
     EOpts.observability(*Obs);
   auto Session = EstimationSession::create(Prog, CM, EOpts);
   if (!Session) {
-    std::fprintf(stderr, "analysis failed:\n%s", TADiags.str().c_str());
+    std::fprintf(stderr, "analysis failed:\n%s", Diags.str().c_str());
     return 1;
   }
   const Estimator &Est = Session->estimator();
@@ -601,6 +665,8 @@ int runSessionPath(const Options &Opts, const Program &Prog,
       std::printf("program output:\n%s", Run.Output.c_str());
   }
   printRunSummary(Opts, Est, Cycles);
+  if (Opts.SamplingPeriod > 0.0)
+    printSamplingReport(Opts, Prog, CM);
 
   // Ingest a saved profile before any estimate: an unreadable file is a
   // hard error under either policy (there is nothing to degrade to — the
@@ -642,193 +708,27 @@ int runSessionPath(const Options &Opts, const Program &Prog,
     return Rc;
   }
 
-  if (Opts.Check && printFrequencyCheck(Prog, Est) > 0)
+  if (Opts.Check && printFrequencyCheck(*Session) > 0)
     Rc = 1;
+  if (!Opts.PdbFile.empty())
+    foldProgramDatabase(Opts, *Session);
 
-  EstimateResult Res = Session->estimateEntry();
-  if (!TADiags.diagnostics().empty())
-    std::fprintf(stderr, "%s", TADiags.str().c_str());
-  if (!Res.Ok) {
-    std::fprintf(stderr, "estimation failed: %s\n", Res.Error.c_str());
-    return 1;
-  }
-
-  // The flat profile wants per-function frequencies; recompute them from
-  // the same inputs the session estimated from (quarantined functions use
-  // static frequencies, like the session does).
-  std::map<const Function *, Frequencies> Freqs;
-  for (const auto &F : Prog.functions())
-    Freqs[F.get()] =
-        Session->isQuarantined(*F) || Session->isDegraded(*F)
-            ? computeStaticFrequencies(Est.analysis().of(*F)).Freqs
-            : computeFrequencies(Est.analysis().of(*F), Est.totalsFor(*F));
-  int EstimatesRc = printEstimates(Opts, Prog, Est, Freqs, *Res.Analysis);
-  printQuarantineSummary(*Session);
-  printDegradeSummary(Session->degraded());
-  return EstimatesRc != 0 ? EstimatesRc : Rc;
-}
-
-/// The classic path: the tool drives the interpreter and the analysis
-/// itself (sampling, pdb round trips and alternate frequency sources live
-/// here only).
-int runClassicPath(const Options &Opts, const Program &Prog,
-                   const CostModel &CM, DiagnosticEngine &Diags,
-                   ObsRegistry *Obs) {
-  RetryPolicy IoRetry = RetryPolicy().retries(Opts.IoRetries);
-  CancelToken Token;
-  EstimatorOptions EOpts =
-      EstimatorOptions(Diags).mode(Opts.Mode).jobs(Opts.Jobs).loopVariance(
-          Opts.LoopVariance);
-  if (Opts.DeadlineMs) {
-    Token.setDeadlineIn(std::chrono::milliseconds(*Opts.DeadlineMs));
-    EOpts.cancel(Token);
-  }
-  if (Obs)
-    EOpts.observability(*Obs);
-  std::unique_ptr<Estimator> Est = Estimator::create(Prog, CM, EOpts);
-  if (!Est) {
-    std::fprintf(stderr, "analysis failed:\n%s", Diags.str().c_str());
-    return 1;
-  }
-
-  printPlansAndDot(Opts, Prog, *Est);
-
-  // Optional sampling profiler alongside the counter runtime.
-  std::unique_ptr<SamplingProfile> Sampler;
-  if (Opts.SamplingPeriod > 0.0)
-    Sampler = std::make_unique<SamplingProfile>(CM, Opts.SamplingPeriod);
-
-  double Cycles = 0.0;
-  for (unsigned R = 0; R < Opts.Runs; ++R) {
-    TimingSpan RunSpan(Obs, "profiled-run");
-    Interpreter Interp(Prog, CM);
-    Interp.addObserver(&Est->runtimeMutable());
-    // Feed the loop-frequency moments too: --loop-variance=profiled (the
-    // default) is meaningless without them.
-    Interp.addObserver(&Est->loopStatsMutable());
-    if (Sampler)
-      Interp.addObserver(Sampler.get());
-    RunResult Run = Interp.run();
-    if (!Run.Ok) {
-      std::fprintf(stderr, "run %u failed: %s\n", R + 1, Run.Error.c_str());
-      return 1;
-    }
-    Cycles += Run.Cycles;
-    if (R == 0 && !Run.Output.empty())
-      std::printf("program output:\n%s", Run.Output.c_str());
-  }
-  printRunSummary(Opts, *Est, Cycles);
-
-  if (Sampler)
-    std::printf("%s\n", Sampler->report().c_str());
-
-  int Rc = 0;
-  if (!Opts.ProfileOut.empty()) {
-    DiagnosticEngine SaveDiags;
-    ProfileFile PF = ProfileFile::capture(Est->analysis(), Est->plan(),
-                                          Est->runtime(), &Est->loopStats(),
-                                          Opts.Runs);
-    if (!PF.saveToFile(Opts.ProfileOut, &SaveDiags, IoRetry, Obs)) {
-      std::fprintf(stderr, "%s", SaveDiags.str().c_str());
-      Rc = 1;
-    } else {
-      std::printf("profile saved to %s (%u run(s))\n\n",
-                  Opts.ProfileOut.c_str(), Opts.Runs);
-    }
-  }
-
-  if (Opts.Mode == ProfileMode::Naive) {
-    std::printf("naive mode measures basic blocks only; rerun with "
-                "--mode=smart for estimates\n");
-    return Rc;
-  }
-
-  if (Opts.Check && printFrequencyCheck(Prog, *Est) > 0)
-    Rc = 1;
-
-  // Program-database round trip, if requested.
-  std::map<const Function *, Frequencies> Freqs;
-  if (!Opts.PdbFile.empty()) {
-    ProgramDatabase Db;
-    struct stat St;
-    if (::stat(Opts.PdbFile.c_str(), &St) == 0) {
-      auto Loaded = ProgramDatabase::loadFromFile(Opts.PdbFile, Diags);
-      if (Loaded)
-        Db = std::move(*Loaded);
-      else
-        std::fprintf(stderr, "ignoring unreadable program database:\n%s",
-                     Diags.str().c_str());
-    }
-    for (const auto &F : Prog.functions())
-      Db.accumulateTotals(Est->analysis().of(*F), Est->totalsFor(*F));
-    Db.noteRunCompleted();
-    if (!Db.saveToFile(Opts.PdbFile, Diags))
-      std::fprintf(stderr, "%s", Diags.str().c_str());
-    else
-      std::printf("program database %s now covers %u accumulation(s)\n\n",
-                  Opts.PdbFile.c_str(), Db.runsRecorded());
-    for (const auto &F : Prog.functions()) {
-      FrequencyTotals T = Db.totalsFor(Est->analysis().of(*F));
-      Freqs[F.get()] = computeFrequencies(
-          Est->analysis().of(*F),
-          T.Ok ? T : Est->totalsFor(*F));
-    }
+  int EstimatesRc = 0;
+  if (Opts.Freq != Options::FreqSource::Profile) {
+    EstimatesRc = estimateFromFrequencyModel(Opts, CM, *Session, Diags);
   } else {
-    for (const auto &F : Prog.functions()) {
-      const FunctionAnalysis &FA = Est->analysis().of(*F);
-      switch (Opts.Freq) {
-      case Options::FreqSource::Profile:
-        Freqs[F.get()] = computeFrequencies(FA, Est->totalsFor(*F));
-        break;
-      case Options::FreqSource::Static:
-        Freqs[F.get()] = computeStaticFrequencies(FA).Freqs;
-        break;
-      case Options::FreqSource::Hybrid: {
-        FrequencyTotals T = Est->totalsFor(*F);
-        StaticFrequencies S = computeStaticFrequencies(FA);
-        Freqs[F.get()] = hybridFrequencies(FA, S, &T);
-        break;
-      }
-      }
-    }
-  }
-
-  TimeAnalysisOptions TAOpts;
-  TAOpts.LoopVariance = Opts.LoopVariance;
-  TAOpts.Stats = &Est->loopStats();
-  TAOpts.Exec.Jobs = Opts.Jobs;
-  TAOpts.Obs.Registry = Obs;
-  DiagnosticEngine TADiags;
-  TAOpts.Diags = &TADiags;
-  if (Opts.DeadlineMs)
-    TAOpts.Cancel = &Token;
-  TimeAnalysis TA = TimeAnalysis::run(Est->analysis(), Freqs, CM, TAOpts);
-  std::map<const Function *, std::string> Degraded;
-  if (TA.cutShort()) {
-    if (Opts.OnDeadline == DeadlinePolicy::Fail) {
-      if (!TADiags.diagnostics().empty())
-        std::fprintf(stderr, "%s", TADiags.str().c_str());
-      std::fprintf(stderr, "estimation failed: %s\n",
-                   cancelMessage(Token, "estimation").c_str());
+    EstimateResult Res = Session->estimateEntry();
+    if (!Diags.diagnostics().empty())
+      std::fprintf(stderr, "%s", Diags.str().c_str());
+    if (!Res.Ok) {
+      std::fprintf(stderr, "estimation failed: %s\n", Res.Error.c_str());
       return 1;
     }
-    // Degrade: unfinished procedures fall back to static frequencies and
-    // an unbudgeted incremental rerun completes them; everything the
-    // budgeted run finished is reused bit-identically.
-    std::vector<const Function *> Unfinished = TA.unfinished();
-    for (const Function *F : Unfinished) {
-      Freqs[F] = computeStaticFrequencies(Est->analysis().of(*F)).Freqs;
-      Degraded[F] = Token.describe();
-    }
-    TAOpts.Cancel = nullptr;
-    TA = TimeAnalysis::rerun(Est->analysis(), Freqs, CM, TAOpts, TA,
-                             Unfinished);
+    EstimatesRc = printEstimates(Opts, *Session, Session->frequencies(),
+                                 *Res.Analysis);
+    printQuarantineSummary(*Session);
+    printDegradeSummary(Session->degraded());
   }
-  if (!TADiags.diagnostics().empty())
-    std::fprintf(stderr, "%s", TADiags.str().c_str());
-
-  int EstimatesRc = printEstimates(Opts, Prog, *Est, Freqs, TA);
-  printDegradeSummary(Degraded);
   return EstimatesRc != 0 ? EstimatesRc : Rc;
 }
 
@@ -858,9 +758,7 @@ int main(int Argc, char **Argv) {
   if (!Opts.TraceFile.empty() || Opts.Stats)
     Obs = std::make_unique<ObsRegistry>();
 
-  int Rc = Opts.Session
-               ? runSessionPath(Opts, *Prog, CM, Obs.get())
-               : runClassicPath(Opts, *Prog, CM, Diags, Obs.get());
+  int Rc = run(Opts, *Prog, CM, Obs.get());
 
   // Emit observability output even when the run failed: a trace of a
   // failing run is exactly what one wants to look at.
