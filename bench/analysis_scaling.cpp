@@ -865,7 +865,11 @@ void printStreamingIngestTable() {
 // epoch-fold mutations and reports the primary-side append wall clock
 // (which under ack=always includes the standby-durability wait baked into
 // every acknowledgement) and the residual catch-up lag after the last
-// append — the window an unacked failover could lose.
+// append — the window an unacked failover could lose. The burst rows
+// append back to back, so the shipper always has frames waiting; the
+// closed-loop row has one writer pause after every acknowledged append,
+// so each append lands on an idle shipper and its cost includes the
+// shipper's wake-up.
 void printReplicationLagTable() {
   char Template[] = "/tmp/ptran-bench-repl-XXXXXX";
   if (!::mkdtemp(Template)) {
@@ -890,6 +894,7 @@ void printReplicationLagTable() {
                        "      k = k + 1\n"
                        "      end\n";
   constexpr unsigned Burst = 512;
+  constexpr unsigned ClosedLoopAppends = 64;
 
   // Accepts shipper subscriptions the way the daemon's accept loop does,
   // one thread per socketpair connection.
@@ -923,15 +928,25 @@ void printReplicationLagTable() {
     }
   };
 
-  std::printf("=== Replication lag per ack mode (%u epoch folds, "
-              "socketpair standby) ===\n",
-              Burst);
+  std::printf("=== Replication lag per ack mode (%u epoch folds, %u in "
+              "the closed loop, socketpair standby) ===\n",
+              Burst, ClosedLoopAppends);
   TablePrinter T({"ack", "records", "append wall [ms]", "us/append",
                   "records/s", "catch-up [ms]"});
-  for (repl::AckMode Ack :
-       {repl::AckMode::None, repl::AckMode::Batch, repl::AckMode::Always}) {
-    std::string PDir = Dir + "/p-" + repl::ackModeName(Ack);
-    std::string SDir = Dir + "/s-" + repl::ackModeName(Ack);
+  struct Row {
+    repl::AckMode Ack;
+    bool ClosedLoop;
+  };
+  for (Row R : {Row{repl::AckMode::None, false},
+                Row{repl::AckMode::Batch, false},
+                Row{repl::AckMode::Always, false},
+                Row{repl::AckMode::Always, true}}) {
+    const repl::AckMode Ack = R.Ack;
+    const std::string Name =
+        std::string(repl::ackModeName(Ack)) + (R.ClosedLoop ? "-closed" : "");
+    const unsigned Appends = R.ClosedLoop ? ClosedLoopAppends : Burst;
+    std::string PDir = Dir + "/p-" + Name;
+    std::string SDir = Dir + "/s-" + Name;
     if (::mkdir(PDir.c_str(), 0755) != 0 ||
         ::mkdir(SDir.c_str(), 0755) != 0)
       reportFatalError("mkdir failed for replication bench");
@@ -1003,29 +1018,41 @@ void printReplicationLagTable() {
     for (int I = 0; I < 8; ++I)
       Fold.Body.push_back(static_cast<char>((Bits >> (8 * I)) & 0xff));
 
-    auto Start = std::chrono::steady_clock::now();
-    for (unsigned I = 0; I < Burst; ++I)
+    // Every row first lets the standby subscribe and catch up with the
+    // set-up records: an ack=always request with no live subscriber does
+    // not wait, and the closed loop's first append must find the shipper
+    // idle.
+    auto waitCaughtUp = [&] {
+      const uint64_t Target = StoreP->journal().lastLsn();
+      while (Replica.lastAppliedLsn() < Target)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    };
+    waitCaughtUp();
+    std::chrono::steady_clock::duration Appending{};
+    for (unsigned I = 0; I < Appends; ++I) {
+      auto Start = std::chrono::steady_clock::now();
       if (Primary.handle(Fold).Verb != "ok")
         reportFatalError("stream-deltas failed in replication bench");
+      Appending += std::chrono::steady_clock::now() - Start;
+      if (R.ClosedLoop)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     auto AppendEnd = std::chrono::steady_clock::now();
     const uint64_t Target = StoreP->journal().lastLsn();
-    while (Replica.lastAppliedLsn() < Target)
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    waitCaughtUp();
     auto CaughtUp = std::chrono::steady_clock::now();
     Replica.stop();
 
-    double AppendSecs =
-        std::chrono::duration<double>(AppendEnd - Start).count();
+    double AppendSecs = std::chrono::duration<double>(Appending).count();
     double CatchUpSecs =
         std::chrono::duration<double>(CaughtUp - AppendEnd).count();
     char Wall[32], Per[32], Rate[32], Lag[32];
     std::snprintf(Wall, sizeof(Wall), "%.2f", AppendSecs * 1e3);
-    std::snprintf(Per, sizeof(Per), "%.2f", AppendSecs / Burst * 1e6);
-    std::snprintf(Rate, sizeof(Rate), "%.0f", Burst / AppendSecs);
+    std::snprintf(Per, sizeof(Per), "%.2f", AppendSecs / Appends * 1e6);
+    std::snprintf(Rate, sizeof(Rate), "%.0f", Appends / AppendSecs);
     std::snprintf(Lag, sizeof(Lag), "%.2f", CatchUpSecs * 1e3);
-    T.addRow({repl::ackModeName(Ack),
-              std::to_string(static_cast<unsigned long long>(Target)), Wall,
-              Per, Rate, Lag});
+    T.addRow({Name, std::to_string(static_cast<unsigned long long>(Target)),
+              Wall, Per, Rate, Lag});
   }
   std::printf("%s\n", T.str().c_str());
   CleanDir();

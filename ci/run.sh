@@ -10,7 +10,7 @@
 #   ci/run.sh tsan       # just the -DPTRAN_SANITIZE=thread preset
 #   ci/run.sh ubsan      # just the -DPTRAN_SANITIZE=undefined preset
 #   ci/run.sh asan       # just the -DPTRAN_SANITIZE=address preset
-#   ci/run.sh perfbench  # just build the serve benchmark's own CMake project
+#   ci/run.sh perfbench  # build the serve benchmark; run replicated-writes 2 s
 #
 # Each preset builds into its own directory (build-ci-*), so a CI run
 # never disturbs a developer's ./build tree, and the sanitizer trees run
@@ -30,9 +30,13 @@
 # of them. The asan preset (AddressSanitizer plus UBSan) runs the full
 # suite, so every decoder of untrusted bytes is also checked for
 # out-of-bounds reads and leaks. Both UBSan presets include float-cast-overflow (see the top-level
-# CMakeLists.txt). The perfbench preset only configures and builds
-# perfbench/, which compiles src/ and tools/ through its own CMake project,
-# so a header or link change that breaks perfbench/run.py fails CI.
+# CMakeLists.txt). The perfbench preset configures and builds perfbench/,
+# which compiles src/ and tools/ through its own CMake project, so a
+# header or link change that breaks perfbench/run.py fails CI. It then
+# runs replicated-writes for 2 s and fails unless the answers are correct
+# and the median --repl-ack=always write stays under 25 ms: a standby
+# ack that waits out a polling tick instead of a wake-up costs every
+# acknowledged write ~100 ms.
 #
 #===----------------------------------------------------------------------===#
 
@@ -70,6 +74,19 @@ build_perfbench() {
   cmake -B "${dir}" -S perfbench
   echo "=== perfbench: build ==="
   cmake --build "${dir}" -j "${JOBS}"
+  echo "=== perfbench: replicated-writes (2 s) ==="
+  local out="${dir}/replicated-writes.json"
+  CARGO_TARGET_DIR="${dir}" python3 perfbench/run.py \
+    --workload replicated-writes --seed 1 --seconds 2 --out "${out}"
+  python3 - "${out}" <<'PY'
+import json, sys
+LIMIT_MS = 25
+result = json.load(open(sys.argv[1]))
+p50 = result["metrics"]["write_p50_ms"]["value"]
+print(f"perfbench: replicated-writes write_p50_ms = {p50:.3f} (limit {LIMIT_MS})")
+if not result["correct"] or p50 >= LIMIT_MS:
+    sys.exit("perfbench: replicated-writes answers are wrong or writes are slow")
+PY
 }
 
 what="${1:-all}"

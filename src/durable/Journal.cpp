@@ -318,7 +318,9 @@ uint64_t DeltaJournal::append(const DurableRecord &R, std::string &Error) {
     }
   }
   FileBytes += Frame.size();
-  return NextLsnValue++;
+  uint64_t Lsn = NextLsnValue++;
+  noteChange();
+  return Lsn;
 }
 
 bool DeltaJournal::sync(std::string &Error) {
@@ -511,6 +513,7 @@ bool DeltaJournal::appendRaw(const uint8_t *Frames, size_t Len,
   }
   FileBytes += Len;
   NextLsnValue += Seen;
+  noteChange();
   return true;
 }
 
@@ -572,7 +575,35 @@ bool DeltaJournal::rotateToLocked(uint64_t NewFirstLsn, std::string &Error) {
   FirstLsn = NewFirstLsn;
   NextLsnValue = NewFirstLsn; // No-op for rotate(); the reset for resetTo().
   FileBytes = HeaderBytes;
+  noteChange();
   return true;
+}
+
+void DeltaJournal::noteChange() {
+  {
+    std::lock_guard<std::mutex> L(ChangeMu);
+    ++ChangeSeq;
+  }
+  ChangeCv.notify_all();
+}
+
+uint64_t DeltaJournal::changeSeq() const {
+  std::lock_guard<std::mutex> L(ChangeMu);
+  return ChangeSeq;
+}
+
+void DeltaJournal::waitForChange(uint64_t Seen,
+                                 const std::function<bool()> &Done) {
+  std::unique_lock<std::mutex> L(ChangeMu);
+  ChangeCv.wait(L, [&] { return ChangeSeq != Seen || Done(); });
+}
+
+void DeltaJournal::wakeReaders() {
+  // Taking ChangeMu orders the caller's Done-state change before any
+  // waiter's next predicate check, so the notify cannot fall between a
+  // check and its sleep.
+  { std::lock_guard<std::mutex> L(ChangeMu); }
+  ChangeCv.notify_all();
 }
 
 uint64_t DeltaJournal::nextLsn() const {

@@ -44,6 +44,8 @@
 
 #include "durable/Records.h"
 
+#include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -155,6 +157,19 @@ public:
   /// forgotten).
   bool resetTo(uint64_t FirstLsn, std::string &Error);
 
+  /// -- Change notification (readers that wait for the journal to grow) --
+
+  /// Counts the journal's successful changes: append, appendRaw, rotate
+  /// and resetTo each bump it. A reader takes it BEFORE readFrames, so a
+  /// change that read missed shows up in waitForChange below.
+  uint64_t changeSeq() const;
+  /// Blocks until changeSeq() differs from \p Seen or \p Done returns
+  /// true. \p Done runs under the journal's change lock and must take no
+  /// lock of its own; whoever makes it true calls wakeReaders() after.
+  void waitForChange(uint64_t Seen, const std::function<bool()> &Done);
+  /// Wakes every waitForChange caller to re-evaluate its \p Done.
+  void wakeReaders();
+
   /// LSN the next append will get.
   uint64_t nextLsn() const;
   /// LSN of the last appended/recovered record (nextLsn()-1; equals
@@ -170,6 +185,8 @@ private:
 
   /// rotate()/resetTo() body; caller holds M.
   bool rotateToLocked(uint64_t NewFirstLsn, std::string &Error);
+  /// Bumps ChangeSeq and wakes the waiting readers.
+  void noteChange();
 
   std::string Path;
   FsyncPolicy Fsync = FsyncPolicy::Batch;
@@ -179,6 +196,11 @@ private:
   uint64_t FirstLsn = 1;
   uint64_t NextLsnValue = 1;
   uint64_t FileBytes = 0;
+
+  /// Separate from M, so a waking reader never queues behind an fsync.
+  mutable std::mutex ChangeMu;
+  std::condition_variable ChangeCv;
+  uint64_t ChangeSeq = 0;
 };
 
 } // namespace durable

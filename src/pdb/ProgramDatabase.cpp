@@ -14,7 +14,11 @@ using namespace ptran;
 void ProgramDatabase::accumulateTotals(const FunctionAnalysis &FA,
                                        const FrequencyTotals &Totals) {
   FunctionRecord &Rec = Functions[FA.function().name()];
-  Rec.Fingerprint = structuralFingerprintOf(FA);
+  uint64_t Fingerprint = structuralFingerprintOf(FA);
+  // A changed shape invalidates every total keyed by the old one's nodes
+  // and loop headers: start the record afresh instead of mixing shapes.
+  if (Rec.Fingerprint != Fingerprint)
+    Rec = FunctionRecord{Fingerprint, {}, {}};
   for (const auto &[Cond, Total] : Totals.Cond)
     Rec.Cond[{Cond.Node, static_cast<unsigned>(Cond.Label)}] += Total;
 }

@@ -33,7 +33,8 @@ public:
   ProgramDatabase() = default;
 
   /// Folds one run's recovered totals for \p F into the store. \p FA is
-  /// used to fingerprint the function's shape.
+  /// used to fingerprint the function's shape; a record stamped with a
+  /// different shape is dropped (totals and loop moments) first.
   void accumulateTotals(const FunctionAnalysis &FA,
                         const FrequencyTotals &Totals);
 

@@ -73,8 +73,6 @@ unsigned JournalShipper::subscriberCount() const {
   return N;
 }
 
-void JournalShipper::onAppend(uint64_t) { AppendCv.notify_all(); }
-
 uint64_t JournalShipper::minSubscriberLsn() {
   std::lock_guard<std::mutex> L(Mu);
   uint64_t Min = ~0ull;
@@ -111,13 +109,29 @@ bool JournalShipper::waitDurable(uint64_t Lsn) {
 }
 
 void JournalShipper::stop() {
-  StopFlag.store(true, std::memory_order_release);
-  std::lock_guard<std::mutex> L(Mu);
-  for (const auto &S : Subs)
-    if (!S->Dead.exchange(true))
-      ::shutdown(S->Fd, SHUT_RDWR); // Unblocks the ack reader's recv.
-  AppendCv.notify_all();
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    StopFlag.store(true, std::memory_order_release);
+    for (const auto &S : Subs)
+      if (!S->Dead.exchange(true))
+        ::shutdown(S->Fd, SHUT_RDWR); // Unblocks the ack reader's recv.
+  }
   AckCv.notify_all();
+  if (O.Store)
+    O.Store->journal().wakeReaders();
+}
+
+bool JournalShipper::markDead(Subscription &Sub) {
+  bool WasLive;
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    WasLive = !Sub.Dead.exchange(true);
+  }
+  // ack=always waiters re-evaluate liveness and degrade instead of timing
+  // out; a caught-up shipper loop stops waiting for appends.
+  AckCv.notify_all();
+  O.Store->journal().wakeReaders();
+  return WasLive;
 }
 
 bool JournalShipper::sendBootstrap(int Fd,
@@ -187,18 +201,16 @@ void JournalShipper::runSubscription(int Fd,
         continue;
       if (std::optional<uint64_t> A = parseU64(M.param("applied-lsn")))
         Sub->AppliedLsn.store(*A, std::memory_order_release);
-      if (std::optional<uint64_t> D = parseU64(M.param("durable-lsn")))
+      if (std::optional<uint64_t> D = parseU64(M.param("durable-lsn"))) {
+        std::lock_guard<std::mutex> L(Mu);
         Sub->DurableLsn.store(*D, std::memory_order_release);
+      }
       AckCv.notify_all();
       bump("repl.acks_received");
       if (FaultInjection::maybeCrashAt("repl.ack"))
         FaultInjection::dieAtCrashPoint();
     }
-    Sub->Dead.store(true, std::memory_order_release);
-    // A dead subscriber must release ack=always waiters immediately —
-    // they re-evaluate liveness and degrade instead of timing out.
-    AckCv.notify_all();
-    AppendCv.notify_all();
+    markDead(*Sub);
   });
 
   durable::DeltaJournal &Journal = O.Store->journal();
@@ -225,6 +237,9 @@ void JournalShipper::runSubscription(int Fd,
     Raw.clear();
     uint32_t Count = 0;
     uint64_t First = Cursor.NextLsn;
+    // Read before the journal: a change this read misses has bumped the
+    // sequence by the time the AtEnd wait below checks it.
+    uint64_t SeenSeq = Journal.changeSeq();
     durable::DeltaJournal::ReadResult RR = Journal.readFrames(
         Cursor, MaxBatchBytes, MaxBatchRecords, Raw, Count, Error);
     switch (RR) {
@@ -246,10 +261,9 @@ void JournalShipper::runSubscription(int Fd,
       break;
     }
     case durable::DeltaJournal::ReadResult::AtEnd: {
-      // Caught up: sleep until journalAppend wakes us (or poll — a missed
-      // notify costs one tick, not a hang).
-      std::unique_lock<std::mutex> L(Mu);
-      AppendCv.wait_for(L, std::chrono::milliseconds(100), [&] {
+      // Caught up: sleep until the journal changes, a stop or this
+      // subscriber's death (both call wakeReaders).
+      Journal.waitForChange(SeenSeq, [&] {
         return StopFlag.load(std::memory_order_acquire) ||
                Sub->Dead.load(std::memory_order_acquire);
       });
@@ -271,9 +285,8 @@ void JournalShipper::runSubscription(int Fd,
     }
   }
 
-  if (!Sub->Dead.exchange(true))
+  if (markDead(*Sub))
     ::shutdown(Fd, SHUT_RDWR); // Unblock the ack reader.
-  AckCv.notify_all();
   AckReader.join();
   std::lock_guard<std::mutex> L(Mu);
   Subs.erase(std::remove(Subs.begin(), Subs.end(), Sub), Subs.end());

@@ -31,9 +31,10 @@
 ///
 /// Ack levels (--repl-ack): none = fire-and-forget; batch = the standby
 /// acks after applying (lag observability, no request coupling); always =
-/// the primary's journalAppend blocks (bounded) until a standby reports
-/// the LSN fsynced — no acknowledged mutation can be lost to a single
-/// machine failure.
+/// the primary answers a request only after a standby reports every LSN
+/// the request appended fsynced (bounded) — no acknowledged mutation can
+/// be lost to a single machine failure. One `durable-lsn=D` ack releases
+/// every waiter at or below D, so concurrent writers share an ack.
 ///
 /// Fault-injection points: crash.at=repl.ship dies right after a frame
 /// batch is sent; crash.at=repl.snapshot dies mid-bootstrap (after the
@@ -79,10 +80,12 @@ inline constexpr uint64_t MaxBatchBytes = 1u << 20;
 inline constexpr uint32_t MaxBatchRecords = 512;
 
 /// Primary-side shipper: owns every live subscription and implements the
-/// ServeCore hooks (onAppend wake-ups, ack=always durability waits, the
-/// checkpoint rotation guard). One instance per daemon; runSubscription
-/// is called from the connection thread that received repl-subscribe and
-/// occupies it for the life of the subscription.
+/// ServeCore hooks (ack=always durability waits, the checkpoint rotation
+/// guard). A caught-up shipper sleeps on the journal's own change count
+/// (DeltaJournal::waitForChange), so every append wakes it, whoever made
+/// it. One instance per daemon; runSubscription is called from the
+/// connection thread that received repl-subscribe and occupies it for the
+/// life of the subscription.
 class JournalShipper : public serve::ReplicationHooks {
 public:
   struct Options {
@@ -121,7 +124,6 @@ public:
   unsigned subscriberCount() const;
 
   // ReplicationHooks:
-  void onAppend(uint64_t Lsn) override;
   bool waitDurable(uint64_t Lsn) override;
   uint64_t minSubscriberLsn() override;
 
@@ -143,13 +145,16 @@ private:
 
   Options O;
 
-  /// Guards Subs and backs both CVs. Never taken while holding a
-  /// ServeCore lock is NOT required here — the reverse: ServeCore calls
-  /// in (onAppend/waitDurable) while holding ITS locks, so nothing under
-  /// Mu may call back into ServeCore.
+  /// Marks \p Sub dead (under Mu) and wakes everything that waits on
+  /// its liveness. True when this call killed it.
+  bool markDead(Subscription &Sub);
+
+  /// Guards Subs and backs AckCv: every change its predicate reads (a
+  /// subscriber's DurableLsn or Dead, the stop flag) is made with Mu
+  /// held, so no ack is missed. ServeCore calls minSubscriberLsn while
+  /// holding ITS locks, so nothing under Mu may call back into ServeCore.
   mutable std::mutex Mu;
-  std::condition_variable AppendCv; ///< journal grew; shippers re-read.
-  std::condition_variable AckCv;    ///< an ack landed; durability waits.
+  std::condition_variable AckCv; ///< an ack landed; durability waits.
   std::vector<std::shared_ptr<Subscription>> Subs;
   std::atomic<bool> StopFlag{false};
 };

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string_view>
+#include <utility>
 
 using namespace ptran;
 using namespace ptran::serve;
@@ -136,6 +137,16 @@ static bool armRequestToken(const WireMessage &Request, uint64_t DefaultSteps,
   }
   return true;
 }
+
+/// The highest journal LSN the request running on this thread appended
+/// or depends on (0 = none yet). journalAppend and waitForLastFold raise
+/// it; handle() clears it before the
+/// handler runs and, after the handler released its locks, waits once
+/// for a standby to report it durable. Appends made outside handle() (the
+/// background flusher, a bootstrap capture) answer no client and wait for
+/// nothing themselves; a request whose stream deltas such a fold sealed
+/// waits for it through waitForLastFold.
+static thread_local uint64_t RequestLsn = 0;
 
 //===----------------------------------------------------------------------===//
 // ServeCore
@@ -268,6 +279,7 @@ WireMessage ServeCore::handle(const WireMessage &Request) {
   CancelToken Token;
   bool Armed = false;
   WireMessage Resp;
+  RequestLsn = 0;
   if (V == std::end(Verbs)) {
     Resp = errorResponse("bad-request", "unknown verb '" + Request.Verb + "'");
   } else if (isReadOnly() && V->Mutates(Request)) {
@@ -290,6 +302,12 @@ WireMessage ServeCore::handle(const WireMessage &Request) {
                              Resp)) {
     Resp = (this->*V->Serve)(Request, Entry.get(), Armed ? &Token : nullptr);
   }
+  // The request's one durability wait (--repl-ack=always), with no
+  // ServeCore lock held: a slow standby stalls only this client, and one
+  // ack releases every concurrent writer at or below its LSN.
+  if (uint64_t Lsn = std::exchange(RequestLsn, 0);
+      Lsn && Opts.Repl && !Opts.Repl->waitDurable(Lsn))
+    bump("repl.ack_timeouts");
   if (Resp.Verb == "error")
     bump("serve.errors");
   return Resp;
@@ -688,6 +706,7 @@ WireMessage ServeCore::handleStreamDeltas(const WireMessage &Request,
       std::shared_lock<std::shared_mutex> SL(StructureMu);
       FR = Stream->flush();
     }
+    waitForLastFold(*Entry);
     Resp.Params["epoch"] = std::to_string(FR.Epoch);
     Resp.Params["flushed-functions"] = std::to_string(FR.Functions);
     Resp.Params["flushed-cells"] = std::to_string(FR.Cells);
@@ -786,15 +805,9 @@ uint64_t ServeCore::journalAppend(durable::DurableRecord &R) {
                  Err.c_str());
     return 0;
   }
-  if (Opts.Repl) {
-    // Wake shippers, then (ack=always) hold this request until a standby
-    // reports the record fsynced. The hook takes no ServeCore locks and
-    // its wait is bounded, so the locks held here (StructureMu shared,
-    // DurableMu) stall at worst briefly when every standby is down.
-    Opts.Repl->onAppend(Lsn);
-    if (!Opts.Repl->waitDurable(Lsn))
-      bump("repl.ack_timeouts");
-  }
+  // The append woke the shippers; handle() waits for the standby's ack
+  // once the request's locks are released.
+  RequestLsn = std::max(RequestLsn, Lsn);
   return Lsn;
 }
 
@@ -827,7 +840,7 @@ public:
     }
     for (const Function *F : Clamped)
       R.Clamped.push_back(F->name());
-    Core.journalAppend(R);
+    uint64_t Lsn = Core.journalAppend(R);
     // A clamped function's saturation diagnostic must survive restarts;
     // mark it once (the EpochFold's Clamped list already re-arms it on
     // replay, the standalone record covers journals whose fold rotated
@@ -839,14 +852,21 @@ public:
       S.Type = durable::RecordType::SaturationMark;
       S.Session = Entry.Name;
       S.FunctionName = F->name();
-      Core.journalAppend(S);
+      Lsn = std::max(Lsn, Core.journalAppend(S));
     }
+    if (Lsn)
+      Entry.LastFoldLsn.store(Lsn, std::memory_order_release);
   }
 
 private:
   ServeCore &Core;
   SessionEntry &Entry;
 };
+
+void ServeCore::waitForLastFold(const SessionEntry &Entry) {
+  RequestLsn = std::max(RequestLsn,
+                        Entry.LastFoldLsn.load(std::memory_order_acquire));
+}
 
 CounterDeltaStream *ServeCore::streamFor(SessionEntry &Entry) {
   // StreamMu covers only the lazy construction race, never the append or
@@ -871,8 +891,10 @@ uint64_t ServeCore::sealStreams(
   // Seal outstanding stream epochs: their folds become journal records
   // below the watermark read next.
   for (const auto &Entry : Entries)
-    if (CounterDeltaStream *Stream = Entry->builtStream())
+    if (CounterDeltaStream *Stream = Entry->builtStream()) {
       Stream->flush();
+      waitForLastFold(*Entry);
+    }
   return Opts.Store->journal().lastLsn();
 }
 

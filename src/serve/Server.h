@@ -56,15 +56,21 @@ namespace serve {
 /// What a primary-side replication shipper plugs into ServeCore (the
 /// interface lives here, not in src/repl/, so serve never links repl).
 /// Implementations must be callable from any request thread and MUST NOT
-/// take ServeCore locks: onAppend fires inside journalAppend (StructureMu
-/// shared + DurableMu held), waitDurable blocks a request thread until a
-/// standby acknowledges fsyncing the LSN (--repl-ack=always; bounded — a
-/// dead standby degrades durability, it never wedges the primary).
+/// take ServeCore locks: minSubscriberLsn runs inside checkpoint(), under
+/// ServeCore locks. Shippers learn of appends from the journal itself
+/// (DeltaJournal::waitForChange), not from ServeCore. waitDurable runs
+/// once per request, from handle() after the handler returned, with no
+/// ServeCore lock held: it blocks that request until a standby
+/// acknowledges fsyncing the highest LSN the request appended or depends
+/// on (--repl-ack=always; bounded — a dead standby degrades durability,
+/// it never wedges the primary).
 class ReplicationHooks {
 public:
   virtual ~ReplicationHooks() = default;
-  /// A record with \p Lsn just landed in the journal; wake shippers.
-  virtual void onAppend(uint64_t Lsn) = 0;
+  /// Not called by ServeCore: the journal wakes its readers itself. Kept
+  /// as a no-op so hook wrappers that still forward it (perfbench's
+  /// TracedHooks) build unchanged.
+  virtual void onAppend(uint64_t) {}
   /// Block until some subscriber reports \p Lsn durable (or a bounded
   /// timeout / no-subscriber fallthrough). True = acknowledged durable.
   virtual bool waitDurable(uint64_t Lsn) = 0;
@@ -128,7 +134,9 @@ public:
 
   /// Handles one request and returns the response. Safe to call from any
   /// number of threads concurrently: the registry has its own lock, and
-  /// each EstimationSession serializes its callers.
+  /// each EstimationSession serializes its callers. A request that
+  /// journaled records returns only after ReplicationHooks::waitDurable
+  /// for the highest of their LSNs, waited with no ServeCore lock held.
   WireMessage handle(const WireMessage &Request);
 
   /// The request verbs handle() accepts, in verb-table order (tests walk
@@ -274,6 +282,9 @@ private:
     /// The durable fold observer installed on Stream (EpochFold records);
     /// owned here so it lives exactly as long as the stream.
     std::unique_ptr<EpochFoldObserver> FoldObs;
+    /// Highest LSN the fold observer journaled (0 = none yet). Stored
+    /// inside flush(), so a flush that returned sees every earlier fold's.
+    std::atomic<uint64_t> LastFoldLsn{0};
   };
   class DurableFoldObserver;
 
@@ -322,12 +333,20 @@ private:
   /// registry-lock hold, so journal order matches apply order.
   void registerEntry(const std::shared_ptr<SessionEntry> &Entry,
                      bool JournalCreate);
+  /// Makes the running request wait for \p Entry's last stream fold,
+  /// whichever thread made it. Call after flushing the stream: deltas a
+  /// request appended may have been sealed by the background flusher or
+  /// another request's flush, and the stream's flush lock orders that
+  /// fold before this flush.
+  static void waitForLastFold(const SessionEntry &Entry);
   /// Lazily builds Entry's stream (and installs the durable fold observer
   /// when a store is configured).
   CounterDeltaStream *streamFor(SessionEntry &Entry);
-  /// Appends \p R to the journal. Returns the LSN, or 0 when there is no
-  /// store or the append failed — failure degrades durability (the record
-  /// is lost to recovery), it never fails the request; it is counted
+  /// Appends \p R to the journal, wakes the shippers and records the LSN
+  /// for handle()'s durability wait; it never waits itself, so callers may
+  /// hold any ServeCore lock. Returns the LSN, or 0 when there is no store
+  /// or the append failed — failure degrades durability (the record is
+  /// lost to recovery), it never fails the request; it is counted
   /// (`durable.append_failures`) and logged instead.
   uint64_t journalAppend(durable::DurableRecord &R);
   /// Applies one snapshot's accumulated state to a freshly built entry.

@@ -9,6 +9,7 @@
 #include "TestPrograms.h"
 
 #include "cost/Estimator.h"
+#include "parser/Parser.h"
 #include "pdb/ProgramDatabase.h"
 
 #include <gtest/gtest.h>
@@ -134,6 +135,69 @@ TEST(ProgramDatabaseTest, FingerprintMismatchSkipsFunction) {
   ProgramDatabase Fresh = Fx.recordOneRun();
   Fresh.merge(*Tampered, Diags);
   EXPECT_FALSE(Diags.diagnostics().empty());
+}
+
+/// One profiled run of \p Source; returns the estimator for queries.
+std::unique_ptr<Estimator> profiledOnce(std::unique_ptr<Program> &Prog,
+                                        const char *Source,
+                                        DiagnosticEngine &Diags) {
+  Prog = parseProgram(Source, Diags);
+  EXPECT_NE(Prog, nullptr) << Diags.str();
+  auto Est = Estimator::create(*Prog, CostModel(), EstimatorOptions(Diags));
+  EXPECT_NE(Est, nullptr) << Diags.str();
+  EXPECT_TRUE(Est->profiledRun().Ok);
+  return Est;
+}
+
+TEST(ProgramDatabaseTest, ChangedShapeStartsTheRecordAfresh) {
+  const char *ShapeA = R"(      program main
+      integer i, s
+      s = 0
+      do 10 i = 1, 6
+        if (i .gt. 2) then
+          s = s + i
+        endif
+ 10   continue
+      print s
+      end
+)";
+  // The same function with one more IF.
+  const char *ShapeB = R"(      program main
+      integer i, s
+      s = 0
+      do 10 i = 1, 6
+        if (i .gt. 2) then
+          s = s + i
+        endif
+        if (i .gt. 4) then
+          s = s - 1
+        endif
+ 10   continue
+      print s
+      end
+)";
+  DiagnosticEngine Diags;
+  std::unique_ptr<Program> ProgA, ProgB;
+  auto EstA = profiledOnce(ProgA, ShapeA, Diags);
+  auto EstB = profiledOnce(ProgB, ShapeB, Diags);
+  ASSERT_TRUE(EstA && EstB);
+  const FunctionAnalysis &FA = EstA->analysis().of(*ProgA->entry());
+  const FunctionAnalysis &FB = EstB->analysis().of(*ProgB->entry());
+  ASSERT_NE(structuralFingerprintOf(FA), structuralFingerprintOf(FB));
+
+  ProgramDatabase Db;
+  Db.accumulateTotals(FA, EstA->totalsFor(*ProgA->entry()));
+  Db.accumulateLoopMoments(*ProgA->entry(), 2, {1.0, 6.0, 36.0});
+  FrequencyTotals Want = EstB->totalsFor(*ProgB->entry());
+  Db.accumulateTotals(FB, Want);
+
+  // Only shape B's totals remain: nothing of shape A is summed in or
+  // left behind under B's fingerprint.
+  FrequencyTotals Got = Db.totalsFor(FB);
+  ASSERT_TRUE(Got.Ok);
+  EXPECT_EQ(Got.Cond, Want.Cond);
+  EXPECT_EQ(Db.momentsFor(*ProgB->entry(), 2), nullptr);
+  EXPECT_FALSE(Db.totalsFor(FA).Ok);
 }
 
 TEST(ProgramDatabaseTest, RejectsMalformedInput) {

@@ -641,7 +641,6 @@ namespace {
 
 struct FakeHooks : serve::ReplicationHooks {
   std::atomic<uint64_t> Min{~0ull};
-  void onAppend(uint64_t) override {}
   bool waitDurable(uint64_t) override { return true; }
   uint64_t minSubscriberLsn() override { return Min.load(); }
 };
@@ -873,6 +872,233 @@ TEST(LiveReplication, RotatedPrimaryBootstrapsTheStandby) {
   ASSERT_TRUE(
       waitFor([&] { return Standby.lastAppliedLsn() >= Watermark + 1; }));
   EXPECT_EQ(fingerprints(B), fingerprints(A));
+}
+
+TEST(LiveReplication, ClosedLoopAckAlwaysWritesPayNoPollingFloor) {
+  TempDir DirA, DirB;
+  std::string Error;
+  StateStore::Recovery RecA, RecB;
+  auto StoreA = StateStore::open(DirA.Path, FsyncPolicy::Never, RecA, Error);
+  auto StoreB = StateStore::open(DirB.Path, FsyncPolicy::Never, RecB, Error);
+  ASSERT_TRUE(StoreA && StoreB) << Error;
+
+  ObsRegistry ObsA, ObsB;
+  JournalShipper::Options ShipOpts;
+  ShipOpts.Store = StoreA.get();
+  ShipOpts.Ack = AckMode::Always;
+  ShipOpts.Obs = &ObsA;
+  FakePrimary Primary(ShipOpts);
+
+  ServeOptions OptsA;
+  OptsA.Store = StoreA.get();
+  OptsA.Obs = &ObsA;
+  OptsA.Repl = &Primary.Shipper;
+  ServeCore A(OptsA);
+  Primary.Shipper.setCore(&A);
+  WireMessage Load = makeRequest("load-program", "s0");
+  Load.Body = TinySource;
+  ASSERT_EQ(A.handle(Load).Verb, "ok");
+
+  ServeOptions OptsB;
+  OptsB.Store = StoreB.get();
+  OptsB.Obs = &ObsB;
+  ServeCore B(OptsB);
+  StandbyReplicator::Options StandbyOpts;
+  StandbyOpts.Core = &B;
+  StandbyOpts.Store = StoreB.get();
+  StandbyOpts.Ack = AckMode::Always;
+  StandbyOpts.Obs = &ObsB;
+  StandbyOpts.Backoff =
+      RetryPolicy().retries(1u << 30).baseDelay(std::chrono::milliseconds(1));
+  StandbyOpts.Connect = [&Primary](std::string &Err) {
+    return Primary.connect(Err);
+  };
+  StandbyReplicator Standby(StandbyOpts);
+  ASSERT_TRUE(Standby.start(Error)) << Error;
+  ASSERT_TRUE(waitFor([&] {
+    return Primary.Shipper.subscriberCount() == 1 &&
+           Standby.lastAppliedLsn() >= 1;
+  }));
+
+  // One writer, each append waiting for its ack before the next: the
+  // shipper is idle whenever an append lands, so a lost wake-up would cost
+  // every write a full polling tick.
+  constexpr int Writes = 40;
+  auto Start = std::chrono::steady_clock::now();
+  for (int I = 0; I < Writes; ++I) {
+    ASSERT_EQ(A.handle(makeRequest("run", "s0")).Verb, "ok");
+    // ack=always: the answer came after the standby fsynced the record.
+    ASSERT_GE(Standby.lastAppliedLsn(), StoreA->journal().lastLsn());
+  }
+  auto Elapsed = std::chrono::steady_clock::now() - Start;
+  EXPECT_LT(Elapsed, std::chrono::seconds(1))
+      << Writes << " acknowledged writes took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(Elapsed)
+             .count()
+      << " ms";
+  EXPECT_EQ(ObsA.counterValue("repl.ack_timeouts"), 0u);
+}
+
+TEST(LiveReplication, AStalledStandbyStallsOnlyTheWaitingRequest) {
+  TempDir Dir;
+  std::string Error;
+  StateStore::Recovery Rec;
+  auto Store = StateStore::open(Dir.Path, FsyncPolicy::Never, Rec, Error);
+  ASSERT_TRUE(Store) << Error;
+
+  ObsRegistry Obs;
+  JournalShipper::Options ShipOpts;
+  ShipOpts.Store = Store.get();
+  ShipOpts.Ack = AckMode::Always;
+  ShipOpts.Obs = &Obs;
+  ShipOpts.AckWaitMs = 2000;
+  JournalShipper Shipper(ShipOpts);
+  ServeOptions Opts;
+  Opts.Store = Store.get();
+  Opts.Obs = &Obs;
+  Opts.Repl = &Shipper;
+  ServeCore Core(Opts);
+  Shipper.setCore(&Core);
+
+  WireMessage Load = makeRequest("load-program", "s0");
+  Load.Body = TinySource;
+  ASSERT_EQ(Core.handle(Load).Verb, "ok");
+  const unsigned Leaf = leafIndex(Core);
+
+  // A subscriber that takes every frame and never acks: each ack=always
+  // request waits out AckWaitMs. Past this point only EXPECTs, so a
+  // failure still reaches the joins below.
+  int Sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv), 0);
+  WireMessage Subscribe;
+  Subscribe.Verb = "repl-subscribe";
+  Subscribe.Params["from-lsn"] = std::to_string(Store->journal().nextLsn());
+  std::thread ShipperThread([&] { Shipper.runSubscription(Sv[0], Subscribe); });
+  std::thread Sink([&] {
+    WireMessage M;
+    std::string Err;
+    while (readFrame(Sv[1], M, Err) == 1) {
+    }
+  });
+  EXPECT_TRUE(waitFor([&] { return Shipper.subscriberCount() == 1; }));
+
+  const auto Bound = std::chrono::milliseconds(ShipOpts.AckWaitMs / 4);
+  auto Timed = [&](const WireMessage &Req) {
+    auto Start = std::chrono::steady_clock::now();
+    WireMessage Resp = Core.handle(Req);
+    EXPECT_EQ(Resp.Verb, "ok") << Req.Verb << ": " << Resp.param("message");
+    return std::chrono::steady_clock::now() - Start;
+  };
+  EXPECT_EQ(Core.handle(makeRequest("estimate", "s0")).Verb, "ok");
+
+  // A load-program of another session waits for its ack; an estimate on
+  // s0 must not queue behind it on the registry lock.
+  uint64_t Before = Store->journal().lastLsn();
+  WireMessage LoadB = makeRequest("load-program", "s1");
+  LoadB.Body = TinySource;
+  std::thread Loader([&] { EXPECT_EQ(Core.handle(LoadB).Verb, "ok"); });
+  EXPECT_TRUE(waitFor([&] { return Store->journal().lastLsn() > Before; }));
+  EXPECT_LT(Timed(makeRequest("estimate", "s0")), Bound);
+  Loader.join();
+  EXPECT_EQ(Obs.counterValue("repl.ack_timeouts"), 1u);
+
+  // A checkpoint whose stream fold waits for its ack: neither an estimate
+  // nor a stream flush of s1 (which needs the structure lock the
+  // checkpoint held exclusively, and has no fold of its own to wait for)
+  // may wait for it.
+  WireMessage Deltas = makeRequest("stream-deltas", "s0");
+  for (int I = 0; I < 8; ++I)
+    appendStreamRecord(Deltas.Body, Leaf, 0, 2.0);
+  EXPECT_EQ(Core.handle(Deltas).Verb, "ok");
+  Before = Store->journal().lastLsn();
+  std::thread Checkpointer(
+      [&] { EXPECT_EQ(Core.handle(makeRequest("checkpoint", "")).Verb, "ok"); });
+  EXPECT_TRUE(waitFor([&] { return Store->journal().lastLsn() > Before; }));
+  EXPECT_LT(Timed(makeRequest("estimate", "s0")), Bound);
+  WireMessage Flush = makeRequest("stream-deltas", "s1");
+  Flush.Params["flush"] = "1";
+  EXPECT_LT(Timed(Flush), Bound);
+  Checkpointer.join();
+  // One wait per request, however many records it appended.
+  EXPECT_EQ(Obs.counterValue("repl.ack_timeouts"), 2u);
+
+  Shipper.stop();
+  ShipperThread.join();
+  Sink.join();
+  ::close(Sv[0]);
+  ::close(Sv[1]);
+}
+
+TEST(LiveReplication, AFlushWaitsForTheFoldThatSealedItsDeltas) {
+  TempDir Dir;
+  std::string Error;
+  StateStore::Recovery Rec;
+  auto Store = StateStore::open(Dir.Path, FsyncPolicy::Never, Rec, Error);
+  ASSERT_TRUE(Store) << Error;
+
+  ObsRegistry Obs;
+  JournalShipper::Options ShipOpts;
+  ShipOpts.Store = Store.get();
+  ShipOpts.Ack = AckMode::Always;
+  ShipOpts.Obs = &Obs;
+  ShipOpts.AckWaitMs = 300;
+  JournalShipper Shipper(ShipOpts);
+  ServeOptions Opts;
+  Opts.Store = Store.get();
+  Opts.Obs = &Obs;
+  Opts.Repl = &Shipper;
+  ServeCore Core(Opts);
+  Shipper.setCore(&Core);
+
+  WireMessage Load = makeRequest("load-program", "s0");
+  Load.Body = TinySource;
+  ASSERT_EQ(Core.handle(Load).Verb, "ok");
+  const unsigned Leaf = leafIndex(Core);
+
+  // A subscriber that takes every frame and never acks.
+  int Sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv), 0);
+  WireMessage Subscribe;
+  Subscribe.Verb = "repl-subscribe";
+  Subscribe.Params["from-lsn"] = std::to_string(Store->journal().nextLsn());
+  std::thread ShipperThread([&] { Shipper.runSubscription(Sv[0], Subscribe); });
+  std::thread Sink([&] {
+    WireMessage M;
+    std::string Err;
+    while (readFrame(Sv[1], M, Err) == 1) {
+    }
+  });
+  EXPECT_TRUE(waitFor([&] { return Shipper.subscriberCount() == 1; }));
+
+  // This client's deltas, not yet flushed: nothing is journaled.
+  WireMessage Deltas = makeRequest("stream-deltas", "s0");
+  for (int I = 0; I < 4; ++I)
+    appendStreamRecord(Deltas.Body, Leaf, 0, 3.0);
+  uint64_t Before = Store->journal().lastLsn();
+  EXPECT_EQ(Core.handle(Deltas).Verb, "ok");
+  EXPECT_EQ(Store->journal().lastLsn(), Before);
+
+  // Another client's flush seals them into its fold and waits for the
+  // ack; this client's flush then finds the epoch empty. Its ok still
+  // promises the deltas are on the standby, so it waits for that fold.
+  WireMessage Flush = makeRequest("stream-deltas", "s0");
+  Flush.Params["flush"] = "1";
+  std::thread Other([&] { EXPECT_EQ(Core.handle(Flush).Verb, "ok"); });
+  EXPECT_TRUE(waitFor([&] { return Store->journal().lastLsn() > Before; }));
+  auto Start = std::chrono::steady_clock::now();
+  WireMessage Resp = Core.handle(Flush);
+  auto Elapsed = std::chrono::steady_clock::now() - Start;
+  Other.join();
+  EXPECT_EQ(Resp.Verb, "ok");
+  EXPECT_EQ(Resp.param("flushed-cells"), "0");
+  EXPECT_GE(Elapsed, std::chrono::milliseconds(ShipOpts.AckWaitMs / 2));
+  EXPECT_EQ(Obs.counterValue("repl.ack_timeouts"), 2u);
+
+  Shipper.stop();
+  ShipperThread.join();
+  Sink.join();
+  ::close(Sv[0]);
+  ::close(Sv[1]);
 }
 
 //===--- standby divergence property (every shipped-journal prefix) --------===//

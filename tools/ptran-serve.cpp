@@ -32,7 +32,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -44,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -247,11 +247,25 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
 }
 
 /// Signal handlers may only touch async-signal-safe state: a flag for the
-/// loop and the listener fd, closed so a blocked accept() wakes up.
+/// loop, the listener fd (closed so a blocked accept() wakes up) and the
+/// write end of the promotion self-pipe.
 std::atomic<bool> ShuttingDown{false};
 std::atomic<int> ListenFdForSignal{-1};
-/// SIGUSR1 = promote this standby; a watcher thread does the real work.
-std::atomic<bool> PromoteRequested{false};
+/// SIGUSR1 = promote this standby: the handler writes one byte here and a
+/// watcher thread, blocked reading the other end, does the real work.
+/// Shutdown writes a byte too, so the watcher wakes and exits.
+std::atomic<int> PromotePipeWr{-1};
+
+void wakePromoteWatcher() {
+  int Fd = PromotePipeWr.load();
+  if (Fd < 0)
+    return;
+  int SavedErrno = errno;
+  char Byte = 1;
+  // The write end is non-blocking: a full pipe already holds a wake-up.
+  [[maybe_unused]] ssize_t N = ::write(Fd, &Byte, 1);
+  errno = SavedErrno;
+}
 
 void requestShutdown() {
   ShuttingDown.store(true);
@@ -262,11 +276,12 @@ void requestShutdown() {
     ::shutdown(Fd, SHUT_RDWR);
     ::close(Fd);
   }
+  wakePromoteWatcher();
 }
 
 void onSignal(int) { requestShutdown(); }
 
-void onPromoteSignal(int) { PromoteRequested.store(true); }
+void onPromoteSignal(int) { wakePromoteWatcher(); }
 
 /// Open connection fds, tracked so shutdown can unblock their readers
 /// with shutdown(2) (never close(2) from another thread: the fd number
@@ -369,8 +384,17 @@ int main(int Argc, char **Argv) {
   std::signal(SIGPIPE, SIG_IGN);
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
-  if (!Opts.StandbyOf.empty())
+  int PromotePipe[2] = {-1, -1};
+  if (!Opts.StandbyOf.empty()) {
+    if (::pipe2(PromotePipe, O_CLOEXEC) != 0 ||
+        ::fcntl(PromotePipe[1], F_SETFL, O_NONBLOCK) != 0) {
+      std::fprintf(stderr, "ptran-serve: promotion pipe: %s\n",
+                   std::strerror(errno));
+      return 1;
+    }
+    PromotePipeWr.store(PromotePipe[1]);
     std::signal(SIGUSR1, onPromoteSignal);
+  }
 
   // Open the state store and replay its journal BEFORE the socket exists:
   // no client can observe a half-restored daemon.
@@ -468,18 +492,21 @@ int main(int Argc, char **Argv) {
                    Error.c_str());
       return 1;
     }
-    PromoteWatcher = std::thread([&Standby] {
-      while (!ShuttingDown.load()) {
-        if (PromoteRequested.exchange(false)) {
-          std::string Err;
-          if (Standby->promote(Err))
-            std::fprintf(stderr,
-                         "ptran-serve: promoted to primary (SIGUSR1)\n");
-          else
-            std::fprintf(stderr, "ptran-serve: promotion failed: %s\n",
-                         Err.c_str());
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    PromoteWatcher = std::thread([&Standby, Fd = PromotePipe[0]] {
+      char Bytes[64];
+      for (;;) {
+        // One read drains a burst of signals, so a burst promotes once.
+        ssize_t N = ::read(Fd, Bytes, sizeof(Bytes));
+        if (N < 0 && errno == EINTR)
+          continue;
+        if (N <= 0 || ShuttingDown.load())
+          return;
+        std::string Err;
+        if (Standby->promote(Err))
+          std::fprintf(stderr, "ptran-serve: promoted to primary (SIGUSR1)\n");
+        else
+          std::fprintf(stderr, "ptran-serve: promotion failed: %s\n",
+                       Err.c_str());
       }
     });
   }
@@ -487,6 +514,9 @@ int main(int Argc, char **Argv) {
   int ListenFd = listenUnix(Opts.SocketPath, Error);
   if (ListenFd < 0) {
     std::fprintf(stderr, "ptran-serve: %s\n", Error.c_str());
+    requestShutdown(); // A joinable watcher must not outlive main.
+    if (PromoteWatcher.joinable())
+      PromoteWatcher.join();
     return 1;
   }
   ListenFdForSignal.store(ListenFd);
