@@ -10,7 +10,8 @@
 #   ci/run.sh tsan       # just the -DPTRAN_SANITIZE=thread preset
 #   ci/run.sh ubsan      # just the -DPTRAN_SANITIZE=undefined preset
 #   ci/run.sh asan       # just the -DPTRAN_SANITIZE=address preset
-#   ci/run.sh perfbench  # build the serve benchmark; run replicated-writes 2 s
+#   ci/run.sh perfbench  # build the serve benchmark; run replicated-writes
+#                        # and profile-churn 2 s each
 #
 # Each preset builds into its own directory (build-ci-*), so a CI run
 # never disturbs a developer's ./build tree, and the sanitizer trees run
@@ -37,6 +38,9 @@
 # and the median --repl-ack=always write stays under 25 ms: a standby
 # ack that waits out a polling tick instead of a wake-up costs every
 # acknowledged write ~100 ms.
+# Then it runs profile-churn for 2 s and fails unless it is correct: the
+# daemon's answers after its ingests must equal a serial replay of every
+# acknowledged ingest, which exercises ingestProfile through the daemon.
 #
 #===----------------------------------------------------------------------===#
 
@@ -86,6 +90,18 @@ p50 = result["metrics"]["write_p50_ms"]["value"]
 print(f"perfbench: replicated-writes write_p50_ms = {p50:.3f} (limit {LIMIT_MS})")
 if not result["correct"] or p50 >= LIMIT_MS:
     sys.exit("perfbench: replicated-writes answers are wrong or writes are slow")
+PY
+  echo "=== perfbench: profile-churn (2 s) ==="
+  out="${dir}/profile-churn.json"
+  CARGO_TARGET_DIR="${dir}" python3 perfbench/run.py \
+    --workload profile-churn --seed 1 --seconds 2 --out "${out}"
+  python3 - "${out}" <<'PY'
+import json, sys
+result = json.load(open(sys.argv[1]))
+print(f"perfbench: profile-churn correct = {result['correct']}")
+if not result["correct"]:
+    sys.exit("perfbench: profile-churn answers differ from a serial replay "
+             "of its acknowledged ingests")
 PY
 }
 

@@ -4,8 +4,8 @@
 // level (naive per-block / opt1 / opt1+2 / smart) it reports how many
 // counters the plan places and how many dynamic updates one run costs,
 // then recovers the frequencies from the smart plan, estimates per-
-// procedure times, and saves the accumulated profile in a PTRAN-style
-// program database file.
+// procedure times, and saves the session's profile as the PTPF program
+// database that `ptran-estimate --pdb` accumulates into.
 //
 // Build & run:  ./build/examples/profile_explorer [path/to/program.f]
 //   Without an argument it explores the built-in LOOPS workload
@@ -15,7 +15,6 @@
 
 #include "interp/Interpreter.h"
 #include "parser/Parser.h"
-#include "pdb/ProgramDatabase.h"
 #include "session/EstimationSession.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
@@ -94,10 +93,9 @@ int main(int Argc, char **Argv) {
   std::printf("program cycles without profiling: %s\n\n",
               formatDouble(Run.Cycles).c_str());
 
-  // Recover per-procedure invocation counts and store the profile.
+  // Recover per-procedure invocation counts.
   const ProgramPlan &Smart = Plans.back();
   const ProfileRuntime &SmartRt = *Runtimes.back();
-  ProgramDatabase Db;
   TablePrinter Procs({"procedure", "calls", "conditions", "counters"});
   for (const auto &F : Prog->functions()) {
     FrequencyTotals T = SmartRt.recover(*F);
@@ -105,7 +103,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "recovery failed for %s\n", F->name().c_str());
       return 1;
     }
-    Db.accumulateTotals(PA->of(*F), T);
     Procs.addRow(
         {F->name(),
          formatDouble(
@@ -113,7 +110,6 @@ int main(int Argc, char **Argv) {
          std::to_string(PA->of(*F).cd().conditions().size()),
          std::to_string(Smart.of(*F).numCounters())});
   }
-  Db.noteRunCompleted();
   std::printf("%s\n", Procs.str().c_str());
 
   // Per-procedure TIME/STD_DEV through an EstimationSession: one batch
@@ -148,10 +144,10 @@ int main(int Argc, char **Argv) {
               (unsigned long long)Session->lastEvaluations(),
               (unsigned long long)Session->cacheHits());
 
-  const char *DbPath = "profile_explorer.pdb";
-  if (Db.saveToFile(DbPath, Diags))
-    std::printf("profile accumulated into %s (PTRAN-style program "
-                "database; rerun to merge more runs)\n",
-                DbPath);
+  const char *DbPath = "profile_explorer.ptpf";
+  if (Session->saveProfile(DbPath, &Diags))
+    std::printf("profile saved to %s (a program database: "
+                "ptran-estimate --pdb=%s accumulates more runs into it)\n",
+                DbPath, DbPath);
   return 0;
 }

@@ -96,9 +96,6 @@ public:
   }
   /// ECFG node at topological position \p P.
   NodeId node(unsigned P) const { return Nodes[P]; }
-  /// Topological position of \p N, InvalidPosition when N is not in the
-  /// FCDG (unreachable from START).
-  unsigned positionOf(NodeId N) const { return PosOf[N]; }
 
   unsigned numGroups() const { return static_cast<unsigned>(Groups.size()); }
   uint32_t groupsBegin(unsigned P) const { return GroupBegin[P]; }
@@ -143,9 +140,6 @@ public:
   /// The FCDG frozen into topologically-indexed CSR arrays — what the
   /// frequency and TIME/VAR sweeps actually run on.
   const FlowArena &arena() const { return Arena; }
-
-  /// The postdominator tree of the forward ECFG.
-  const DominatorTree &postDominators() const { return Pdt; }
 
   /// Topological order of the FCDG (parents before children), covering
   /// every node reachable from START in the FCDG.

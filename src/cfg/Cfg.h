@@ -98,12 +98,7 @@ public:
   const Digraph &graph() const { return G; }
   unsigned numNodes() const { return G.numNodes(); }
 
-  CfgLabel edgeLabel(EdgeId E) const {
-    return static_cast<CfgLabel>(G.edge(E).Label);
-  }
-
   CfgNodeType nodeType(NodeId N) const { return Types[N]; }
-  void setNodeType(NodeId N, CfgNodeType Ty) { Types[N] = Ty; }
 
   /// The statement this node represents, or InvalidStmt for synthesized
   /// nodes (START, STOP, preheaders, postexits).
@@ -124,7 +119,6 @@ public:
   };
   const std::vector<ExitBranch> &exitBranches() const { return Exits; }
   void addExitBranch(NodeId N, CfgLabel L) { Exits.push_back({N, L}); }
-  void clearExitBranches() { Exits.clear(); }
 
   const Function *function() const { return Func; }
 

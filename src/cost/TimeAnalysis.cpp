@@ -388,18 +388,8 @@ TimeAnalysis TimeAnalysis::runImpl(
   // callee summaries, cancelled run or not.
   auto EvalComponent = [&](unsigned Comp) {
     const std::vector<NodeId> &Members = Sccs.Members[Comp];
-    if (Cancel) {
-      // The estimate tables are the pass's dominant allocation; charge
-      // them against the memory budget before doing the work.
-      uint64_t Bytes = 0;
-      for (NodeId M : Members)
-        Bytes += static_cast<uint64_t>(
-                     PA.of(*Funcs[M]).ecfg().cfg().numNodes()) *
-                 sizeof(NodeEstimates);
-      Cancel->chargeMemory(Bytes);
-      if (Cancel->checkpoint())
-        return;
-    }
+    if (Cancel && Cancel->checkpoint())
+      return;
     TimingSpan SccSpan(Obs, "timeanalysis.scc",
                        Funcs[Members.front()]->name());
     if (!Cyclic[Comp]) {

@@ -86,8 +86,7 @@ struct TimeAnalysisOptions {
   /// the registry. Disabled (the default) costs one branch per site.
   ObsRegistry *Obs = nullptr;
   /// Cooperative cancellation: polled at every SCC-component entry and
-  /// every recursion-fixpoint iteration, and estimate storage is charged
-  /// against the token's memory budget. Once the token expires no further
+  /// every recursion-fixpoint iteration. Once the token expires no further
   /// component is evaluated; the functions left without estimates land in
   /// unfinished(). Because waves evaluate callers strictly after callees
   /// and expiry is monotone, every function that did finish saw only final
@@ -186,8 +185,6 @@ public:
   const std::vector<const Function *> &unfinished() const {
     return Unfinished;
   }
-  /// Why the run was cut short (None when !cutShort()).
-  CancelReason cutReason() const { return CutReason; }
 
 private:
   static TimeAnalysis

@@ -17,8 +17,9 @@
 ///   magic "PTSS" | u32 version | u64 watermark
 ///   | str name | str source | u32 mode | u32 loopVariance
 ///   | u32 onBadProfile | u64 runs
-///   | u64 profileImageLen | PTPF bytes   (the session's ingested profile
-///                                         state, re-serialized through the
+///   | u64 profileImageLen | PTPF bytes   (the session's counter runtime,
+///                                         runs and ingested profiles alike,
+///                                         re-serialized through the
 ///                                         checksummed PTPF format)
 ///   | fold list (Records.h): external totals, then saturated names
 ///   | u32 numQuarantined | per entry: str function | str reason
@@ -62,11 +63,15 @@ struct DurableSessionState {
   uint32_t LoopVariance = 0;
   uint32_t OnBadProfile = 0;
   uint64_t Runs = 0;
-  /// Serialized PTPF image of the session's ingested profile state; empty
-  /// when no profile has been ingested yet.
+  /// Serialized PTPF capture of the session's counter runtime
+  /// (EstimationSession::captureProfile): the counters and loop moments
+  /// of its own runs and of every profile it ingested. Restoring ingests
+  /// it, which rebuilds the runtime and the run count.
   std::vector<uint8_t> ProfileImage;
-  /// Streaming-counter totals accumulated outside the profile store, in
-  /// program order (see the determinism contract above).
+  /// Partial condition-total deltas with no counter representation
+  /// (stream folds), in program order (see the determinism contract
+  /// above). Older snapshots also hold ingested profiles' totals here;
+  /// they restore to the same estimates.
   std::vector<FoldEntry> External;
   /// Functions whose external totals saturated at the 2^53 cap (their
   /// estimates are lower bounds); restored so the diagnostic survives.

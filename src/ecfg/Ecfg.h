@@ -41,7 +41,6 @@ namespace ptran {
 class Ecfg {
 public:
   const Cfg &cfg() const { return E; }
-  Cfg &cfgMutable() { return E; }
 
   NodeId start() const { return Start; }
   NodeId stop() const { return Stop; }

@@ -49,11 +49,6 @@ public:
   /// True if \p A dominates \p B (reflexively). Both must be reachable.
   bool dominates(NodeId A, NodeId B) const;
 
-  /// True if \p A strictly dominates \p B.
-  bool strictlyDominates(NodeId A, NodeId B) const {
-    return A != B && dominates(A, B);
-  }
-
   /// Nearest common dominator of \p A and \p B in the tree.
   NodeId findNearestCommonDominator(NodeId A, NodeId B) const;
 

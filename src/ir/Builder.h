@@ -75,7 +75,6 @@ public:
   Expr *eq(Expr *L, Expr *R) { return binary(BinaryOp::Eq, L, R); }
   Expr *ne(Expr *L, Expr *R) { return binary(BinaryOp::Ne, L, R); }
   Expr *logicalAnd(Expr *L, Expr *R) { return binary(BinaryOp::And, L, R); }
-  Expr *logicalOr(Expr *L, Expr *R) { return binary(BinaryOp::Or, L, R); }
   Expr *neg(Expr *E);
   Expr *logicalNot(Expr *E);
   Expr *intrinsic(Intrinsic Fn, std::vector<Expr *> Args);

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// A durable, integrity-checked on-disk format for profile data (recovered
-/// counter values plus loop-frequency moments), the persistent half of the
-/// paper's "program database". Layout (all integers little-endian):
+/// counter values plus loop-frequency moments): the paper's "program
+/// database", persisted. Layout (all integers little-endian):
 ///
 ///   magic "PTPF" | u32 version | u64 program fingerprint | u32 mode
 ///   | u32 runs | u32 numFunctions
@@ -53,8 +53,8 @@ namespace ptran {
 
 /// Structural fingerprint of one function: statement count, ECFG size and
 /// the full control-condition list. Profiles recorded against a different
-/// version of the function hash differently. The program database and the
-/// session's summary-cache keys use the same values.
+/// version of the function hash differently. The session's summary-cache
+/// keys use the same values.
 uint64_t structuralFingerprintOf(const FunctionAnalysis &FA);
 
 /// Fingerprint of a whole analyzed program: the per-function fingerprints

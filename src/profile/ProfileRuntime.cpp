@@ -5,6 +5,7 @@
 #include "support/Casting.h"
 #include "support/FatalError.h"
 #include "support/FaultInjection.h"
+#include "support/Saturation.h"
 
 #include <cassert>
 
@@ -97,6 +98,16 @@ std::vector<double> ProfileRuntime::countersFor(const Function &F) const {
   unsigned Count = Plan.of(F).numCounters();
   return std::vector<double>(Counters.begin() + Base,
                              Counters.begin() + Base + Count);
+}
+
+bool ProfileRuntime::addCounters(const Function &F,
+                                 const std::vector<double> &Local) {
+  unsigned Base = Plan.offsetOf(F);
+  assert(Local.size() == Plan.of(F).numCounters() && "counter slice size");
+  bool Saturated = false;
+  for (size_t I = 0; I < Local.size(); ++I)
+    Saturated |= saturatingAdd(Counters[Base + I], Local[I]);
+  return Saturated;
 }
 
 double ProfileRuntime::overheadCycles() const {

@@ -55,6 +55,11 @@ public:
   /// This function's local counter slice.
   std::vector<double> countersFor(const Function &F) const;
 
+  /// Adds \p Local (this function's counter slice, e.g. an ingested
+  /// profile section) onto \p F's counters, each sum clamped at 2^53.
+  /// \returns true when a sum was clamped.
+  bool addCounters(const Function &F, const std::vector<double> &Local);
+
   /// Counter updates executed so far (increments + adds).
   uint64_t dynamicIncrements() const { return Increments; }
   uint64_t dynamicAdds() const { return Adds; }

@@ -2,9 +2,13 @@
 
 #include "profile/Recovery.h"
 
+#include <cmath>
 #include <string>
 
 using namespace ptran;
+
+/// 2^52: two totals at most this large sum exactly in a double.
+static constexpr double ExactTotalLimit = 4503599627370496.0;
 
 FrequencyTotals ptran::recoverTotals(const FunctionAnalysis &FA,
                                      const FunctionPlan &Plan,
@@ -36,6 +40,7 @@ FrequencyTotals ptran::recoverTotals(const FunctionAnalysis &FA,
   FrequencyTotals Out;
   Out.Node.assign(Fcdg.numNodes(), -1.0);
   std::map<ControlCondition, double> Known;
+  bool Clamped = false;
 
   auto CondKnown = [&](const ControlCondition &C) {
     return Known.count(C) != 0;
@@ -158,6 +163,7 @@ FrequencyTotals ptran::recoverTotals(const FunctionAnalysis &FA,
       if (AllKnown) {
         // Counter noise can produce tiny negative values for identically
         // zero paths; clamp.
+        Clamped |= Value < 0.0;
         Known[Cond] = Value < 0.0 ? 0.0 : Value;
         Changed = true;
       }
@@ -179,7 +185,35 @@ FrequencyTotals ptran::recoverTotals(const FunctionAnalysis &FA,
   for (NodeId N : CD.topoOrder())
     if (Out.Node[N] < 0.0)
       Out.Ok = false;
+  Out.Exact = Out.Ok && !Clamped;
+  for (double C : Counters)
+    Out.Exact &= std::floor(C) == C;
+  for (const auto &[Cond, T] : Out.Cond)
+    Out.Exact &= T <= ExactTotalLimit;
+  for (double N : Out.Node)
+    Out.Exact &= N <= ExactTotalLimit;
   return Out;
+}
+
+bool ptran::addExactTotals(FrequencyTotals &Acc,
+                           const FrequencyTotals &Delta) {
+  // Totals recovered through one plan resolve the same conditions, so
+  // equal sizes mean the keys match one for one.
+  if (!Acc.Exact || !Delta.Exact || Acc.Cond.size() != Delta.Cond.size() ||
+      Acc.Node.size() != Delta.Node.size())
+    return false;
+  auto DIt = Delta.Cond.begin();
+  for (auto &[Cond, T] : Acc.Cond) {
+    T += (DIt++)->second;
+    Acc.Exact &= T <= ExactTotalLimit;
+  }
+  for (size_t N = 0; N < Acc.Node.size(); ++N) {
+    if (Acc.Node[N] < 0.0)
+      continue; // Outside the FCDG in both.
+    Acc.Node[N] += Delta.Node[N];
+    Acc.Exact &= Acc.Node[N] <= ExactTotalLimit;
+  }
+  return true;
 }
 
 std::vector<double> ptran::nodeTotalsFromConds(

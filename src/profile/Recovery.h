@@ -38,6 +38,12 @@ struct FrequencyTotals {
   /// Conditions the solver could not resolve (diagnostic aid; empty when
   /// Ok).
   std::vector<ControlCondition> Unresolved;
+  /// True when recovery is exactly additive here: every counter is an
+  /// integer, no derived total was clamped at zero and every total is at
+  /// most 2^52. Recovering the sum of two such counter vectors then gives
+  /// exactly the sum of their totals, so a session can fold a validated
+  /// profile section into its cached totals without solving again.
+  bool Exact = false;
 
   double nodeTotal(NodeId N) const { return Node[N]; }
   double condTotal(const ControlCondition &C) const {
@@ -48,7 +54,7 @@ struct FrequencyTotals {
 
 /// Recovers all totals from \p Counters (the function's local counter
 /// values, Plan.numCounters() of them). A counter vector that does not
-/// match the plan's size (e.g. a stale program database) yields
+/// match the plan's size (e.g. a profile of an older program) yields
 /// FrequencyTotals{Ok = false} and a diagnostic on \p Diags instead of an
 /// out-of-bounds read. When \p Obs is enabled, each call bumps
 /// `recovery.calls` and `recovery.fixpoint_iterations` (passes of the
@@ -61,6 +67,13 @@ FrequencyTotals recoverTotals(const FunctionAnalysis &FA,
                               DiagnosticEngine *Diags = nullptr,
                               ObsRegistry *Obs = nullptr,
                               CancelToken *Cancel = nullptr);
+
+/// Adds \p Delta onto \p Acc when both are Exact totals of the same
+/// function, so that \p Acc becomes what recoverTotals returns for the
+/// sum of the two counter vectors; Acc.Exact then says whether it can
+/// take another sum. \returns false, leaving \p Acc untouched, when
+/// either is not Exact.
+bool addExactTotals(FrequencyTotals &Acc, const FrequencyTotals &Delta);
 
 /// Computes node totals from already-known condition totals via the FCDG
 /// recurrence (equation 3 of Section 3, in total form). Used both by the

@@ -97,7 +97,7 @@ void EstimationSession::accumulateTotalsLocked(const Function &F,
       ExternalBad.emplace(&F, Issue);
       // Dirty the function so the next refresh visits it and reports the
       // failure (the rejected delta itself is not applied).
-      ExternalDirty.insert(&F);
+      Dirty.insert(&F);
     }
     return; // Reject the whole delta; good entries must not half-apply.
   }
@@ -111,7 +111,7 @@ void EstimationSession::accumulateTotalsLocked(const Function &F,
     Saturated |= saturatingAdd(Acc[Cond], Total);
   if (Saturated)
     noteSaturation(F);
-  ExternalDirty.insert(&F);
+  Dirty.insert(&F);
 }
 
 void EstimationSession::accumulateTotalsBatch(
@@ -180,7 +180,7 @@ void EstimationSession::quarantine(const Function &F,
     return;
   // Force a refresh so the function's frequencies switch to the static
   // estimate before the next query.
-  ExternalDirty.insert(&F);
+  Dirty.insert(&F);
   if (ObsRegistry *Obs = Opts.Obs)
     Obs->addCounter("session.quarantined_functions");
   if (Opts.Diags)
@@ -287,7 +287,7 @@ FrequencyTotals EstimationSession::totalsFor(const Function &F) const {
 }
 
 bool EstimationSession::refreshInputs(std::string &Error) {
-  if (!RuntimeStale && ExternalDirty.empty())
+  if (!RuntimeStale && Dirty.empty())
     return true;
   CancelToken *Cancel = Opts.Cancel;
   bool Ok = true;
@@ -312,7 +312,7 @@ bool EstimationSession::refreshInputs(std::string &Error) {
       // (structural, no recovery — cheap).
       if (QuarantinedFns.count(F.get()))
         refreshFunction(*F, In);
-      else if (RuntimeStale || ExternalDirty.count(F.get()) ||
+      else if (RuntimeStale || Dirty.count(F.get()) ||
                !FreqsByFunction.count(F.get()))
         degradeForDeadline(*F, Cancel->describe());
       continue;
@@ -339,7 +339,7 @@ bool EstimationSession::refreshInputs(std::string &Error) {
         }
       }
       In.RecoveryFailed = false;
-    } else if (!RuntimeStale && !ExternalDirty.count(F.get())) {
+    } else if (!RuntimeStale && !Dirty.count(F.get())) {
       continue;
     }
     if (In.RecoveryFailed) {
@@ -370,7 +370,7 @@ bool EstimationSession::refreshInputs(std::string &Error) {
   // ran, so the next query (degradation lifted) redoes them for real.
   if (Ok && !CutShort) {
     RuntimeStale = false;
-    ExternalDirty.clear();
+    Dirty.clear();
   }
   return Ok;
 }
@@ -489,7 +489,7 @@ EstimationSession::estimateLocked(const std::vector<EstimateRequest> &Requests) 
   // fresh or absent token) recomputes the affected functions exactly.
   if (!DegradedFns.empty()) {
     for (const auto &[F, Reason] : DegradedFns)
-      ExternalDirty.insert(F);
+      Dirty.insert(F);
     DegradedFns.clear();
   }
   std::string Error;
@@ -786,13 +786,29 @@ EstimationSession::ingestProfileLocked(const ProfileFile &PF) {
     quarantine(*F, Why);
     Report.Quarantined.push_back(F->name());
   }
+  // A clean section's counters join the counter runtime exactly as a
+  // profiled run's would, so every capture of the session carries them.
   for (GoodSection &G : Good) {
-    accumulateTotalsLocked(*G.F, G.Totals);
+    bool Saturated =
+        Est->runtimeMutable().addCounters(*G.F, G.S->Counters);
+    if (Saturated)
+      noteSaturation(*G.F);
     for (const ProfileLoopMoments &L : G.S->Loops)
       Est->loopStatsMutable().addMoments(
           *G.F, L.HeaderStmt, {L.Entries, L.Sum, L.SumSq});
+    // Recovery is linear in the counters: unless every function is to be
+    // recovered again anyway, add the totals validation just recovered to
+    // the cached ones instead of solving the function again.
+    if (!RuntimeStale) {
+      if (!Saturated && addExactTotals(Inputs[G.F].Base, G.Totals))
+        Dirty.insert(G.F);
+      else
+        RuntimeStale = true;
+    }
     ++Report.Accepted;
   }
+  uint64_t AllRuns = static_cast<uint64_t>(Runs) + PF.runs();
+  Runs = AllRuns > UINT32_MAX ? UINT32_MAX : static_cast<unsigned>(AllRuns);
   if (Obs) {
     Obs->addCounter("session.ingest.accepted", Report.Accepted);
     Obs->addCounter("session.ingest.quarantined", Bad.size());

@@ -12,11 +12,11 @@
 /// TimeAnalysis only over the functions whose inputs actually changed.
 ///
 /// Every function's cached summary is keyed by the structural fingerprint
-/// that profile files and the program database bind their sections to
-/// (structuralFingerprintOf) mixed with a hash of its accumulated condition
-/// totals and loop-frequency moments; every cached analysis additionally
-/// remembers the exact cost model and loop-variance mode it was computed
-/// under. A query after new profiled runs therefore invalidates only the
+/// that profile files bind their sections to (structuralFingerprintOf)
+/// mixed with a hash of its accumulated condition totals and
+/// loop-frequency moments; every cached analysis additionally remembers
+/// the exact cost model and loop-variance mode it was computed under. A
+/// query after new profiled runs therefore invalidates only the
 /// functions whose totals changed — plus their call-graph ancestors,
 /// which TimeAnalysis::rerun widens to whole SCCs of the condensation —
 /// and replays the wave schedule over just that dirty subgraph, feeding
@@ -151,12 +151,12 @@ public:
   /// database accumulates TOTAL_FREQ across runs.
   RunResult profiledRun(uint64_t MaxSteps = 200'000'000);
 
-  /// Folds an externally recorded totals delta (e.g. another machine's
-  /// program database) into \p F's accumulated totals. Node totals are
-  /// rederived through the FCDG recurrence, so \p Delta only needs
-  /// condition entries — deltas may be partial, so only value sanity
-  /// (finite, non-negative, unsaturated) is enforced here, per the
-  /// session's BadProfilePolicy. Complete profiles should arrive through
+  /// Folds an externally recorded totals delta (e.g. one streaming-ingest
+  /// epoch) into \p F's accumulated totals. Node totals are rederived
+  /// through the FCDG recurrence, so \p Delta only needs condition
+  /// entries — deltas may be partial, so only value sanity (finite,
+  /// non-negative, unsaturated) is enforced here, per the session's
+  /// BadProfilePolicy. Complete profiles should arrive through
   /// ingestProfile(), which additionally checks the paper's Σ identities.
   void accumulateTotals(const Function &F, const FrequencyTotals &Delta);
 
@@ -182,7 +182,9 @@ public:
   /// values, recovery, Σ identities, loop-moment sanity. Under
   /// BadProfilePolicy::Quarantine, clean sections fold in and bad ones
   /// quarantine their function; under Fail, any bad section rejects the
-  /// whole profile (nothing folds).
+  /// whole profile (nothing folds). A clean section's counters and loop
+  /// moments join the session's counter runtime, and the profile's run
+  /// count adds to runsExecuted(), as if its runs had happened here.
   ProfileIngestReport ingestProfile(const ProfileFile &PF);
 
   /// Same, bounded by \p Cancel instead of the session-wide
@@ -192,9 +194,12 @@ public:
   ProfileIngestReport ingestProfile(const ProfileFile &PF,
                                     CancelToken *Cancel);
 
-  /// Snapshots the session's accumulated counter runtime and loop moments
-  /// as a durable profile (external deltas are not counter-representable
-  /// and are not included).
+  /// Snapshots the session's counter runtime, loop moments and run count
+  /// as a durable profile: everything its profiled runs and ingested
+  /// profiles contributed, so ingesting the capture into a fresh session
+  /// of the same program reproduces its estimates. Partial deltas from
+  /// accumulateTotals have no counter representation and are left out
+  /// (captureDurableState carries them).
   ProfileFile captureProfile() const;
 
   /// captureProfile() + ProfileFile::saveToFile, through the session's
@@ -204,11 +209,12 @@ public:
 
   /// Fills the session-owned slice of a durable snapshot (the serve layer
   /// owns Name/Source/Mode): run count, the serialized PTPF image of the
-  /// accumulated counter state, the external totals, and the saturation/
-  /// quarantine sets — everything in program order, so identical session
-  /// state always produces identical snapshot bytes (the kill-and-recover
-  /// test memcmps them). One lock acquisition: the capture is a consistent
-  /// cut, never a torn view.
+  /// accumulated counter state (captureProfile), the partial deltas from
+  /// accumulateTotals, and the saturation/quarantine sets — everything
+  /// in program order, so identical session state always produces
+  /// identical snapshot bytes (the kill-and-recover test memcmps them).
+  /// One lock acquisition: the capture is a consistent cut, never a torn
+  /// view.
   void captureDurableState(durable::DurableSessionState &Out) const;
 
   /// Re-applies a sticky quarantine recorded in a snapshot (the restore
@@ -263,7 +269,8 @@ public:
   uint64_t totalEvaluations() const { return TotalEvals; }
   /// Configurations served with no re-evaluation at all, lifetime.
   uint64_t cacheHits() const { return CacheHits; }
-  /// Profiled runs executed so far.
+  /// Profiled runs the counters accumulate: this session's own plus the
+  /// run counts of the profiles it ingested.
   unsigned runsExecuted() const { return Runs; }
   /// Every function's frequencies as the most recent estimate() evaluated
   /// them (static for quarantined and deadline-degraded functions).
@@ -271,7 +278,7 @@ public:
     return FreqsByFunction;
   }
   /// \p F's accumulated totals: the counters recovered from the runtime
-  /// plus the ingested/external deltas, node totals re-derived.
+  /// plus the external deltas, node totals re-derived.
   FrequencyTotals totalsFor(const Function &F) const;
 
   const Program &program() const { return *P; }
@@ -293,7 +300,8 @@ private:
     uint64_t Key = 0;
     /// Totals recovered from the counter runtime, cached so queries after
     /// a pure external-delta injection skip the recovery fixpoint for
-    /// every untouched function.
+    /// every untouched function. An ingest adds the section's validated
+    /// totals here (addExactTotals) instead of recovering again.
     FrequencyTotals Base;
     /// Set when counter recovery failed (naive plans on unexecuted
     /// functions); queries touching the program then fail per-request.
@@ -363,13 +371,16 @@ private:
   /// Current frequencies of every function, updated in place as inputs
   /// change; analyses read it by reference (no per-query copies).
   std::map<const Function *, Frequencies> FreqsByFunction;
-  /// Externally injected totals deltas (condition entries only).
+  /// Partial totals deltas from accumulateTotals (condition entries
+  /// only): stream folds and restored snapshots' external totals.
+  /// Ingested profiles go to the counter runtime instead.
   std::map<const Function *, std::map<ControlCondition, double>> External;
   std::vector<std::unique_ptr<ConfigCache>> Configs;
   /// Counters may have moved: re-recover every function's base totals.
   bool RuntimeStale = true;
-  /// Functions whose external deltas changed since the last refresh.
-  std::set<const Function *> ExternalDirty;
+  /// Functions whose cached base totals or external deltas changed since
+  /// the last refresh.
+  std::set<const Function *> Dirty;
   /// Functions estimated from static frequencies because their profile
   /// data failed validation, with the (first) reason.
   std::map<const Function *, std::string> QuarantinedFns;

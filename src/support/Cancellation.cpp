@@ -13,9 +13,7 @@ void CancelToken::reset() {
   HasDeadline.store(false, std::memory_order_relaxed);
   DeadlineNs.store(0, std::memory_order_relaxed);
   StepBudget.store(NoBudget, std::memory_order_relaxed);
-  MemoryBudget.store(NoBudget, std::memory_order_relaxed);
   StepsUsed.store(0, std::memory_order_relaxed);
-  MemoryUsed.store(0, std::memory_order_relaxed);
   Polls.store(0, std::memory_order_relaxed);
 }
 
@@ -41,14 +39,6 @@ bool CancelToken::checkpoint(uint64_t Steps) {
   return expired();
 }
 
-bool CancelToken::chargeMemory(uint64_t Bytes) {
-  uint64_t Used =
-      MemoryUsed.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
-  if (Used > MemoryBudget.load(std::memory_order_relaxed))
-    trip(CancelReason::MemoryBudget);
-  return expired();
-}
-
 const char *CancelToken::reasonName(CancelReason R) {
   switch (R) {
   case CancelReason::None:
@@ -59,8 +49,6 @@ const char *CancelToken::reasonName(CancelReason R) {
     return "deadline";
   case CancelReason::StepBudget:
     return "step-budget";
-  case CancelReason::MemoryBudget:
-    return "memory-budget";
   }
   return "unknown";
 }
@@ -76,9 +64,6 @@ std::string CancelToken::describe() const {
   case CancelReason::StepBudget:
     return "step budget exhausted after " + std::to_string(stepsUsed()) +
            " steps";
-  case CancelReason::MemoryBudget:
-    return "memory budget exhausted after " +
-           std::to_string(memoryCharged()) + " charged bytes";
   }
   return "unknown";
 }

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Cooperative cancellation and resource budgets for the estimation
-/// pipeline. A CancelToken combines four independent trip conditions —
-/// caller cancellation, a wall-clock deadline, a checkpoint-step budget and
-/// a memory budget — behind one cheap poll: passes call checkpoint() at
+/// pipeline. A CancelToken combines three independent trip conditions —
+/// caller cancellation, a wall-clock deadline and a checkpoint-step
+/// budget — behind one cheap poll: passes call checkpoint() at
 /// their natural unit of work (per analyzed function, per SCC-wave
 /// component, per fixpoint iteration) and stop as soon as it returns true.
 ///
@@ -44,7 +44,6 @@ enum class CancelReason : uint8_t {
   Cancelled,     ///< requestCancel() was called.
   Deadline,      ///< The wall-clock deadline passed.
   StepBudget,    ///< The checkpoint-step budget ran out.
-  MemoryBudget,  ///< The charged-memory budget ran out.
 };
 
 /// What an estimation entry point does when its token expires mid-run.
@@ -87,13 +86,6 @@ public:
     StepBudget.store(Budget, std::memory_order_relaxed);
   }
 
-  /// Arms a budget of \p Bytes charged via chargeMemory(). The charge is a
-  /// cooperative accounting of the passes' dominant allocations (estimate
-  /// tables, profile images), not an allocator hook.
-  void setMemoryBudget(uint64_t Bytes) {
-    MemoryBudget.store(Bytes, std::memory_order_relaxed);
-  }
-
   /// Clears trip state, counters and budgets; the token is live again.
   void reset();
 
@@ -132,22 +124,15 @@ public:
         DeadlineNs.load(std::memory_order_relaxed) - NowNs);
   }
 
-  /// Charges \p Bytes against the memory budget (if armed) and trips the
-  /// token when the budget is exceeded. Returns expired().
-  bool chargeMemory(uint64_t Bytes);
-
   //===--- introspection --------------------------------------------------===//
 
   /// Total checkpoint() calls since construction/reset. Feeds the
   /// `resilience.cancel_polls` obs counter.
   uint64_t polls() const { return Polls.load(std::memory_order_relaxed); }
 
-  /// Checkpoint steps consumed and memory bytes charged so far.
+  /// Checkpoint steps consumed so far.
   uint64_t stepsUsed() const {
     return StepsUsed.load(std::memory_order_relaxed);
-  }
-  uint64_t memoryCharged() const {
-    return MemoryUsed.load(std::memory_order_relaxed);
   }
 
   /// Short lowercase name for \p R ("deadline", "step-budget", ...).
@@ -166,9 +151,7 @@ private:
   std::atomic<bool> HasDeadline{false};
   std::atomic<int64_t> DeadlineNs{0};
   std::atomic<uint64_t> StepBudget{NoBudget};
-  std::atomic<uint64_t> MemoryBudget{NoBudget};
   std::atomic<uint64_t> StepsUsed{0};
-  std::atomic<uint64_t> MemoryUsed{0};
   std::atomic<uint64_t> Polls{0};
 };
 

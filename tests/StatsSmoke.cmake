@@ -4,7 +4,8 @@
 # span names and that the stats tables reach stdout, and that the strict
 # numeric-flag parsing rejects garbage with an actionable message. It also
 # checks that the listings read the same accumulated totals as TIME/VAR
-# when those come from a saved profile or a program database.
+# when those come from a saved profile or a program database, and that a
+# saved profile or database carries every total the session absorbed.
 # Invoked by CTest as:
 #
 #   cmake -DESTIMATOR=<path> -DWORK_DIR=<dir> -P StatsSmoke.cmake
@@ -156,7 +157,7 @@ run_estimate(SAVE_OUT "--profile-out" --workload=simple --runs=2
              --profile-out=${WORK_DIR}/smoke.ptpf ${LISTINGS})
 run_estimate(INGEST_OUT "--profile-in round trip" --workload=simple --runs=0
              --profile-in=${WORK_DIR}/smoke.ptpf --on-bad-profile=fail
-             ${LISTINGS})
+             --profile-out=${WORK_DIR}/resaved.ptpf ${LISTINGS})
 if(NOT INGEST_OUT MATCHES "ingested")
   message(FATAL_ERROR "--profile-in printed no ingest report: ${INGEST_OUT}")
 endif()
@@ -165,6 +166,16 @@ estimate_block(INGEST_BLOCK "--profile-in" "${INGEST_OUT}")
 if(NOT SAVE_BLOCK STREQUAL INGEST_BLOCK)
   message(FATAL_ERROR "--profile-in estimates differ from the saving run's:\n"
           "saved:\n${SAVE_BLOCK}\ningested:\n${INGEST_BLOCK}")
+endif()
+# An ingested profile is part of what the session saves: re-saving it with
+# no runs of its own and ingesting that file again estimates the same.
+run_estimate(REINGEST_OUT "--profile-in of a re-saved profile" --workload=simple
+             --runs=0 --profile-in=${WORK_DIR}/resaved.ptpf
+             --on-bad-profile=fail ${LISTINGS})
+estimate_block(REINGEST_BLOCK "re-saved --profile-in" "${REINGEST_OUT}")
+if(NOT REINGEST_BLOCK STREQUAL INGEST_BLOCK)
+  message(FATAL_ERROR "a re-saved profile lost the ingested totals:\n"
+          "first ingest:\n${INGEST_BLOCK}\nre-saved:\n${REINGEST_BLOCK}")
 endif()
 
 # Program-database round trip: two one-run invocations accumulate the
@@ -185,6 +196,50 @@ estimate_block(RUNS2_BLOCK "--runs=2" "${RUNS2_OUT}")
 if(NOT PDB_BLOCK STREQUAL RUNS2_BLOCK)
   message(FATAL_ERROR "--pdb estimates differ from a two-run invocation's:\n"
           "--pdb:\n${PDB_BLOCK}\n--runs=2:\n${RUNS2_BLOCK}")
+endif()
+
+# A program database recorded against another version of the program
+# starts afresh: --pdb on a.f and then on b.f (a.f with one more IF) must
+# estimate exactly like a fresh run of b.f.
+file(WRITE ${WORK_DIR}/a.f [=[      program main
+      integer i, s
+      s = 0
+      do 10 i = 1, 6
+        if (i .gt. 2) then
+          s = s + i
+        endif
+ 10   continue
+      print s
+      end
+]=])
+file(WRITE ${WORK_DIR}/b.f [=[      program main
+      integer i, s
+      s = 0
+      do 10 i = 1, 6
+        if (i .gt. 2) then
+          s = s + i
+        endif
+        if (i .gt. 4) then
+          s = s - 1
+        endif
+ 10   continue
+      print s
+      end
+]=])
+file(REMOVE ${WORK_DIR}/shape.pdb)
+run_estimate(SHAPE_A_OUT "--pdb on a.f" ${WORK_DIR}/a.f --runs=1
+             --annotate=main --pdb=${WORK_DIR}/shape.pdb)
+run_estimate(SHAPE_B_OUT "--pdb on b.f" ${WORK_DIR}/b.f --runs=1
+             --annotate=main --pdb=${WORK_DIR}/shape.pdb)
+if(NOT SHAPE_B_OUT MATCHES "covers 1 accumulation")
+  message(FATAL_ERROR "--pdb kept a.f's runs for b.f: ${SHAPE_B_OUT}")
+endif()
+run_estimate(FRESH_B_OUT "fresh b.f" ${WORK_DIR}/b.f --runs=1 --annotate=main)
+estimate_block(SHAPE_B_BLOCK "--pdb on b.f" "${SHAPE_B_OUT}")
+estimate_block(FRESH_B_BLOCK "fresh b.f" "${FRESH_B_OUT}")
+if(NOT SHAPE_B_BLOCK STREQUAL FRESH_B_BLOCK)
+  message(FATAL_ERROR "--pdb after a change to the program differs from a "
+          "fresh run:\n--pdb:\n${SHAPE_B_BLOCK}\nfresh:\n${FRESH_B_BLOCK}")
 endif()
 
 message(STATUS "observability smoke test passed")

@@ -880,6 +880,61 @@ TEST(ServeCoreDurable, CheckpointThenMoreTrafficRecoversAcrossRestart) {
   EXPECT_EQ(estimateFingerprint(Core, "s0", "leaf"), Expected[1]);
 }
 
+TEST(ServeCoreDurable, RestoreRebuildsTheSnapshottedProfileAndRunCount) {
+  // A snapshot restore rebuilds exactly the state it captured: the same
+  // capture-profile bytes, a run count that continues where it stopped,
+  // and the same snapshot bytes at the next checkpoint.
+  TempDir Dir;
+  std::string SnapPath = Dir.Path + "/" + snapshotFileName("s0");
+  std::string Captured;
+  std::vector<uint8_t> Snapshot;
+  {
+    std::string Error;
+    StateStore::Recovery Recovered;
+    auto Store =
+        StateStore::open(Dir.Path, FsyncPolicy::Never, Recovered, Error);
+    ASSERT_TRUE(Store) << Error;
+    ServeOptions Opts;
+    Opts.Store = Store.get();
+    ServeCore Core(Opts);
+    WireMessage Load = makeRequest("load-program", "s0");
+    Load.Body = TinySource;
+    ASSERT_EQ(Core.handle(Load).Verb, "ok");
+    WireMessage Run = makeRequest("run", "s0");
+    Run.Params["runs"] = "2";
+    WireMessage Ran = Core.handle(Run);
+    ASSERT_EQ(Ran.Verb, "ok") << Ran.param("message");
+    EXPECT_EQ(Ran.param("runs"), "2");
+    ASSERT_EQ(Core.handle(makeRequest("checkpoint", "")).Verb, "ok");
+    WireMessage Cap = Core.handle(makeRequest("capture-profile", "s0"));
+    ASSERT_EQ(Cap.Verb, "ok") << Cap.param("message");
+    Captured = Cap.Body;
+    Snapshot = readFileBytes(SnapPath);
+    ASSERT_FALSE(Snapshot.empty());
+  }
+
+  std::string Error;
+  StateStore::Recovery Recovered;
+  auto Store =
+      StateStore::open(Dir.Path, FsyncPolicy::Never, Recovered, Error);
+  ASSERT_TRUE(Store) << Error;
+  ServeOptions Opts;
+  Opts.Store = Store.get();
+  ServeCore Core(Opts);
+  ServeCore::RestoreReport RR;
+  Core.restore(Recovered, RR);
+  ASSERT_EQ(RR.SessionsRestored, 1u);
+  EXPECT_EQ(RR.RecordsReplayed, 0u);
+  WireMessage Cap = Core.handle(makeRequest("capture-profile", "s0"));
+  ASSERT_EQ(Cap.Verb, "ok") << Cap.param("message");
+  EXPECT_EQ(Cap.Body, Captured);
+  ASSERT_EQ(Core.handle(makeRequest("checkpoint", "")).Verb, "ok");
+  EXPECT_EQ(readFileBytes(SnapPath), Snapshot);
+  WireMessage Ran = Core.handle(makeRequest("run", "s0"));
+  ASSERT_EQ(Ran.Verb, "ok") << Ran.param("message");
+  EXPECT_EQ(Ran.param("runs"), "3");
+}
+
 TEST(ServeCoreDurable, EvictedSessionStaysDeadAcrossRestart) {
   TempDir Dir;
   {

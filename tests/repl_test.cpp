@@ -543,6 +543,13 @@ TEST(Bootstrap, CaptureAdoptRoundTripReproducesEstimates) {
 
   EXPECT_EQ(fingerprints(B), RefAt.back());
   EXPECT_EQ(B.sessionCount(), 1u);
+  // The image carries the primary's whole profile, ingested one included,
+  // so the standby's capture-profile answers byte for byte alike.
+  WireMessage CapA = A.handle(makeRequest("capture-profile", "s0"));
+  WireMessage CapB = B.handle(makeRequest("capture-profile", "s0"));
+  ASSERT_EQ(CapA.Verb, "ok") << CapA.param("message");
+  ASSERT_EQ(CapB.Verb, "ok") << CapB.param("message");
+  EXPECT_EQ(CapB.Body, CapA.Body);
 
   // The adopted image was persisted BEFORE registration: a fresh store
   // restores the session without ever seeing a journal record.

@@ -76,16 +76,6 @@ TEST(CancelToken, StepBudgetTripsDeterministically) {
   EXPECT_EQ(T.reason(), CancelReason::StepBudget);
 }
 
-TEST(CancelToken, MemoryBudgetTripsWhenExceeded) {
-  CancelToken T;
-  T.setMemoryBudget(1024);
-  EXPECT_FALSE(T.chargeMemory(512));
-  EXPECT_FALSE(T.chargeMemory(512)); // Exactly at the budget: still live.
-  EXPECT_TRUE(T.chargeMemory(1));
-  EXPECT_EQ(T.reason(), CancelReason::MemoryBudget);
-  EXPECT_EQ(T.memoryCharged(), 1025u);
-}
-
 TEST(CancelToken, ResetRevivesTheToken) {
   CancelToken T;
   T.setStepBudget(1);
@@ -612,18 +602,6 @@ TEST(DeadlinePolicyTest, IngestAbortsAtomicallyOnExpiry) {
   ProfileIngestReport Clean = P->S->ingestProfile(PF);
   EXPECT_TRUE(Clean.Ok) << Clean.Error;
   EXPECT_GT(Clean.Accepted, 0u);
-}
-
-TEST(DeadlinePolicyTest, MemoryBudgetDegradesLikeADeadline) {
-  std::unique_ptr<SessionPair> P = makeSessions(DeadlinePolicy::Degrade);
-  // Enough steps for the input refresh; a tiny memory budget trips once
-  // the time analysis starts charging its estimate tables.
-  P->Token.setMemoryBudget(256);
-  EstimateResult Res = P->S->estimateEntry();
-  ASSERT_TRUE(Res.Ok) << Res.Error;
-  EXPECT_FALSE(P->S->degraded().empty());
-  EXPECT_NE(Res.DegradeReason.find("memory budget"), std::string::npos)
-      << Res.DegradeReason;
 }
 
 } // namespace

@@ -3,10 +3,11 @@
 #
 # Part of the ptran-times project (Sarkar, PLDI 1989 reproduction).
 #
-# Starts ptran-serve on a scratch Unix socket, drives a short burst of
-# mixed estimate/ingest traffic through ptran-bench-client, scrapes the
-# stats table, asks the daemon to shut down, and checks that both sides
-# exit cleanly. Usage:
+# Starts ptran-serve on a scratch Unix socket, checks that churning 500
+# short connections leaves its address space bounded, drives a short
+# burst of mixed estimate/ingest traffic through ptran-bench-client,
+# scrapes the stats table, asks the daemon to shut down, and checks that
+# both sides exit cleanly. Usage:
 #
 #   serve_smoke.sh <ptran-serve> <ptran-bench-client> <work-dir>
 #
@@ -50,6 +51,25 @@ if [ ! -S "$SOCK" ]; then
   exit 1
 fi
 
+# Connection churn must not grow the daemon's address space: a closed
+# connection's thread is joined, which releases its stack mapping. The
+# first churn brings the allocator's per-thread arenas to their steady
+# size, so only the second is measured; the probe after each churn opens
+# one more connection, at whose accept the churn's threads are joined.
+CHURN_LOG="$WORK/churn.log"
+churn() {
+  "$CLIENT" --socket="$SOCK" --connections=500 --requests=1 --sessions=2 \
+    >>"$CHURN_LOG" 2>&1 &&
+    "$CLIENT" --socket="$SOCK" --probe=bench-0 >>"$CHURN_LOG" 2>&1
+}
+vm_size_kb() { awk '/^VmSize:/ { print $2 }' "/proc/$SERVE_PID/status"; }
+CHURN_RC=0
+: >"$CHURN_LOG"
+churn || CHURN_RC=1
+VM_BEFORE=$(vm_size_kb)
+churn || CHURN_RC=1
+VM_AFTER=$(vm_size_kb)
+
 "$CLIENT" --socket="$SOCK" --connections=16 --requests=10 --sessions=2 \
   --scrape-stats --shutdown >"$OUT" 2>&1
 CLIENT_RC=$?
@@ -66,6 +86,18 @@ fi
 if [ "$SERVE_RC" -ne 0 ]; then
   echo "serve_smoke: daemon exited with rc=$SERVE_RC" >&2
   cat "$LOG" >&2
+  RC=1
+fi
+if [ "$CHURN_RC" -ne 0 ]; then
+  echo "serve_smoke: connection churn failed" >&2
+  cat "$CHURN_LOG" >&2
+  RC=1
+fi
+GROWTH_KB=$((VM_AFTER - VM_BEFORE))
+echo "serve_smoke: VmSize ${VM_BEFORE} kB -> ${VM_AFTER} kB over 500 connections"
+if [ "$GROWTH_KB" -ge $((64 * 1024)) ]; then
+  echo "serve_smoke: VmSize grew by ${GROWTH_KB} kB over 500 closed" \
+    "connections (limit 64 MB): connection threads are not reaped" >&2
   RC=1
 fi
 # The scraped stats table must show the dispatcher's own counters.

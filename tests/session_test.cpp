@@ -19,6 +19,7 @@
 
 #include "TestPrograms.h"
 
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <set>
@@ -465,6 +466,39 @@ TEST(EstimationSession, IngestedTotalsAndFrequenciesMatchTheProducer) {
               Producer->frequencies().at(F.get()).NodeFreq)
         << F->name();
   }
+}
+
+TEST(EstimationSession, IngestJoinsTheRuntimeWithoutRecoveringAgain) {
+  // An ingested profile lands in the counter runtime: the session then
+  // captures, and estimates, exactly like one that made all the runs
+  // itself. The query after the ingest reuses the totals validation
+  // recovered instead of solving every function again.
+  std::unique_ptr<Program> Prog = parseDiamond();
+  DiagnosticEngine D1, D2, D3;
+  auto Producer = runSession(*Prog, 2, D1);
+  ObsRegistry Obs;
+  auto S = runSession(*Prog, 1, D2, BadProfilePolicy::Quarantine, &Obs);
+  auto Cold = runSession(*Prog, 3, D3);
+  ASSERT_TRUE(Producer && S && Cold);
+  ASSERT_TRUE(S->estimateEntry().Ok);
+
+  ProfileIngestReport Report = S->ingestProfile(Producer->captureProfile());
+  ASSERT_TRUE(Report.Ok) << Report.Error;
+  EXPECT_EQ(S->runsExecuted(), 3u);
+  uint64_t Recoveries = Obs.counterValue("recovery.calls");
+  EstimateResult Got = S->estimateEntry();
+  ASSERT_TRUE(Got.Ok) << Got.Error;
+  EXPECT_EQ(Obs.counterValue("recovery.calls"), Recoveries);
+
+  EstimateResult Want = Cold->estimateEntry();
+  ASSERT_TRUE(Want.Ok) << Want.Error;
+  EXPECT_EQ(std::bit_cast<uint64_t>(Got.Time),
+            std::bit_cast<uint64_t>(Want.Time));
+  EXPECT_EQ(std::bit_cast<uint64_t>(Got.Var),
+            std::bit_cast<uint64_t>(Want.Var));
+  expectBitIdentical(*Prog, *Got.Analysis, *Want.Analysis);
+  EXPECT_EQ(S->captureProfile().serialize(),
+            Cold->captureProfile().serialize());
 }
 
 TEST(EstimationSession, FailPolicyRejectsWholeProfileAtomically) {

@@ -55,7 +55,6 @@
 #include "ir/Printer.h"
 #include "profile/ConsistencyCheck.h"
 #include "parser/Parser.h"
-#include "pdb/ProgramDatabase.h"
 #include "profile/SamplingProfile.h"
 #include "sched/ChunkScheduling.h"
 #include "session/EstimationSession.h"
@@ -534,36 +533,47 @@ void printPlansAndDot(const Options &Opts, const Program &Prog,
   }
 }
 
-/// Adds this invocation's totals to the program database in Opts.PdbFile
-/// and folds the database's earlier accumulations into the session, so
-/// the estimates and every listing read the database totals.
-void foldProgramDatabase(const Options &Opts, EstimationSession &Session) {
-  DiagnosticEngine Diags;
-  ProgramDatabase Db;
+/// Loads the profile at \p Path and ingests it into \p Session, printing
+/// the load diagnostics and the ingest report. nullopt when the file
+/// cannot be loaded.
+std::optional<ProfileIngestReport>
+ingestProfileFile(const std::string &Path, EstimationSession &Session,
+                  const RetryPolicy &IoRetry, ObsRegistry *Obs) {
+  DiagnosticEngine LoadDiags;
+  std::optional<ProfileFile> PF =
+      ProfileFile::loadFromFile(Path, &LoadDiags, IoRetry, Obs);
+  if (!LoadDiags.diagnostics().empty())
+    std::fprintf(stderr, "%s", LoadDiags.str().c_str());
+  if (!PF)
+    return std::nullopt;
+  ProfileIngestReport Report = Session.ingestProfile(*PF);
+  printIngestReport(Path, Report);
+  return Report;
+}
+
+/// Accumulates this invocation into the program database Opts.PdbFile, a
+/// PTPF profile: its earlier accumulations are ingested first, so the
+/// estimates and every listing read the database totals, and the
+/// session's capture is saved back. A database that cannot be loaded, or
+/// that belongs to another program or counter mode, starts afresh.
+void accumulateProgramDatabase(const Options &Opts, EstimationSession &Session,
+                               const RetryPolicy &IoRetry, ObsRegistry *Obs) {
   struct stat St;
   if (::stat(Opts.PdbFile.c_str(), &St) == 0) {
-    auto Loaded = ProgramDatabase::loadFromFile(Opts.PdbFile, Diags);
-    if (Loaded)
-      Db = std::move(*Loaded);
-    else
-      std::fprintf(stderr, "ignoring unreadable program database:\n%s",
-                   Diags.str().c_str());
+    std::optional<ProfileIngestReport> Report =
+        ingestProfileFile(Opts.PdbFile, Session, IoRetry, Obs);
+    if (!Report || !Report->Ok)
+      std::fprintf(stderr, "ignoring program database %s (%s); starting "
+                   "afresh\n",
+                   Opts.PdbFile.c_str(),
+                   Report ? Report->Error.c_str() : "unreadable");
   }
-  std::vector<std::pair<const Function *, FrequencyTotals>> Earlier;
-  for (const auto &F : Session.program().functions()) {
-    const FunctionAnalysis &FA = Session.estimator().analysis().of(*F);
-    FrequencyTotals T = Db.totalsFor(FA);
-    if (T.Ok)
-      Earlier.emplace_back(F.get(), std::move(T));
-    Db.accumulateTotals(FA, Session.totalsFor(*F));
-  }
-  Db.noteRunCompleted();
-  if (!Db.saveToFile(Opts.PdbFile, Diags))
-    std::fprintf(stderr, "%s", Diags.str().c_str());
+  DiagnosticEngine SaveDiags;
+  if (!Session.saveProfile(Opts.PdbFile, &SaveDiags))
+    std::fprintf(stderr, "%s", SaveDiags.str().c_str());
   else
     std::printf("program database %s now covers %u accumulation(s)\n\n",
-                Opts.PdbFile.c_str(), Db.runsRecorded());
-  Session.accumulateTotalsBatch(Earlier);
+                Opts.PdbFile.c_str(), Session.runsExecuted());
 }
 
 /// --freq=static|hybrid. The session estimates from profiled frequencies
@@ -672,20 +682,13 @@ int run(const Options &Opts, const Program &Prog, const CostModel &CM,
   // hard error under either policy (there is nothing to degrade to — the
   // whole input is gone), per-section problems follow the policy.
   if (!Opts.ProfileIn.empty()) {
-    DiagnosticEngine LoadDiags;
-    std::optional<ProfileFile> PF =
-        ProfileFile::loadFromFile(Opts.ProfileIn, &LoadDiags, IoRetry, Obs);
-    if (!PF) {
-      std::fprintf(stderr, "%s", LoadDiags.str().c_str());
+    std::optional<ProfileIngestReport> Report =
+        ingestProfileFile(Opts.ProfileIn, *Session, IoRetry, Obs);
+    if (!Report)
       return 1;
-    }
-    if (!LoadDiags.diagnostics().empty())
-      std::fprintf(stderr, "%s", LoadDiags.str().c_str());
-    ProfileIngestReport Report = Session->ingestProfile(*PF);
-    printIngestReport(Opts.ProfileIn, Report);
-    if (!Report.Ok) {
+    if (!Report->Ok) {
       std::fprintf(stderr, "profile %s rejected: %s\n",
-                   Opts.ProfileIn.c_str(), Report.Error.c_str());
+                   Opts.ProfileIn.c_str(), Report->Error.c_str());
       return 1;
     }
   }
@@ -711,7 +714,7 @@ int run(const Options &Opts, const Program &Prog, const CostModel &CM,
   if (Opts.Check && printFrequencyCheck(*Session) > 0)
     Rc = 1;
   if (!Opts.PdbFile.empty())
-    foldProgramDatabase(Opts, *Session);
+    accumulateProgramDatabase(Opts, *Session, IoRetry, Obs);
 
   int EstimatesRc = 0;
   if (Opts.Freq != Options::FreqSource::Profile) {

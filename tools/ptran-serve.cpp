@@ -35,6 +35,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -283,28 +284,62 @@ void onSignal(int) { requestShutdown(); }
 
 void onPromoteSignal(int) { wakePromoteWatcher(); }
 
-/// Open connection fds, tracked so shutdown can unblock their readers
-/// with shutdown(2) (never close(2) from another thread: the fd number
-/// could be reused mid-read).
+/// Open connections and their threads. Fds are tracked so shutdown can
+/// unblock their readers with shutdown(2) (never close(2) from another
+/// thread: the fd number could be reused mid-read). A connection's thread
+/// is joined at the first start() after it finished, so a daemon under
+/// connection churn keeps one thread, and one stack mapping, per open
+/// connection rather than one per connection it ever accepted.
 class ConnectionRegistry {
 public:
-  void add(int Fd) {
+  ConnectionRegistry() = default;
+  ConnectionRegistry(const ConnectionRegistry &) = delete;
+  ConnectionRegistry &operator=(const ConnectionRegistry &) = delete;
+
+  /// Joins the threads of finished connections, then runs \p Serve for
+  /// \p Fd on a new thread, which must call finish(Fd) last.
+  template <typename Body> void start(int Fd, Body Serve) {
+    std::vector<std::jthread> Reaped; // Joined after the lock is released.
     std::lock_guard<std::mutex> L(M);
+    for (std::thread::id Id : Finished) {
+      auto It = Threads.find(Id);
+      Reaped.push_back(std::move(It->second));
+      Threads.erase(It);
+    }
+    Finished.clear();
     Fds.insert(Fd);
+    std::jthread T(std::move(Serve));
+    std::thread::id Id = T.get_id();
+    Threads.emplace(Id, std::move(T));
   }
-  void remove(int Fd) {
+  /// Called by a connection's thread before it closes \p Fd and returns.
+  void finish(int Fd) {
     std::lock_guard<std::mutex> L(M);
     Fds.erase(Fd);
+    Finished.push_back(std::this_thread::get_id());
   }
   void shutdownAll() {
     std::lock_guard<std::mutex> L(M);
     for (int Fd : Fds)
       ::shutdown(Fd, SHUT_RDWR);
   }
+  /// Joins every connection thread.
+  void joinAll() {
+    // Joined as it is destroyed, after the lock is released: a finishing
+    // thread takes the lock in finish().
+    std::map<std::thread::id, std::jthread> All;
+    {
+      std::lock_guard<std::mutex> L(M);
+      All.swap(Threads);
+      Finished.clear();
+    }
+  }
 
 private:
   std::mutex M;
   std::set<int> Fds;
+  std::vector<std::thread::id> Finished;
+  std::map<std::thread::id, std::jthread> Threads;
 };
 
 void serveConnection(int Fd, ServeCore &Core, ThreadPool &Pool,
@@ -370,7 +405,7 @@ void serveConnection(int Fd, ServeCore &Core, ThreadPool &Pool,
     if (!writeFrame(Fd, Resp, Error))
       break;
   }
-  Conns.remove(Fd);
+  Conns.finish(Fd);
   ::close(Fd);
 }
 
@@ -524,7 +559,6 @@ int main(int Argc, char **Argv) {
   ThreadPool Pool(ThreadPool::resolveJobs(Opts.Jobs));
   std::atomic<unsigned> InFlight{0};
   ConnectionRegistry Conns;
-  std::vector<std::jthread> Threads;
 
   std::fprintf(stderr,
                "ptran-serve: listening on %s (%u workers, queue limit %u%s)\n",
@@ -538,9 +572,8 @@ int main(int Argc, char **Argv) {
         continue;
       break; // Listener closed by shutdown, or a fatal accept error.
     }
-    Conns.add(Fd);
-    Threads.emplace_back([Fd, &Core, &Pool, &Obs, &Opts, &InFlight, &Conns,
-                          &Shipper] {
+    Conns.start(Fd, [Fd, &Core, &Pool, &Obs, &Opts, &InFlight, &Conns,
+                     &Shipper] {
       serveConnection(Fd, Core, Pool, Obs, Opts, InFlight, Conns,
                       Shipper.get());
     });
@@ -552,8 +585,7 @@ int main(int Argc, char **Argv) {
   if (Standby)
     Standby->stop();
   Conns.shutdownAll();
-  for (std::jthread &T : Threads)
-    T.join();
+  Conns.joinAll();
   if (PromoteWatcher.joinable())
     PromoteWatcher.join();
   // Graceful shutdown: in-flight requests are drained (threads joined),
