@@ -729,14 +729,18 @@ WireMessage ServeCore::handleIngestProfile(const WireMessage &Request,
     return errorResponse("bad-profile",
                          "profile image failed to parse: " + LoadDiags.str());
 
+  // Validation reads only the session's immutable analysis and plan, so
+  // it runs before any lock and concurrent ingests validate in parallel.
+  ValidatedProfile Checked = Entry->Session->validateProfile(*PF, Token);
   ProfileIngestReport Report;
+  uint64_t Epoch = 0;
   {
-    // {ingest, journal} is one atomic step against checkpoint capture.
+    // {fold, journal} is one atomic step against checkpoint capture.
     // The journal stores the raw PTPF image: replay re-ingests the exact
     // bytes, so recovery reproduces the same accept/quarantine decisions.
     std::shared_lock<std::shared_mutex> SL(StructureMu);
     std::lock_guard<std::mutex> DL(Entry->DurableMu);
-    Report = Entry->Session->ingestProfile(*PF, Token);
+    Report = Entry->Session->foldProfile(Checked, Epoch);
     if (Report.Ok) {
       durable::DurableRecord R;
       R.Type = durable::RecordType::ProfileIngest;
@@ -745,6 +749,10 @@ WireMessage ServeCore::handleIngestProfile(const WireMessage &Request,
       journalAppend(R);
     }
   }
+  // With those locks released, bring the session's view up to this fold
+  // before answering (read-your-writes); one refresh covers every fold
+  // committed before it.
+  Entry->Session->refreshView(Epoch, Token);
   bump("serve.ingests");
   if (!Report.Ok)
     return errorResponse(
@@ -949,9 +957,9 @@ bool ServeCore::checkpoint(std::string &Error) {
   return true;
 }
 
-/// Folds \p Folds (an EpochFold record's or a snapshot's External totals)
-/// into \p Session as one batch. A function the program no longer has is
-/// skipped with a diagnostic prefixed by \p Where.
+/// Folds \p Folds (an EpochFold record's totals) into \p Session as one
+/// batch. A function the program no longer has is skipped with a
+/// diagnostic prefixed by \p Where.
 static void applyFolds(EstimationSession &Session,
                        const std::vector<durable::FoldEntry> &Folds,
                        const std::string &Where,
@@ -975,8 +983,8 @@ static void applyFolds(EstimationSession &Session,
     Session.accumulateTotalsBatch(Batch);
 }
 
-/// Re-ingests a snapshotted or journaled PTPF image into \p Session (a
-/// replay: no deadline). A failure costs one diagnostic, led by \p What.
+/// Re-ingests a journaled PTPF image into \p Session (a replay: no
+/// deadline). A failure costs one diagnostic, led by \p What.
 static void replayProfile(EstimationSession &Session,
                           const std::vector<uint8_t> &Image,
                           const std::string &What,
@@ -1008,24 +1016,10 @@ static bool markSaturated(EstimationSession &Session,
 void ServeCore::applySnapshotState(SessionEntry &Entry,
                                    const durable::DurableSessionState &State,
                                    std::vector<std::string> &Diagnostics) {
-  // Order matters: quarantines first (an ingest skips quarantined
-  // functions' sections, matching the original session's decisions), then
-  // the profile image (run counters + loop moments), then the external
-  // totals, then the saturation diagnostics.
-  for (const auto &[Fn, Reason] : State.Quarantined)
-    if (!Entry.Session->markQuarantined(Fn, Reason))
-      Diagnostics.push_back("snapshot '" + State.Name +
-                            "': quarantined function '" + Fn +
-                            "' not found in the rebuilt program");
-  if (!State.ProfileImage.empty())
-    replayProfile(*Entry.Session, State.ProfileImage,
-                  "snapshot '" + State.Name + "': profile image", Diagnostics);
-  applyFolds(*Entry.Session, State.External, "snapshot '" + State.Name + "'",
-             Diagnostics);
+  Entry.Session->restoreDurableState(State, Diagnostics);
   for (const std::string &Fn : State.Saturated)
-    if (!markSaturated(*Entry.Session, Entry.JournaledSaturation, Fn))
-      Diagnostics.push_back("snapshot '" + State.Name +
-                            "': saturated function '" + Fn + "' not found");
+    if (Entry.Session->program().findFunction(Fn))
+      Entry.JournaledSaturation.insert(Fn);
 }
 
 void ServeCore::restore(const durable::StateStore::Recovery &Recovered,
@@ -1231,8 +1225,18 @@ bool ServeCore::applyReplicatedBatch(const uint8_t *Frames, size_t Len,
                             "durability): " +
                             SyncErr);
   }
-  for (const durable::DurableRecord &R : Records)
+  for (const durable::DurableRecord &R : Records) {
+    // The primary's acknowledgement waits on this loop, so a session's
+    // published view is dropped rather than refreshed after every record;
+    // a read on the standby recomputes it under the session lock.
+    bool Mutates = R.Type == durable::RecordType::RunExec ||
+                   R.Type == durable::RecordType::EpochFold ||
+                   R.Type == durable::RecordType::ProfileIngest;
+    if (std::shared_ptr<SessionEntry> Entry =
+            Mutates ? findSession(R.Session) : nullptr)
+      Entry->Session->dropView();
     applyRecord(R, Diagnostics);
+  }
   if (FaultInjection::maybeCrashAt("repl.apply"))
     FaultInjection::dieAtCrashPoint();
   AppliedLsn = FirstLsn + Count - 1;

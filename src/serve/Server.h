@@ -134,7 +134,8 @@ public:
 
   /// Handles one request and returns the response. Safe to call from any
   /// number of threads concurrently: the registry has its own lock, and
-  /// each EstimationSession serializes its callers. A request that
+  /// each EstimationSession synchronizes its own callers (default-
+  /// configuration reads take no session lock at all). A request that
   /// journaled records returns only after ReplicationHooks::waitDurable
   /// for the highest of their LSNs, waited with no ServeCore lock held.
   WireMessage handle(const WireMessage &Request);
@@ -365,7 +366,9 @@ private:
   ServeOptions Opts;
 
   /// LOCK ORDER: StructureMu -> Mu/StreamMu -> (stream FlushMu) ->
-  /// DurableMu -> session lock -> journal lock. Every durable mutation
+  /// DurableMu -> session lock -> journal lock. An ingest validates before
+  /// taking any of them and refreshes the session's view after releasing
+  /// them; a stream fold refreshes after its FlushMu and DurableMu. Every durable mutation
   /// (load/run/ingest/fold/evict) holds StructureMu SHARED around its
   /// whole {mutate + journal} pair; checkpoint() holds it UNIQUE across
   /// {flush streams, read watermark, capture, write snapshots, prune,

@@ -6,6 +6,7 @@
 #include "profile/ConsistencyCheck.h"
 #include "support/Saturation.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <set>
@@ -49,35 +50,36 @@ EstimationSession::create(const Program &P, const CostModel &CM,
   return S;
 }
 
-namespace {
-/// Installs a per-call cancel token for the duration of one serialized
-/// call (the caller holds the session lock, so the swap is private to that
-/// call); null keeps the session-wide token.
-struct ScopedCancelSwap {
-  EstimatorOptions &Opts;
-  CancelToken *Saved;
-  ScopedCancelSwap(EstimatorOptions &Opts, CancelToken *Cancel)
-      : Opts(Opts), Saved(Opts.Cancel) {
-    if (Cancel)
-      Opts.Cancel = Cancel;
-  }
-  ~ScopedCancelSwap() { Opts.Cancel = Saved; }
-};
-} // namespace
+uint64_t EstimationSession::bumpEpoch() {
+  ++StateEpoch;
+  return View ? StateEpoch : 0;
+}
 
 RunResult EstimationSession::profiledRun(uint64_t MaxSteps) {
-  std::lock_guard<std::mutex> L(Mu);
-  ++Runs;
-  RuntimeStale = true;
-  if (ObsRegistry *Obs = Opts.Obs)
-    Obs->addCounter("session.runs");
-  return Est->profiledRun(MaxSteps);
+  RunResult R;
+  uint64_t Epoch = 0;
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    Runs.fetch_add(1, std::memory_order_relaxed);
+    RuntimeStale = true;
+    if (ObsRegistry *Obs = Opts.Obs)
+      Obs->addCounter("session.runs");
+    R = Est->profiledRun(MaxSteps);
+    Epoch = bumpEpoch();
+  }
+  refreshView(Epoch);
+  return R;
 }
 
 void EstimationSession::accumulateTotals(const Function &F,
                                          const FrequencyTotals &Delta) {
-  std::lock_guard<std::mutex> L(Mu);
-  accumulateTotalsLocked(F, Delta);
+  uint64_t Epoch = 0;
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    accumulateTotalsLocked(F, Delta);
+    Epoch = bumpEpoch();
+  }
+  refreshView(Epoch);
 }
 
 void EstimationSession::accumulateTotalsLocked(const Function &F,
@@ -114,11 +116,17 @@ void EstimationSession::accumulateTotalsLocked(const Function &F,
   Dirty.insert(&F);
 }
 
-void EstimationSession::accumulateTotalsBatch(
+uint64_t EstimationSession::foldTotalsBatch(
     const std::vector<std::pair<const Function *, FrequencyTotals>> &Deltas) {
   std::lock_guard<std::mutex> L(Mu);
   for (const auto &[F, Delta] : Deltas)
     accumulateTotalsLocked(*F, Delta);
+  return bumpEpoch();
+}
+
+void EstimationSession::accumulateTotalsBatch(
+    const std::vector<std::pair<const Function *, FrequencyTotals>> &Deltas) {
+  refreshView(foldTotalsBatch(Deltas));
 }
 
 void EstimationSession::noteExternalSaturation(const Function &F) {
@@ -178,6 +186,9 @@ void EstimationSession::quarantine(const Function &F,
   // First reason wins; quarantine is sticky for the session's lifetime.
   if (!QuarantinedFns.emplace(&F, Reason).second)
     return;
+  // The view carries the quarantine tags: it must not outlive this
+  // unrefreshed.
+  ++StateEpoch;
   // Force a refresh so the function's frequencies switch to the static
   // estimate before the next query.
   Dirty.insert(&F);
@@ -286,10 +297,10 @@ FrequencyTotals EstimationSession::totalsFor(const Function &F) const {
   return Totals;
 }
 
-bool EstimationSession::refreshInputs(std::string &Error) {
+bool EstimationSession::refreshInputs(std::string &Error,
+                                      CancelToken *Cancel) {
   if (!RuntimeStale && Dirty.empty())
     return true;
-  CancelToken *Cancel = Opts.Cancel;
   bool Ok = true;
   bool CutShort = false;
   for (const auto &F : P->functions()) {
@@ -387,7 +398,13 @@ EstimationSession::configFor(const CostModel &ConfigCM, LoopVarianceMode LV) {
   return *Configs.back();
 }
 
-std::string EstimationSession::refreshConfig(ConfigCache &Cache) {
+bool EstimationSession::isDefault(const EstimateRequest &R) const {
+  return (!R.Cost || sameCostModel(*R.Cost, CM)) &&
+         (!R.LoopVariance || *R.LoopVariance == Opts.LoopVariance);
+}
+
+std::string EstimationSession::refreshConfig(ConfigCache &Cache,
+                                             CancelToken *Cancel) {
   ObsRegistry *Obs = Opts.Obs;
   std::vector<const Function *> Changed;
   if (Cache.Analysis) {
@@ -397,7 +414,7 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache) {
         Changed.push_back(F.get());
     }
     if (Changed.empty()) {
-      ++CacheHits;
+      CacheHits.fetch_add(1, std::memory_order_relaxed);
       if (Obs)
         Obs->addCounter("session.cache_hits");
       return {};
@@ -418,7 +435,7 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache) {
   TAOpts.Exec = Opts.Exec;
   TAOpts.Diags = Opts.Diags;
   TAOpts.Obs = Opts.Obs;
-  TAOpts.Cancel = Opts.Cancel;
+  TAOpts.Cancel = Cancel;
 
   TimeAnalysis Next =
       Cache.Analysis
@@ -426,8 +443,7 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache) {
                                 TAOpts, *Cache.Analysis, Changed)
           : TimeAnalysis::run(Est->analysis(), FreqsByFunction, Cache.CM,
                               TAOpts);
-  LastEvals += Next.functionEvaluations();
-  TotalEvals += Next.functionEvaluations();
+  TotalEvals.fetch_add(Next.functionEvaluations(), std::memory_order_relaxed);
   if (Obs)
     Obs->addCounter("session.evaluations", Next.functionEvaluations());
   if (Next.cutShort()) {
@@ -435,75 +451,186 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache) {
       // Leave the cache untouched: the previous analysis (if any) is still
       // consistent with Cache.Keys, so the failure is atomic and the next
       // query retries from the same state.
-      return cancelMessage(*Opts.Cancel, "estimation");
+      return cancelMessage(*Cancel, "estimation");
     // Degrade: complete the unfinished functions from static frequencies
     // with an unbudgeted incremental rerun. Waves evaluate callers after
     // callees and expiry is monotone, so everything the budgeted run
     // finished is bit-identical to an unbounded run and is reused as-is.
     std::vector<const Function *> Unfinished = Next.unfinished();
     for (const Function *F : Unfinished)
-      degradeForDeadline(*F, Opts.Cancel->describe());
+      degradeForDeadline(*F, Cancel->describe());
     TAOpts.Cancel = nullptr;
     TimeAnalysis Completed = TimeAnalysis::rerun(
         Est->analysis(), FreqsByFunction, Cache.CM, TAOpts, Next, Unfinished);
-    LastEvals += Completed.functionEvaluations();
-    TotalEvals += Completed.functionEvaluations();
+    TotalEvals.fetch_add(Completed.functionEvaluations(),
+                         std::memory_order_relaxed);
     if (Obs)
       Obs->addCounter("session.evaluations", Completed.functionEvaluations());
     Next = std::move(Completed);
   }
-  Cache.Analysis = std::make_unique<TimeAnalysis>(std::move(Next));
+  Cache.Analysis = std::make_shared<const TimeAnalysis>(std::move(Next));
   Cache.Keys.clear();
   for (const auto &F : P->functions())
     Cache.Keys[F.get()] = Inputs[F.get()].Key;
   return {};
 }
 
-std::vector<EstimateResult>
-EstimationSession::estimate(const std::vector<EstimateRequest> &Requests) {
+void EstimationSession::liftDegradation() {
+  for (const auto &[F, Reason] : DegradedFns)
+    Dirty.insert(F);
+  DegradedFns.clear();
+}
+
+void EstimationSession::setView(std::shared_ptr<const DefaultView> Next) {
+  {
+    std::lock_guard<std::mutex> L(ViewMu);
+    View.swap(Next);
+  }
+  // Next now holds the old view; if it was the last reference, the
+  // analysis it kept alive is freed here, outside ViewMu.
+}
+
+void EstimationSession::publish(const ConfigCache &Cache) {
+  auto V = std::make_shared<DefaultView>();
+  V->Epoch = StateEpoch;
+  V->Analysis = Cache.Analysis;
+  V->Quarantined = QuarantinedFns;
+  setView(std::move(V));
+}
+
+void EstimationSession::refreshDefault(CancelToken *Cancel) {
+  liftDegradation();
+  std::string Error;
+  ConfigCache &Cache = configFor(CM, Opts.LoopVariance);
+  // Never publish a degraded or failed analysis: drop the view instead,
+  // and the next read recomputes under the lock.
+  if (refreshInputs(Error, Cancel) && DegradedFns.empty() &&
+      refreshConfig(Cache, Cancel).empty() && DegradedFns.empty())
+    publish(Cache);
+  else
+    setView(nullptr);
+}
+
+void EstimationSession::refreshView(uint64_t Epoch, CancelToken *Cancel) {
+  if (Epoch == 0)
+    return;
   std::lock_guard<std::mutex> L(Mu);
-  return estimateLocked(Requests);
+  // No view: a mutation never creates one. A view at or past Epoch:
+  // another writer's refresh (or a locked read) already covers this fold.
+  if (!View || View->Epoch >= Epoch)
+    return;
+  refreshDefault(Cancel ? Cancel : Opts.Cancel);
+}
+
+void EstimationSession::dropView() {
+  std::lock_guard<std::mutex> L(Mu);
+  setView(nullptr);
+}
+
+/// Fills one answer from \p A; \p Degraded is null on the lock-free path,
+/// whose views are never degraded.
+static void answer(const Program &P, const EstimateRequest &Req,
+                   const std::shared_ptr<const TimeAnalysis> &A,
+                   const std::map<const Function *, std::string> &Quarantined,
+                   const std::map<const Function *, std::string> *Degraded,
+                   EstimateResult &R) {
+  const Function *F =
+      Req.Function.empty() ? P.entry() : P.findFunction(Req.Function);
+  if (!F) {
+    R.Error = Req.Function.empty() ? "program has no entry procedure"
+                                   : "unknown function '" + Req.Function + "'";
+    return;
+  }
+  R.Ok = true;
+  R.F = F;
+  R.Time = A->functionTime(*F);
+  R.Var = A->functionVariance(*F);
+  R.StdDev = std::sqrt(R.Var > 0.0 ? R.Var : 0.0);
+  auto QIt = Quarantined.find(F);
+  if (QIt != Quarantined.end()) {
+    R.Quarantined = true;
+    R.QuarantineReason = QIt->second;
+  }
+  if (Degraded) {
+    auto DIt = Degraded->find(F);
+    if (DIt != Degraded->end()) {
+      R.Degraded = true;
+      R.DegradeReason = DIt->second;
+    }
+  }
+  R.Analysis = A;
 }
 
 std::vector<EstimateResult>
 EstimationSession::estimate(const std::vector<EstimateRequest> &Requests,
                             CancelToken *Cancel) {
+  if (std::all_of(Requests.begin(), Requests.end(),
+                  [this](const EstimateRequest &R) { return isDefault(R); })) {
+    std::shared_ptr<const DefaultView> V;
+    {
+      std::lock_guard<std::mutex> L(ViewMu);
+      V = View;
+    }
+    if (V) {
+      LastEvals.store(0, std::memory_order_relaxed);
+      CacheHits.fetch_add(1, std::memory_order_relaxed);
+      if (ObsRegistry *Obs = Opts.Obs) {
+        Obs->addCounter("session.queries", Requests.size());
+        Obs->addCounter("session.cache_hits");
+      }
+      std::vector<EstimateResult> Results(Requests.size());
+      for (size_t I = 0; I < Requests.size(); ++I)
+        answer(*P, Requests[I], V->Analysis, V->Quarantined, nullptr,
+               Results[I]);
+      return Results;
+    }
+  }
   std::lock_guard<std::mutex> L(Mu);
-  ScopedCancelSwap Swap(Opts, Cancel);
-  return estimateLocked(Requests);
+  return estimateLocked(Requests, Cancel ? Cancel : Opts.Cancel);
 }
 
 std::vector<EstimateResult>
-EstimationSession::estimateLocked(const std::vector<EstimateRequest> &Requests) {
-  LastEvals = 0;
+EstimationSession::estimateLocked(const std::vector<EstimateRequest> &Requests,
+                                  CancelToken *Cancel) {
+  const uint64_t EvalsBefore = TotalEvals.load(std::memory_order_relaxed);
+  const uint64_t EpochBefore = StateEpoch;
   ObsRegistry *Obs = Opts.Obs;
-  CancelToken *Cancel = Opts.Cancel;
   uint64_t PollsBefore = Cancel ? Cancel->polls() : 0;
-  auto RecordPolls = [&] {
+  std::vector<EstimateResult> Results(Requests.size());
+  ConfigCache *Default = nullptr;
+  // Every exit: account the evaluations and polls, then publish the
+  // default configuration if it ended exact; a view this call made stale
+  // (a quarantine during the refresh) and could not republish is dropped.
+  auto Finish = [&] {
+    LastEvals.store(TotalEvals.load(std::memory_order_relaxed) - EvalsBefore,
+                    std::memory_order_relaxed);
     if (Obs && Cancel)
       Obs->addCounter("resilience.cancel_polls", Cancel->polls() - PollsBefore);
+    if (Default && DegradedFns.empty()) {
+      if (!View || View->Epoch != StateEpoch ||
+          View->Analysis != Default->Analysis)
+        publish(*Default);
+    } else if (View && StateEpoch != EpochBefore) {
+      setView(nullptr);
+    }
+    return Results;
+  };
+  auto FailAll = [&](const std::string &Error) {
+    for (EstimateResult &R : Results) {
+      R.Ok = false;
+      R.Error = Error;
+    }
+    Default = nullptr;
+    return Finish();
   };
   if (Obs)
     Obs->addCounter("session.queries", Requests.size());
   // Deadline degradation is per-query: lift it so this query (with a
   // fresh or absent token) recomputes the affected functions exactly.
-  if (!DegradedFns.empty()) {
-    for (const auto &[F, Reason] : DegradedFns)
-      Dirty.insert(F);
-    DegradedFns.clear();
-  }
+  liftDegradation();
   std::string Error;
-  bool InputsOk = refreshInputs(Error);
-
-  std::vector<EstimateResult> Results(Requests.size());
-  if (!InputsOk) {
-    for (EstimateResult &R : Results) {
-      R.Ok = false;
-      R.Error = Error;
-    }
-    RecordPolls();
-    return Results;
-  }
+  if (!refreshInputs(Error, Cancel))
+    return FailAll(Error);
 
   // Bring every configuration the batch touches up to date exactly once,
   // then answer from the caches.
@@ -515,52 +642,21 @@ EstimationSession::estimateLocked(const std::vector<EstimateRequest> &Requests) 
         configFor(Req.Cost ? *Req.Cost : CM,
                   Req.LoopVariance ? *Req.LoopVariance : Opts.LoopVariance);
     if (Refreshed.insert(&Cache).second) {
-      std::string ConfigError = refreshConfig(Cache);
-      if (!ConfigError.empty()) {
-        // Token expired under DeadlinePolicy::Fail: the whole batch fails
-        // atomically (no cache was modified).
-        for (EstimateResult &R : Results) {
-          R.Ok = false;
-          R.Error = ConfigError;
-        }
-        RecordPolls();
-        return Results;
-      }
+      std::string ConfigError = refreshConfig(Cache, Cancel);
+      // Token expired under DeadlinePolicy::Fail: the whole batch fails
+      // atomically (no cache was modified).
+      if (!ConfigError.empty())
+        return FailAll(ConfigError);
+      if (isDefault(Req))
+        Default = &Cache;
     }
     Caches[I] = &Cache;
   }
 
-  for (size_t I = 0; I < Requests.size(); ++I) {
-    const EstimateRequest &Req = Requests[I];
-    EstimateResult &R = Results[I];
-    const Function *F = Req.Function.empty() ? P->entry()
-                                             : P->findFunction(Req.Function);
-    if (!F) {
-      R.Error = Req.Function.empty()
-                    ? "program has no entry procedure"
-                    : "unknown function '" + Req.Function + "'";
-      continue;
-    }
-    const TimeAnalysis &A = *Caches[I]->Analysis;
-    R.Ok = true;
-    R.F = F;
-    R.Time = A.functionTime(*F);
-    R.Var = A.functionVariance(*F);
-    R.StdDev = std::sqrt(R.Var > 0.0 ? R.Var : 0.0);
-    auto QIt = QuarantinedFns.find(F);
-    if (QIt != QuarantinedFns.end()) {
-      R.Quarantined = true;
-      R.QuarantineReason = QIt->second;
-    }
-    auto DIt = DegradedFns.find(F);
-    if (DIt != DegradedFns.end()) {
-      R.Degraded = true;
-      R.DegradeReason = DIt->second;
-    }
-    R.Analysis = &A;
-  }
-  RecordPolls();
-  return Results;
+  for (size_t I = 0; I < Requests.size(); ++I)
+    answer(*P, Requests[I], Caches[I]->Analysis, QuarantinedFns, &DegradedFns,
+           Results[I]);
+  return Finish();
 }
 
 ProfileFile EstimationSession::captureProfileLocked() const {
@@ -611,204 +707,265 @@ void EstimationSession::captureDurableState(
   }
 }
 
-bool EstimationSession::markQuarantined(const std::string &FunctionName,
-                                        const std::string &Reason) {
-  std::lock_guard<std::mutex> L(Mu);
-  const Function *F = P->findFunction(FunctionName);
-  if (!F)
-    return false;
-  quarantine(*F, Reason);
-  return true;
-}
-
-ProfileIngestReport EstimationSession::ingestProfile(const ProfileFile &PF) {
-  std::lock_guard<std::mutex> L(Mu);
-  return ingestProfileLocked(PF);
+void EstimationSession::restoreDurableState(
+    const durable::DurableSessionState &State,
+    std::vector<std::string> &Diagnostics) {
+  const std::string Where = "snapshot '" + State.Name + "'";
+  std::optional<ProfileFile> PF;
+  ValidatedProfile V;
+  if (!State.ProfileImage.empty()) {
+    DiagnosticEngine LoadDiags;
+    PF = ProfileFile::deserialize(State.ProfileImage, &LoadDiags);
+    if (PF)
+      V = validateProfile(*PF, nullptr);
+    else
+      Diagnostics.push_back(Where + ": profile image failed to parse: " +
+                            LoadDiags.str());
+  }
+  uint64_t Epoch = 0;
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    std::set<const Function *> Quarantined;
+    for (const auto &[Fn, Reason] : State.Quarantined)
+      if (const Function *F = P->findFunction(Fn))
+        Quarantined.insert(F);
+    // The image first, quarantined functions' sections included: the
+    // quarantine below would otherwise make the fold skip them and drop
+    // the counters their runs left in the runtime.
+    if (PF) {
+      ProfileIngestReport Rep = foldProfileLocked(V, &Quarantined);
+      if (!Rep.Ok)
+        Diagnostics.push_back(Where + ": profile image failed to ingest: " +
+                              Rep.Error);
+    }
+    for (const auto &[Fn, Reason] : State.Quarantined) {
+      if (const Function *F = P->findFunction(Fn))
+        quarantine(*F, Reason);
+      else
+        Diagnostics.push_back(Where + ": quarantined function '" + Fn +
+                              "' not found in the rebuilt program");
+    }
+    for (const durable::FoldEntry &FE : State.External) {
+      const Function *F = P->findFunction(FE.Function);
+      if (!F) {
+        Diagnostics.push_back(Where + ": function '" + FE.Function +
+                              "' not found; its totals dropped");
+        continue;
+      }
+      FrequencyTotals T;
+      T.Ok = true;
+      for (const durable::CondTotal &C : FE.Conds)
+        T.Cond[ControlCondition{C.Node, static_cast<CfgLabel>(C.Label)}] =
+            C.Total;
+      accumulateTotalsLocked(*F, T);
+    }
+    for (const std::string &Fn : State.Saturated) {
+      if (const Function *F = P->findFunction(Fn))
+        noteSaturation(*F);
+      else
+        Diagnostics.push_back(Where + ": saturated function '" + Fn +
+                              "' not found");
+    }
+    Epoch = bumpEpoch();
+  }
+  refreshView(Epoch);
 }
 
 ProfileIngestReport EstimationSession::ingestProfile(const ProfileFile &PF,
                                                      CancelToken *Cancel) {
-  std::lock_guard<std::mutex> L(Mu);
-  ScopedCancelSwap Swap(Opts, Cancel);
-  return ingestProfileLocked(PF);
+  uint64_t Epoch = 0;
+  ProfileIngestReport Report = foldProfile(validateProfile(PF, Cancel), Epoch);
+  refreshView(Epoch, Cancel);
+  return Report;
 }
 
-ProfileIngestReport
-EstimationSession::ingestProfileLocked(const ProfileFile &PF) {
-  ProfileIngestReport Report;
+ValidatedProfile EstimationSession::validateProfile(const ProfileFile &PF,
+                                                    CancelToken *Cancel) const {
+  if (!Cancel)
+    Cancel = Opts.Cancel;
+  ValidatedProfile V;
+  V.Runs = PF.runs();
   ObsRegistry *Obs = Opts.Obs;
   if (Obs)
     Obs->addCounter("session.ingest.profiles");
 
   if (PF.programFingerprint() != programFingerprintOf(Est->analysis())) {
-    Report.Error = "profile was recorded against a different program "
-                   "(program fingerprint mismatch)";
-    return Report;
+    V.Error = "profile was recorded against a different program "
+              "(program fingerprint mismatch)";
+    return V;
   }
-  if (PF.mode() != Est->plan().mode()) {
-    Report.Error = std::string("profile counter mode ") +
-                   profileModeName(PF.mode()) +
-                   " does not match the session's " +
-                   profileModeName(Est->plan().mode());
-    return Report;
+  const ProfileMode Mode = Est->plan().mode();
+  if (PF.mode() != Mode) {
+    V.Error = std::string("profile counter mode ") +
+              profileModeName(PF.mode()) + " does not match the session's " +
+              profileModeName(Mode);
+    return V;
   }
 
-  // Phase 1: validate every section without touching session state, so a
-  // Fail-policy rejection is atomic.
-  struct GoodSection {
-    const Function *F = nullptr;
-    FrequencyTotals Totals;
-    const FunctionSection *S = nullptr;
+  auto CutShort = [&] {
+    V.Error = cancelMessage(*Cancel, "profile ingest") + "; nothing ingested";
+    V.Sections.clear();
+    return V;
   };
-  std::vector<GoodSection> Good;
-  std::vector<std::pair<const Function *, std::string>> Bad;
-  CancelToken *Cancel = Opts.Cancel;
   for (const FunctionSection &S : PF.sections()) {
     // Validation only reads; aborting between sections leaves the session
     // untouched, so a mid-ingest expiry is atomic under every policy.
     if (Cancel && Cancel->checkpoint()) {
-      Report.Error = cancelMessage(*Cancel, "profile ingest") +
-                     "; nothing ingested";
       if (Obs)
         Obs->addCounter(Cancel->reason() == CancelReason::Cancelled
                             ? "resilience.cancellations"
                             : "resilience.deadline_hits");
-      return Report;
+      return CutShort();
     }
     if (Obs)
       Obs->addCounter("session.ingest.sections");
+    ValidatedProfile::Section &Sec = V.Sections.emplace_back();
+    Sec.S = &S;
     const Function *F = P->findFunction(S.Name);
     if (!F) {
-      Report.Findings.push_back(S.Name + ": profile names a function this "
-                                         "program does not have");
+      Sec.Finding = "profile names a function this program does not have";
       continue;
     }
-    auto Reject = [&](const std::string &Why) {
-      Bad.emplace_back(F, Why);
-      Report.Findings.push_back(S.Name + ": " + Why);
-    };
     const FunctionAnalysis *FA = Est->analysis().tryOf(*F);
     if (!FA) {
-      Report.Findings.push_back(S.Name + ": function failed analysis; "
-                                         "section ignored");
+      Sec.Finding = "function failed analysis; section ignored";
       continue;
     }
-    if (QuarantinedFns.count(F)) {
-      Report.Findings.push_back(S.Name + ": function is quarantined; "
-                                         "section ignored");
-      continue;
-    }
-    if (!S.Valid) {
-      Reject(S.Issue);
-      continue;
-    }
-    if (S.Fingerprint != structuralFingerprintOf(*FA)) {
-      Reject("structural fingerprint mismatch (profile predates a change "
-             "to this function)");
-      continue;
-    }
-    if (S.Counters.size() != Est->plan().of(*F).numCounters()) {
-      Reject("profile has " + std::to_string(S.Counters.size()) +
-             " counters, plan expects " +
-             std::to_string(Est->plan().of(*F).numCounters()));
-      continue;
-    }
-    bool ValuesOk = true;
-    for (double C : S.Counters)
-      if (!std::isfinite(C) || C < 0.0 || C > ProfileFile::SaturationLimit) {
-        Reject("counter values are non-finite, negative or overflowed");
-        ValuesOk = false;
-        break;
+    Sec.F = F;
+    Sec.Issue = [&]() -> std::string {
+      if (!S.Valid)
+        return S.Issue;
+      if (S.Fingerprint != structuralFingerprintOf(*FA))
+        return "structural fingerprint mismatch (profile predates a change "
+               "to this function)";
+      unsigned Expected = Est->plan().of(*F).numCounters();
+      if (S.Counters.size() != Expected)
+        return "profile has " + std::to_string(S.Counters.size()) +
+               " counters, plan expects " + std::to_string(Expected);
+      for (double C : S.Counters)
+        if (!std::isfinite(C) || C < 0.0 || C > ProfileFile::SaturationLimit)
+          return "counter values are non-finite, negative or overflowed";
+      for (const ProfileLoopMoments &L : S.Loops) {
+        if (!std::isfinite(L.Entries) || !std::isfinite(L.Sum) ||
+            !std::isfinite(L.SumSq) || L.Entries < 0.0 || L.Sum < 0.0 ||
+            L.SumSq < 0.0)
+          return "loop moments are non-finite or negative";
+        if (L.HeaderStmt >= F->numStmts())
+          return "loop moments name a statement this function does not have";
+        // Cauchy-Schwarz: E[FREQ^2] >= E[FREQ]^2, i.e. SumSq*Entries >=
+        // Sum^2 — garbled moments usually break this.
+        if (L.Entries > 0.0 &&
+            L.SumSq * L.Entries + 1e-6 * L.Sum * L.Sum < L.Sum * L.Sum)
+          return "loop moments are internally inconsistent (E[F^2] < "
+                 "E[F]^2)";
       }
-    if (!ValuesOk)
+      return {};
+    }();
+    if (!Sec.Issue.empty())
       continue;
-    for (const ProfileLoopMoments &L : S.Loops) {
-      if (!std::isfinite(L.Entries) || !std::isfinite(L.Sum) ||
-          !std::isfinite(L.SumSq) || L.Entries < 0.0 || L.Sum < 0.0 ||
-          L.SumSq < 0.0) {
-        Reject("loop moments are non-finite or negative");
-        ValuesOk = false;
-        break;
-      }
-      if (L.HeaderStmt >= F->numStmts()) {
-        Reject("loop moments name a statement this function does not have");
-        ValuesOk = false;
-        break;
-      }
-      // Cauchy-Schwarz: E[FREQ^2] >= E[FREQ]^2, i.e. SumSq*Entries >=
-      // Sum^2 — garbled moments usually break this.
-      if (L.Entries > 0.0 &&
-          L.SumSq * L.Entries + 1e-6 * L.Sum * L.Sum < L.Sum * L.Sum) {
-        Reject("loop moments are internally inconsistent (E[F^2] < E[F]^2)");
-        ValuesOk = false;
-        break;
-      }
-    }
-    if (!ValuesOk)
+    Sec.ShapeOk = true;
+    // Naive plans count every block and recover no branch totals at all
+    // (an unsupported configuration, not bad data): shape and values are
+    // all there is to check.
+    if (Mode == ProfileMode::Naive)
       continue;
-    FrequencyTotals Totals =
-        recoverTotals(*FA, Est->plan().of(*F), S.Counters, nullptr, nullptr,
-                      Cancel);
-    if (Cancel && Cancel->expired()) {
-      // Expiry inside the recovery fixpoint is a transient cut, not bad
-      // data: abort the ingest rather than misclassify the section.
-      Report.Error = cancelMessage(*Cancel, "profile ingest") +
-                     "; nothing ingested";
-      return Report;
-    }
-    std::string Issue = totalsIssue(Totals);
-    if (Issue.empty()) {
+    Sec.Totals = recoverTotals(*FA, Est->plan().of(*F), S.Counters, nullptr,
+                               nullptr, Cancel);
+    // Expiry inside the recovery fixpoint is a transient cut, not bad
+    // data: abort the ingest rather than misclassify the section.
+    if (Cancel && Cancel->expired())
+      return CutShort();
+    Sec.Issue = totalsIssue(Sec.Totals);
+    if (Sec.Issue.empty()) {
       std::vector<std::string> Findings =
-          checkFrequencyConsistency(*FA, Totals);
+          checkFrequencyConsistency(*FA, Sec.Totals);
       if (!Findings.empty())
-        Issue = Findings.front();
+        Sec.Issue = Findings.front();
     }
-    if (!Issue.empty()) {
-      Reject(Issue);
-      continue;
+  }
+  return V;
+}
+
+ProfileIngestReport EstimationSession::foldProfile(const ValidatedProfile &V,
+                                                   uint64_t &Epoch) {
+  std::lock_guard<std::mutex> L(Mu);
+  ProfileIngestReport Report = foldProfileLocked(V);
+  Epoch = Report.Ok ? bumpEpoch() : 0;
+  return Report;
+}
+
+ProfileIngestReport EstimationSession::foldProfileLocked(
+    const ValidatedProfile &V, const std::set<const Function *> *Restoring) {
+  ProfileIngestReport Report;
+  Report.Error = V.Error;
+  if (!V.Error.empty())
+    return Report;
+  ObsRegistry *Obs = Opts.Obs;
+
+  // Sort the sections by the session's current quarantine set: the check
+  // belongs here, not in validation, because only the fold sees the
+  // quarantines every earlier fold made.
+  std::vector<const ValidatedProfile::Section *> Good, Bad;
+  for (const ValidatedProfile::Section &Sec : V.Sections) {
+    const std::string &Name = Sec.S->Name;
+    if (!Sec.F) {
+      Report.Findings.push_back(Name + ": " + Sec.Finding);
+    } else if (Restoring && Restoring->count(Sec.F)) {
+      if (Sec.ShapeOk)
+        Good.push_back(&Sec);
+    } else if (QuarantinedFns.count(Sec.F)) {
+      Report.Findings.push_back(Name + ": function is quarantined; section "
+                                       "ignored");
+    } else if (!Sec.Issue.empty()) {
+      Bad.push_back(&Sec);
+      Report.Findings.push_back(Name + ": " + Sec.Issue);
+    } else {
+      Good.push_back(&Sec);
     }
-    Good.push_back({F, std::move(Totals), &S});
   }
 
   if (Opts.OnBadProfile == BadProfilePolicy::Fail && !Bad.empty()) {
     Report.Error = "profile failed validation for " +
                    std::to_string(Bad.size()) +
                    " function(s); nothing ingested";
-    for (const auto &[F, Why] : Bad)
-      Report.Quarantined.push_back(F->name());
+    for (const ValidatedProfile::Section *Sec : Bad)
+      Report.Quarantined.push_back(Sec->F->name());
     if (Obs)
       Obs->addCounter("session.ingest.rejected", Bad.size());
     return Report;
   }
 
-  // Phase 2: fold the clean sections, quarantine the bad ones.
-  for (const auto &[F, Why] : Bad) {
-    quarantine(*F, Why);
-    Report.Quarantined.push_back(F->name());
+  for (const ValidatedProfile::Section *Sec : Bad) {
+    quarantine(*Sec->F, Sec->Issue);
+    Report.Quarantined.push_back(Sec->F->name());
   }
   // A clean section's counters join the counter runtime exactly as a
   // profiled run's would, so every capture of the session carries them.
-  for (GoodSection &G : Good) {
-    bool Saturated =
-        Est->runtimeMutable().addCounters(*G.F, G.S->Counters);
+  for (const ValidatedProfile::Section *Sec : Good) {
+    const Function &F = *Sec->F;
+    bool Saturated = Est->runtimeMutable().addCounters(F, Sec->S->Counters);
     if (Saturated)
-      noteSaturation(*G.F);
-    for (const ProfileLoopMoments &L : G.S->Loops)
-      Est->loopStatsMutable().addMoments(
-          *G.F, L.HeaderStmt, {L.Entries, L.Sum, L.SumSq});
+      noteSaturation(F);
+    for (const ProfileLoopMoments &L : Sec->S->Loops)
+      Est->loopStatsMutable().addMoments(F, L.HeaderStmt,
+                                         {L.Entries, L.Sum, L.SumSq});
     // Recovery is linear in the counters: unless every function is to be
     // recovered again anyway, add the totals validation just recovered to
-    // the cached ones instead of solving the function again.
+    // the cached ones instead of solving the function again. Sections
+    // without exact totals (naive plans, restored quarantined functions)
+    // leave the runtime to be recovered at the next refresh.
     if (!RuntimeStale) {
-      if (!Saturated && addExactTotals(Inputs[G.F].Base, G.Totals))
-        Dirty.insert(G.F);
+      if (!Saturated && addExactTotals(Inputs[&F].Base, Sec->Totals))
+        Dirty.insert(&F);
       else
         RuntimeStale = true;
     }
     ++Report.Accepted;
   }
-  uint64_t AllRuns = static_cast<uint64_t>(Runs) + PF.runs();
-  Runs = AllRuns > UINT32_MAX ? UINT32_MAX : static_cast<unsigned>(AllRuns);
+  uint64_t AllRuns = static_cast<uint64_t>(Runs) + V.Runs;
+  Runs.store(AllRuns > UINT32_MAX ? UINT32_MAX
+                                  : static_cast<unsigned>(AllRuns),
+             std::memory_order_relaxed);
   if (Obs) {
     Obs->addCounter("session.ingest.accepted", Report.Accepted);
     Obs->addCounter("session.ingest.quarantined", Bad.size());

@@ -28,27 +28,41 @@
 /// profile_explorer example and the scaling benchmark are thin clients of
 /// it.
 ///
-/// Concurrency contract (what ptran-serve relies on): every state-touching
-/// member function — profiledRun, accumulateTotals, ingestProfile,
-/// captureProfile, saveProfile and estimate — is serialized by one
-/// internal lock, so any number of threads may call them on one session
-/// and each call observes a consistent session. Two caveats:
+/// Concurrency contract (what ptran-serve relies on). Any number of
+/// threads may call the public members on one session; who takes which
+/// lock:
 ///
-///   - EstimateResult::Analysis points at session-owned cache state and is
-///     only stable until the next state-touching call; a concurrent caller
-///     must consume the scalar fields (Time/Var/StdDev and the
-///     Quarantined/Degraded tags) before releasing its thread of control,
-///     and must not dereference Analysis once other threads may mutate the
-///     session. The serving daemon only ships the scalars.
-///   - The introspection accessors (quarantined(), degraded(),
-///     frequencies(), totalsFor(), lastEvaluations() and friends) are
-///     unlocked reads for tests and single-threaded tools; call them only while no other thread is
-///     inside the session.
+///   - A read of the default configuration (session cost model and
+///     loop-variance mode, no override) takes no session lock when a
+///     published view exists: it copies one shared_ptr under ViewMu, a
+///     mutex held only for that pointer copy, and answers from the
+///     immutable analysis and quarantine tags the view holds. Lock-free
+///     reads count as cache hits.
+///   - Every other read (an override, or any read while no view exists)
+///     and every mutation takes the session lock Mu. A locked
+///     default-configuration read that ends exact publishes the view;
+///     a mutation never creates one.
+///   - A mutation that finds a view refreshes it before returning:
+///     profiledRun, accumulateTotals(Batch), ingestProfile (whose fold
+///     may quarantine) and restoreDurableState. A refresh that cannot
+///     finish exactly (token expired, recovery failed) drops the view, so
+///     the next read takes the locked path. Either way a read that starts
+///     after a mutation returned sees that mutation (read-your-writes),
+///     and a view is always one consistent cut (all-or-nothing).
+///   - Callers that hold locks of their own split a mutation in two:
+///     validateProfile (const, no lock) + foldProfile, or foldTotalsBatch,
+///     under their locks, then refreshView after releasing them. One
+///     refresh covers every fold committed before it; a writer whose fold
+///     is already published skips its own.
 ///
-/// The per-call estimate/ingestProfile overloads taking a CancelToken
-/// exist for one-session-many-deadlines callers (one daemon request = one
-/// token): the token replaces EstimatorOptions::Cancel for the duration of
-/// that one serialized call.
+/// EstimateResult::Analysis shares ownership of the analysis it came
+/// from, so it stays valid however the session moves on. Deadlines are
+/// per call: the CancelToken argument (null = the session-wide
+/// EstimatorOptions::Cancel) is passed down explicitly, never written into
+/// shared state. The introspection accessors (quarantined(), degraded(),
+/// frequencies(), totalsFor()) are unlocked reads for tests and
+/// single-threaded tools; call them only while no other thread is inside
+/// the session.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,6 +73,7 @@
 #include "durable/Snapshot.h"
 #include "profile/ProfileFile.h"
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -109,9 +124,9 @@ struct EstimateResult {
   bool Degraded = false;
   /// Why the function was degraded (empty otherwise).
   std::string DegradeReason;
-  /// The full analysis the answer came from (owned by the session; valid
-  /// until the session mutates that configuration's cache or dies).
-  const TimeAnalysis *Analysis = nullptr;
+  /// The full analysis the answer came from. Immutable and shared: it
+  /// stays valid however the session moves on.
+  std::shared_ptr<const TimeAnalysis> Analysis;
 };
 
 /// Outcome of ingesting one profile file into a session.
@@ -128,6 +143,34 @@ struct ProfileIngestReport {
   std::vector<std::string> Quarantined;
   /// Per-section validation findings, each prefixed "<function>: ".
   std::vector<std::string> Findings;
+};
+
+/// A profile checked against a session's immutable analysis and plan
+/// (EstimationSession::validateProfile), ready to fold. It points into
+/// the ProfileFile it came from, which must outlive it.
+struct ValidatedProfile {
+  /// Whole-profile failure found while validating (fingerprint or mode
+  /// mismatch, token expiry): nothing may fold.
+  std::string Error;
+  uint32_t Runs = 0;
+  /// One per section, in profile order.
+  struct Section {
+    /// Null when the section names no function of the program or one
+    /// that failed analysis; Finding then says so.
+    const Function *F = nullptr;
+    const FunctionSection *S = nullptr;
+    std::string Finding;
+    /// Why the section's data is unusable ("" = clean).
+    std::string Issue;
+    /// The counters and loop moments have the plan's shape and sane
+    /// values, so they can join the runtime (a restore folds a
+    /// quarantined function's section on this alone).
+    bool ShapeOk = false;
+    /// Totals recovered from the section's counters (clean sections of
+    /// recoverable plans; naive plans recover nothing).
+    FrequencyTotals Totals;
+  };
+  std::vector<Section> Sections;
 };
 
 /// Owns one program's estimation state across runs and queries.
@@ -169,6 +212,25 @@ public:
   void accumulateTotalsBatch(
       const std::vector<std::pair<const Function *, FrequencyTotals>> &Deltas);
 
+  /// accumulateTotalsBatch without the refresh, for callers that hold
+  /// locks of their own: returns the ticket to pass to refreshView once
+  /// they are released.
+  uint64_t foldTotalsBatch(
+      const std::vector<std::pair<const Function *, FrequencyTotals>> &Deltas);
+
+  /// Brings the published view up to the fold whose ticket is \p Epoch
+  /// (0 = nothing to do): skipped when no view exists or one covering
+  /// that fold is already published, so concurrent writers share one
+  /// refresh. A refresh that cannot finish exactly drops the view.
+  void refreshView(uint64_t Epoch, CancelToken *Cancel = nullptr);
+
+  /// Drops the published view, so the mutations that follow find none
+  /// and skip their refresh; the next default-configuration read
+  /// recomputes under the lock and publishes again. For a thread whose
+  /// latency matters more than its session's readers' (a standby's
+  /// apply loop, whose acknowledgement waits on every apply).
+  void dropView();
+
   /// Records that an external producer (e.g. the streaming ingest fold)
   /// clamped \p F's counter totals at 2^53 before handing them over, so the
   /// session's own accumulator never saw the overflow. Emits the same
@@ -185,14 +247,23 @@ public:
   /// whole profile (nothing folds). A clean section's counters and loop
   /// moments join the session's counter runtime, and the profile's run
   /// count adds to runsExecuted(), as if its runs had happened here.
-  ProfileIngestReport ingestProfile(const ProfileFile &PF);
-
-  /// Same, bounded by \p Cancel instead of the session-wide
-  /// EstimatorOptions::Cancel for this one call (null = use the session
-  /// token). The swap happens under the session lock, so concurrent
-  /// callers each get their own bound.
+  /// validateProfile + foldProfile + refreshView; \p Cancel bounds the
+  /// validation and the refresh (null = the session-wide token).
   ProfileIngestReport ingestProfile(const ProfileFile &PF,
-                                    CancelToken *Cancel);
+                                    CancelToken *Cancel = nullptr);
+
+  /// The validation half of ingestProfile: reads only the immutable
+  /// analysis and plan, takes no lock, and may run on many threads at
+  /// once. A naive-mode plan recovers no totals, so its sections are
+  /// checked for shape and values only.
+  ValidatedProfile validateProfile(const ProfileFile &PF,
+                                   CancelToken *Cancel = nullptr) const;
+
+  /// The fold half, under the session lock: quarantined functions'
+  /// sections are ignored, bad sections quarantine their function (or,
+  /// under BadProfilePolicy::Fail, reject the whole profile), clean ones
+  /// join the runtime. Sets \p Epoch to the ticket refreshView wants.
+  ProfileIngestReport foldProfile(const ValidatedProfile &V, uint64_t &Epoch);
 
   /// Snapshots the session's counter runtime, loop moments and run count
   /// as a durable profile: everything its profiled runs and ingested
@@ -217,11 +288,14 @@ public:
   /// view.
   void captureDurableState(durable::DurableSessionState &Out) const;
 
-  /// Re-applies a sticky quarantine recorded in a snapshot (the restore
-  /// path; quarantine reasons must survive a daemon restart verbatim).
-  /// False when \p FunctionName names no function of this program.
-  bool markQuarantined(const std::string &FunctionName,
-                       const std::string &Reason);
+  /// The mirror of captureDurableState, into a fresh session, under one
+  /// lock: folds every section of the profile image (a quarantined
+  /// function's too: it is the session's own capture), then re-applies
+  /// the quarantines (reasons verbatim), the partial deltas and the
+  /// saturation marks, then refreshes the view once. Parts that no longer
+  /// fit the program cost one line each in \p Diagnostics.
+  void restoreDurableState(const durable::DurableSessionState &State,
+                           std::vector<std::string> &Diagnostics);
 
   /// Functions currently quarantined, with reasons. Quarantine is sticky
   /// for the session's lifetime: later clean data does not lift it.
@@ -243,17 +317,15 @@ public:
     return DegradedFns.count(&F) != 0;
   }
 
-  /// Answers a batch of queries. Inputs are refreshed lazily: functions
-  /// whose fingerprinted totals/moments are unchanged since the last
-  /// query keep their cached summaries, and only the dirty closure is
-  /// re-evaluated (per distinct configuration in the batch).
-  std::vector<EstimateResult> estimate(const std::vector<EstimateRequest> &);
-
-  /// Same, bounded by \p Cancel instead of the session-wide token for this
-  /// one call (null = use the session token). One daemon request = one
-  /// token: each serialized call runs under its own deadline/budgets.
+  /// Answers a batch of queries. A batch of default-configuration
+  /// requests is answered from the published view without a lock when
+  /// one exists. Otherwise inputs are refreshed lazily: functions whose
+  /// fingerprinted totals/moments are unchanged since the last query keep
+  /// their cached summaries, and only the dirty closure is re-evaluated
+  /// (per distinct configuration in the batch). \p Cancel bounds this one
+  /// call (null = the session-wide token).
   std::vector<EstimateResult> estimate(const std::vector<EstimateRequest> &,
-                                       CancelToken *Cancel);
+                                       CancelToken *Cancel = nullptr);
 
   /// Single-query conveniences.
   EstimateResult estimate(const EstimateRequest &Request);
@@ -263,15 +335,26 @@ public:
   /// -- Introspection (tests assert incrementality through these) --------
 
   /// Per-function bottom-up evaluations the most recent estimate() call
-  /// performed (0 when every configuration was served from cache).
-  uint64_t lastEvaluations() const { return LastEvals; }
-  /// Same, accumulated over the session's lifetime.
-  uint64_t totalEvaluations() const { return TotalEvals; }
-  /// Configurations served with no re-evaluation at all, lifetime.
-  uint64_t cacheHits() const { return CacheHits; }
+  /// performed (0 when every configuration was served from cache). A
+  /// mutation's view refresh is not an estimate() call: count write+read
+  /// pairs through totalEvaluations().
+  uint64_t lastEvaluations() const {
+    return LastEvals.load(std::memory_order_relaxed);
+  }
+  /// Every evaluation over the session's lifetime, refreshes included.
+  uint64_t totalEvaluations() const {
+    return TotalEvals.load(std::memory_order_relaxed);
+  }
+  /// Configurations served with no re-evaluation at all (lock-free reads
+  /// included), lifetime.
+  uint64_t cacheHits() const {
+    return CacheHits.load(std::memory_order_relaxed);
+  }
   /// Profiled runs the counters accumulate: this session's own plus the
   /// run counts of the profiles it ingested.
-  unsigned runsExecuted() const { return Runs; }
+  unsigned runsExecuted() const {
+    return Runs.load(std::memory_order_relaxed);
+  }
   /// Every function's frequencies as the most recent estimate() evaluated
   /// them (static for quarantined and deadline-degraded functions).
   const std::map<const Function *, Frequencies> &frequencies() const {
@@ -287,10 +370,24 @@ public:
 private:
   EstimationSession() = default;
 
+  /// What a lock-free default-configuration read answers from: one
+  /// immutable analysis and the quarantine tags it was computed with.
+  struct DefaultView {
+    /// StateEpoch at publication: the view covers every fold up to it.
+    uint64_t Epoch = 0;
+    std::shared_ptr<const TimeAnalysis> Analysis;
+    std::map<const Function *, std::string> Quarantined;
+  };
+
   /// The unlocked bodies of the public entry points (callers hold Mu).
   std::vector<EstimateResult>
-  estimateLocked(const std::vector<EstimateRequest> &Requests);
-  ProfileIngestReport ingestProfileLocked(const ProfileFile &PF);
+  estimateLocked(const std::vector<EstimateRequest> &Requests,
+                 CancelToken *Cancel);
+  /// foldProfile's body. \p Restoring names the functions a snapshot
+  /// quarantined: their sections fold on shape alone (restore path).
+  ProfileIngestReport
+  foldProfileLocked(const ValidatedProfile &V,
+                    const std::set<const Function *> *Restoring = nullptr);
   ProfileFile captureProfileLocked() const;
   void accumulateTotalsLocked(const Function &F, const FrequencyTotals &Delta);
 
@@ -309,12 +406,12 @@ private:
   };
 
   /// One (cost model, loop-variance mode) configuration's cached
-  /// analysis. Stored behind unique_ptr so addresses stay stable while
-  /// the vector grows (EstimateResult::Analysis points into it).
+  /// analysis. Stored behind unique_ptr so configFor's references stay
+  /// stable while the vector grows.
   struct ConfigCache {
     CostModel CM;
     LoopVarianceMode LoopVariance = LoopVarianceMode::Zero;
-    std::unique_ptr<TimeAnalysis> Analysis;
+    std::shared_ptr<const TimeAnalysis> Analysis;
     /// Input keys the analysis was computed under.
     std::map<const Function *, uint64_t> Keys;
   };
@@ -322,7 +419,7 @@ private:
   /// Recomputes keys/frequencies for every function whose accumulated
   /// inputs changed. Returns false (and sets \p Error) when recovery
   /// failed for some function.
-  bool refreshInputs(std::string &Error);
+  bool refreshInputs(std::string &Error, CancelToken *Cancel);
   /// Re-derives one function's key and frequencies from its cached base
   /// totals plus external deltas (or static frequencies when \p F is
   /// quarantined). \returns the empty string, or — under
@@ -346,21 +443,45 @@ private:
   /// the token expired under DeadlinePolicy::Degrade (non-sticky; lifted
   /// at the start of the next estimate() call).
   void degradeForDeadline(const Function &F, const std::string &Reason);
+  /// Lifts the previous query's deadline degradation and dirties the
+  /// functions it touched, so this call recomputes them exactly.
+  void liftDegradation();
   uint64_t inputKeyOf(const Function &F, const FrequencyTotals &Totals) const;
   ConfigCache &configFor(const CostModel &CM, LoopVarianceMode LV);
+  /// True when \p R resolves to the session's default configuration.
+  bool isDefault(const EstimateRequest &R) const;
   /// Brings \p Cache up to date with the current inputs (cold run,
   /// incremental rerun, or nothing). Returns the empty string, or why the
   /// query must fail (token expired under DeadlinePolicy::Fail; the cache
   /// is left untouched, so the failure is atomic).
-  std::string refreshConfig(ConfigCache &Cache);
+  std::string refreshConfig(ConfigCache &Cache, CancelToken *Cancel);
 
-  /// Serializes every state-touching public member function (see the
-  /// concurrency contract in the file comment). Mutable so the const
+  /// Counts one mutation. \returns its refreshView ticket: the new epoch
+  /// when a view exists, else 0 (a mutation never creates a view).
+  uint64_t bumpEpoch();
+  /// Brings the default configuration up to date and publishes it, or
+  /// drops the view when the result is not exact.
+  void refreshDefault(CancelToken *Cancel);
+  /// Swaps \p Next in as the view (null drops it). Caller holds Mu; the
+  /// old view is released after ViewMu, so readers never wait on a free.
+  void setView(std::shared_ptr<const DefaultView> Next);
+  /// Publishes \p Cache (the default configuration's) at StateEpoch.
+  void publish(const ConfigCache &Cache);
+
+  /// Serializes every mutation and every read the view cannot answer (see
+  /// the concurrency contract in the file comment). Mutable so the const
   /// capture/save paths can take it too.
   mutable std::mutex Mu;
+  /// Guards only the View pointer: readers copy it under ViewMu alone;
+  /// writers hold Mu as well, so code under Mu may read it directly.
+  mutable std::mutex ViewMu;
+  std::shared_ptr<const DefaultView> View;
+  /// Mutations so far (guarded by Mu).
+  uint64_t StateEpoch = 0;
 
   const Program *P = nullptr;
   CostModel CM;
+  /// Immutable after create(), so lock-free reads may consult it.
   EstimatorOptions Opts;
   /// The session's own pool when the caller did not supply one;
   /// Opts.Exec.Pool points at it.
@@ -396,10 +517,11 @@ private:
   /// already emitted; estimates are lower bounds from then on).
   std::set<const Function *> SaturatedFns;
 
-  uint64_t LastEvals = 0;
-  uint64_t TotalEvals = 0;
-  uint64_t CacheHits = 0;
-  unsigned Runs = 0;
+  /// Written under Mu, or by lock-free reads (LastEvals, CacheHits).
+  std::atomic<uint64_t> LastEvals{0};
+  std::atomic<uint64_t> TotalEvals{0};
+  std::atomic<uint64_t> CacheHits{0};
+  std::atomic<unsigned> Runs{0};
 };
 
 } // namespace ptran

@@ -111,7 +111,7 @@ bool CounterDeltaStream::append(unsigned Slot, uint32_t FuncIdx,
 }
 
 CounterDeltaStream::FlushReport CounterDeltaStream::flush() {
-  std::lock_guard<std::mutex> L(FlushMu);
+  std::unique_lock<std::mutex> L(FlushMu);
   FlushReport R;
   // Seal the current epoch; writers that re-read Epoch from here on land
   // in the other bank.
@@ -171,7 +171,8 @@ CounterDeltaStream::FlushReport CounterDeltaStream::flush() {
   // applying it.
   auto Apply = [&] {
     if (!Batch.empty())
-      Session->accumulateTotalsBatch(Batch);
+      if (uint64_t Ticket = Session->foldTotalsBatch(Batch))
+        LastFoldEpoch = Ticket;
     for (const Function *F : Clamped)
       Session->noteExternalSaturation(*F);
   };
@@ -198,6 +199,13 @@ CounterDeltaStream::FlushReport CounterDeltaStream::flush() {
     Obs->addCounter("stream.flushed", R.Cells);
     Obs->addCounter("stream.epochs");
   }
+  // Refresh outside FlushMu (and outside the observer's locks), so the
+  // next flush can fold meanwhile and one refresh covers both. The ticket
+  // is the last fold's, not this one's: when another flusher sealed this
+  // caller's deltas, its refresh may still be running.
+  uint64_t Ticket = LastFoldEpoch;
+  L.unlock();
+  Session->refreshView(Ticket);
   return R;
 }
 

@@ -18,11 +18,11 @@
 ///   - a flusher seals the current epoch, waits for the handful of writers
 ///     still inside it to finish their in-flight appends, drains the
 ///     sealed bank in a deterministic order and folds the whole epoch into
-///     the session through ONE accumulateTotalsBatch call — so a
-///     concurrent estimate() query sees either none of the epoch or all of
-///     it, never a torn cut — which marks the touched functions dirty and
-///     the next query re-runs only their dirty closure (the existing
-///     incremental path).
+///     the session through ONE foldTotalsBatch call — so a concurrent
+///     estimate() query sees either none of the epoch or all of it, never
+///     a torn cut — then, with its own lock released, refreshes the
+///     session's published view over just the dirty closure (the
+///     existing incremental path).
 ///
 /// Cell layout: every analyzable function contributes one dense row of
 /// cells, one per entry of its sorted ControlDependence::conditions()
@@ -78,7 +78,8 @@ public:
 
   /// Called by flush() instead of applying the batch itself, once per
   /// flush that drained a nonzero batch. \p Apply performs the fold
-  /// (accumulateTotalsBatch + the per-function saturation notes); the
+  /// (foldTotalsBatch + the per-function saturation notes; the view
+  /// refresh runs after the observer returns); the
   /// observer MUST invoke it exactly once. \p Batch is in the stream's
   /// deterministic drain order; \p Clamped lists the functions whose cell
   /// totals clamped at 2^53 during the drain.
@@ -198,6 +199,9 @@ public:
   /// the sealed bank and folds it into the session as one atomic batch.
   /// Serialized against other flushers by an internal mutex; writers are
   /// never blocked. Reports `stream.*` counter deltas to Options::Obs.
+  /// Returns only once the session's view covers this fold and every
+  /// earlier one, even when another flusher sealed this caller's deltas,
+  /// so a read after flush() sees every delta appended before it.
   FlushReport flush();
 
   /// Lifetime totals (safe to call concurrently with writers; the values
@@ -274,6 +278,8 @@ private:
   std::atomic<uint64_t> AppendsAtLastFlush{0};
   uint64_t ReportedAppended = 0;
   uint64_t ReportedDropped = 0;
+  /// refreshView ticket of the last nonempty fold (guarded by FlushMu).
+  uint64_t LastFoldEpoch = 0;
 };
 
 } // namespace ptran

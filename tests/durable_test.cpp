@@ -27,6 +27,7 @@
 #include "serve/Server.h"
 #include "support/Bytes.h"
 #include "support/FaultInjection.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -933,6 +934,55 @@ TEST(ServeCoreDurable, RestoreRebuildsTheSnapshottedProfileAndRunCount) {
   WireMessage Ran = Core.handle(makeRequest("run", "s0"));
   ASSERT_EQ(Ran.Verb, "ok") << Ran.param("message");
   EXPECT_EQ(Ran.param("runs"), "3");
+}
+
+TEST(ServeCoreDurable, RestoreKeepsAQuarantinedFunctionsCounters) {
+  // A quarantined function's own runs left counters in the runtime, and
+  // the snapshot's profile image carries them. The restore folds every
+  // image section before it re-applies the quarantine, so capture ->
+  // restore into a fresh session -> capture gives the same bytes.
+  std::unique_ptr<Program> Prog = makeManyFunctionProgram(3, 2);
+  auto Make = [&](DiagnosticEngine &Diags) {
+    return EstimationSession::create(
+        *Prog, CostModel(),
+        EstimatorOptions(Diags).onBadProfile(BadProfilePolicy::Quarantine));
+  };
+  DiagnosticEngine D1, D2;
+  auto S = Make(D1);
+  ASSERT_NE(S, nullptr);
+  ASSERT_TRUE(S->profiledRun().Ok);
+  ProfileFile Bad = S->captureProfile();
+  ASSERT_EQ(Bad.sections().size(), 3u);
+  Bad.sectionsMutable()[1].Valid = false;
+  Bad.sectionsMutable()[1].Issue = "section checksum mismatch (corrupt data)";
+  ProfileIngestReport Report = S->ingestProfile(Bad);
+  ASSERT_TRUE(Report.Ok) << Report.Error;
+  ASSERT_EQ(Report.Quarantined.size(), 1u);
+
+  DurableSessionState State;
+  State.Name = "s0";
+  S->captureDurableState(State);
+  ASSERT_EQ(State.Quarantined.size(), 1u);
+
+  auto Restored = Make(D2);
+  ASSERT_NE(Restored, nullptr);
+  std::vector<std::string> Diagnostics;
+  Restored->restoreDurableState(State, Diagnostics);
+  EXPECT_TRUE(Diagnostics.empty()) << Diagnostics.front();
+  EXPECT_EQ(Restored->captureProfile().serialize(),
+            S->captureProfile().serialize());
+  EXPECT_EQ(Restored->quarantined().size(), 1u);
+  EXPECT_EQ(Restored->runsExecuted(), S->runsExecuted());
+  DurableSessionState Again;
+  Again.Name = "s0";
+  Restored->captureDurableState(Again);
+  EXPECT_EQ(encodeSnapshot(Again, 1), encodeSnapshot(State, 1));
+  EstimateResult Want = S->estimateEntry();
+  EstimateResult Got = Restored->estimateEntry();
+  ASSERT_TRUE(Want.Ok && Got.Ok) << Want.Error << Got.Error;
+  EXPECT_EQ(Got.Time, Want.Time);
+  EXPECT_EQ(Got.Var, Want.Var);
+  EXPECT_TRUE(Got.Quarantined == Want.Quarantined);
 }
 
 TEST(ServeCoreDurable, EvictedSessionStaysDeadAcrossRestart) {

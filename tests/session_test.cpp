@@ -5,8 +5,9 @@
 // Covers the EstimationSession subsystem: summary-cache invalidation (a
 // changed leaf re-evaluates exactly the leaf and its call-graph
 // ancestors), bit-identity of incremental vs cold recomputation, the
-// batch query API with per-request configuration overrides, and
-// determinism across job counts on one shared pool.
+// batch query API with per-request configuration overrides, determinism
+// across job counts on one shared pool, and lock-free reads racing
+// ingests (rerun under TSan as session_test_tsan).
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +20,13 @@
 
 #include "TestPrograms.h"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <limits>
 #include <set>
+#include <thread>
 #include <gtest/gtest.h>
 
 using namespace ptran;
@@ -125,16 +129,18 @@ TEST(EstimationSession, LeafChangeInvalidatesExactlyItsAncestors) {
   ASSERT_TRUE(S->profiledRun().Ok);
   ASSERT_TRUE(S->estimateEntry().Ok);
 
-  // Dirty only leafa's accumulated totals.
+  // Dirty only leafa's accumulated totals. The write refreshes the
+  // published view, so the write+read pair is what gets counted.
   const Function *LeafA = Prog->findFunction("leafa");
   ASSERT_NE(LeafA, nullptr);
+  uint64_t EvalsBefore = S->totalEvaluations();
   S->accumulateTotals(*LeafA, invocationDelta(*S, *LeafA));
 
   EstimateResult R = S->estimateEntry();
   ASSERT_TRUE(R.Ok) << R.Error;
   // The dirty closure is {leafa, mid, main}; leafb has no path to leafa
   // in the caller direction and must be served from cache.
-  EXPECT_EQ(S->lastEvaluations(), 3u);
+  EXPECT_EQ(S->totalEvaluations() - EvalsBefore, 3u);
 
   // Bit-identity: a cold analysis over the session's exact accumulated
   // inputs must match the incremental result byte for byte.
@@ -315,10 +321,11 @@ end
   // of leaf, so only {leaf, main} re-evaluate — main once, leaf once.
   const Function *Leaf = Prog->findFunction("leaf");
   ASSERT_NE(Leaf, nullptr);
+  uint64_t EvalsBefore = S->totalEvaluations();
   S->accumulateTotals(*Leaf, invocationDelta(*S, *Leaf));
   EstimateResult R2 = S->estimateEntry();
   ASSERT_TRUE(R2.Ok) << R2.Error;
-  EXPECT_EQ(S->lastEvaluations(), 2u);
+  EXPECT_EQ(S->totalEvaluations() - EvalsBefore, 2u);
   EXPECT_EQ(R2.Time, R1.Time); // the delta scales totals, not frequencies
 }
 
@@ -714,11 +721,126 @@ TEST(EstimationSession, CsrSweepDoesNotAllocateOnWarmQueries) {
   // main}; the sweep itself must still be allocation-free.
   const Function *Leaf = Prog->findFunction("leafa");
   ASSERT_NE(Leaf, nullptr);
+  uint64_t EvalsBefore = S->totalEvaluations();
   S->accumulateTotals(*Leaf, invocationDelta(*S, *Leaf));
   EstimateResult Warm = S->estimateEntry();
   ASSERT_TRUE(Warm.Ok) << Warm.Error;
-  EXPECT_GT(S->lastEvaluations(), 0u);
+  EXPECT_GT(S->totalEvaluations(), EvalsBefore);
   EXPECT_EQ(Obs.counterValue("cost.hotpath.allocs"), 0u);
+}
+
+TEST(EstimationSession, NaiveProfilesIngestOnShapeAndValuesAlone) {
+  // Naive counters recover no branch totals: an unsupported
+  // configuration, not bad data. A naive capture therefore ingests whole
+  // and quarantines nothing, and the session then fails its estimate
+  // exactly as the session that made the runs does.
+  std::unique_ptr<Program> Prog = makeManyFunctionProgram(3, 2);
+  auto Naive = [&](DiagnosticEngine &Diags) {
+    return EstimationSession::create(
+        *Prog, CostModel::optimizing(),
+        EstimatorOptions(Diags)
+            .mode(ProfileMode::Naive)
+            .onBadProfile(BadProfilePolicy::Quarantine));
+  };
+  DiagnosticEngine D1, D2;
+  auto Producer = Naive(D1);
+  auto Consumer = Naive(D2);
+  ASSERT_TRUE(Producer && Consumer);
+  ASSERT_TRUE(Producer->profiledRun().Ok);
+  EstimateResult Want = Producer->estimateEntry();
+  ASSERT_FALSE(Want.Ok);
+
+  ProfileIngestReport Report =
+      Consumer->ingestProfile(Producer->captureProfile());
+  ASSERT_TRUE(Report.Ok) << Report.Error;
+  EXPECT_EQ(Report.Accepted, 3u);
+  EXPECT_TRUE(Report.Quarantined.empty());
+  EXPECT_TRUE(Report.Findings.empty());
+  EXPECT_TRUE(Consumer->quarantined().empty());
+  EstimateResult Got = Consumer->estimateEntry();
+  EXPECT_FALSE(Got.Ok);
+  EXPECT_EQ(Got.Error, Want.Error);
+  EXPECT_EQ(Consumer->captureProfile().serialize(),
+            Producer->captureProfile().serialize());
+}
+
+TEST(EstimationSession, LockFreeReadsSeeAPrefixOfAcknowledgedIngests) {
+  // Reader threads race K ingests on one session. Every read must equal
+  // the reference TIME of some prefix 0..K of the ingests (one published
+  // view is one consistent cut), and a read that starts after ingest k
+  // was acknowledged must see a prefix of at least k (read-your-writes).
+  constexpr unsigned K = 6;
+  std::unique_ptr<Program> Prog = makeManyFunctionProgram(15, 1);
+  DiagnosticEngine PD;
+  auto Producer = runSession(*Prog, 1, PD);
+  ASSERT_NE(Producer, nullptr);
+  const ProfileFile PF = Producer->captureProfile();
+
+  // Identical runs scale every total alike and leave TIME unchanged, so
+  // each session starts from a partial delta that skews one branch of
+  // main; every ingest dilutes the skew and moves TIME.
+  const Function *Main = Prog->entry();
+  FrequencyTotals Skew;
+  for (const ControlCondition &C :
+       Producer->estimator().analysis().of(*Main).cd().conditions())
+    if (C.Label == CfgLabel::T) {
+      Skew.Cond[C] = 1000.0;
+      break;
+    }
+  ASSERT_EQ(Skew.Cond.size(), 1u);
+  auto Fresh = [&](DiagnosticEngine &Diags) {
+    auto S = runSession(*Prog, 1, Diags);
+    S->accumulateTotals(*Main, Skew);
+    return S;
+  };
+
+  std::vector<double> PrefixTime;
+  for (unsigned Prefix = 0; Prefix <= K; ++Prefix) {
+    DiagnosticEngine Diags;
+    auto Ref = Fresh(Diags);
+    for (unsigned I = 0; I < Prefix; ++I)
+      ASSERT_TRUE(Ref->ingestProfile(PF).Ok);
+    EstimateResult R = Ref->estimateEntry();
+    ASSERT_TRUE(R.Ok) << R.Error;
+    PrefixTime.push_back(R.Time);
+  }
+  // The test has teeth only if the prefixes are distinguishable.
+  ASSERT_EQ(std::set<double>(PrefixTime.begin(), PrefixTime.end()).size(),
+            K + 1);
+
+  DiagnosticEngine Diags;
+  auto S = Fresh(Diags);
+  // The first read publishes the view the racing reads are answered from.
+  ASSERT_TRUE(S->estimateEntry().Ok);
+  const uint64_t HitsBefore = S->cacheHits();
+  std::atomic<unsigned> Acked{0};
+  std::atomic<bool> Done{false};
+  std::vector<std::jthread> Readers;
+  for (int T = 0; T < 3; ++T)
+    Readers.emplace_back([&] {
+      do {
+        unsigned Floor = Acked.load(std::memory_order_acquire);
+        EstimateResult R = S->estimateEntry();
+        ASSERT_TRUE(R.Ok) << R.Error;
+        auto It = std::find(PrefixTime.begin(), PrefixTime.end(), R.Time);
+        ASSERT_NE(It, PrefixTime.end())
+            << "TIME " << R.Time << " matches no prefix of the ingests";
+        EXPECT_GE(static_cast<unsigned>(It - PrefixTime.begin()), Floor)
+            << "a read missed an acknowledged ingest";
+      } while (!Done.load(std::memory_order_acquire));
+    });
+  for (unsigned I = 1; I <= K; ++I) {
+    ASSERT_TRUE(S->ingestProfile(PF).Ok);
+    Acked.store(I, std::memory_order_release);
+  }
+  Done.store(true, std::memory_order_release);
+  Readers.clear();
+
+  EstimateResult Last = S->estimateEntry();
+  ASSERT_TRUE(Last.Ok) << Last.Error;
+  EXPECT_EQ(std::bit_cast<uint64_t>(Last.Time),
+            std::bit_cast<uint64_t>(PrefixTime[K]));
+  EXPECT_GT(S->cacheHits(), HitsBefore);
 }
 
 } // namespace
