@@ -38,6 +38,10 @@
 #include <mutex>
 #include <thread>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -95,9 +99,9 @@ void benchTimeAnalysisOnly(benchmark::State &State) {
         V = 0.0;
       else if (FA.ecfg().headerOf(C.Node) != InvalidNode)
         V = 3.0;
-      Totals.Cond[C] = V;
+      Totals.Cond.push_back(V);
     }
-    Totals.Cond[{FA.ecfg().start(), CfgLabel::U}] = 1.0;
+    Totals.Cond[FA.cd().conditionId({FA.ecfg().start(), CfgLabel::U})] = 1.0;
     Totals.Node = nodeTotalsFromConds(FA, Totals.Cond);
     Freqs[F.get()] = computeFrequencies(FA, Totals);
   }
@@ -141,9 +145,9 @@ syntheticFrequencies(const Program &Prog, const ProgramAnalysis &PA) {
         V = 0.0;
       else if (FA.ecfg().headerOf(C.Node) != InvalidNode)
         V = 3.0;
-      Totals.Cond[C] = V;
+      Totals.Cond.push_back(V);
     }
-    Totals.Cond[{FA.ecfg().start(), CfgLabel::U}] = 1.0;
+    Totals.Cond[FA.cd().conditionId({FA.ecfg().start(), CfgLabel::U})] = 1.0;
     Totals.Node = nodeTotalsFromConds(FA, Totals.Cond);
     Freqs[F.get()] = computeFrequencies(FA, Totals);
   }
@@ -341,13 +345,16 @@ void printIncrementalReestimationTable() {
   if (!Leaf)
     reportFatalError("many-function program is missing its last leaf");
   const FunctionAnalysis &LeafFA = S->estimator().analysis().of(*Leaf);
+  const unsigned LeafStart =
+      LeafFA.cd().conditionId({LeafFA.ecfg().start(), CfgLabel::U});
   double Injected = 0.0;
   double BestInc = 1e100;
   uint64_t IncEvals = 0;
   std::shared_ptr<const TimeAnalysis> IncAnalysis;
   for (int Rep = 0; Rep < 3; ++Rep) {
     FrequencyTotals Delta;
-    Delta.Cond[{LeafFA.ecfg().start(), CfgLabel::U}] = 1.0 + Rep;
+    Delta.Cond.assign(LeafFA.cd().conditions().size(), 0.0);
+    Delta.Cond[LeafStart] = 1.0 + Rep;
     Injected += 1.0 + Rep;
     // The write refreshes the session's published view and the read then
     // answers from it, so the pair is what one incremental update costs.
@@ -380,7 +387,7 @@ void printIncrementalReestimationTable() {
       if (!Totals.Ok)
         reportFatalError("recovery failed for " + F->name());
       if (F.get() == Leaf) {
-        Totals.Cond[{LeafFA.ecfg().start(), CfgLabel::U}] += Injected;
+        Totals.Cond[LeafStart] += Injected;
         Totals.Node =
             nodeTotalsFromConds(Est.analysis().of(*F), Totals.Cond);
       }
@@ -1062,21 +1069,47 @@ void printReplicationLagTable() {
   CleanDir();
 }
 
+/// Bytes the main malloc arena has handed out and not taken back; 0
+/// where mallinfo2 is unavailable. The analyses run on this thread
+/// (serial ExecutionPolicy), so their allocations land in this arena.
+size_t heapInUse() {
+#ifdef __GLIBC__
+  return mallinfo2().uordblks;
+#else
+  return 0;
+#endif
+}
+
 void printStaticScalingTable() {
   std::printf("=== Ablation A2: representation sizes vs program size ===\n");
+  std::printf("(heap KB/fn: heap retained by ProgramAnalysis::compute + "
+              "ProgramPlan::build, per function, by mallinfo2)\n");
   TablePrinter T({"units", "stmts", "ecfg nodes", "fcdg edges",
-                  "conditions", "smart counters"});
-  for (unsigned Units : {4u, 16u, 64u, 256u}) {
-    Prepared P = prepare(Units);
-    const Function *Main = P.Prog->entry();
-    const FunctionAnalysis &FA = P.PA->of(*Main);
-    ProgramPlan Plan = ProgramPlan::build(*P.PA, ProfileMode::Smart);
-    T.addRow({std::to_string(Units), std::to_string(Main->numStmts()),
+                  "conditions", "smart counters", "heap KB/fn"});
+  auto Row = [&](const std::string &Name, const Program &Prog) {
+    size_t Before = heapInUse();
+    DiagnosticEngine Diags;
+    std::unique_ptr<ProgramAnalysis> PA = ProgramAnalysis::compute(Prog, Diags);
+    if (!PA)
+      reportFatalError("scaling program failed analysis: " + Diags.str());
+    ProgramPlan Plan = ProgramPlan::build(*PA, ProfileMode::Smart);
+    double HeapKb = static_cast<double>(heapInUse() - Before) / 1024.0 /
+                    static_cast<double>(Prog.functions().size());
+    const Function *Main = Prog.entry();
+    const FunctionAnalysis &FA = PA->of(*Main);
+    char Heap[32];
+    std::snprintf(Heap, sizeof(Heap), "%.1f", HeapKb);
+    T.addRow({Name, std::to_string(Main->numStmts()),
               std::to_string(FA.ecfg().cfg().numNodes()),
-              std::to_string(FA.cd().fcdg().numEdges()),
+              std::to_string(FA.cd().arena().numEdges()),
               std::to_string(FA.cd().conditions().size()),
-              std::to_string(Plan.totalCounters())});
-  }
+              std::to_string(Plan.totalCounters()), Heap});
+  };
+  for (unsigned Units : {4u, 16u, 64u, 256u})
+    Row(std::to_string(Units), *makeScalingProgram(Units, /*Depth=*/2));
+  // The profile-churn benchmark's program: per-row figures are main's,
+  // the heap column averages all 255 functions.
+  Row("255 fns", *makeManyFunctionProgram(255, 3));
   std::printf("%s\n", T.str().c_str());
 }
 

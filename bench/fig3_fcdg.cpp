@@ -67,7 +67,7 @@ int printFigure3() {
       ControlCondition Cond{U, L};
       std::printf("    --%s <%s, %s>-->", cfgLabelName(L).c_str(),
                   formatDouble(Freqs.freqOf(Cond), 4).c_str(),
-                  formatDouble(Totals.condTotal(Cond)).c_str());
+                  formatDouble(Totals.condTotal(CD.conditionId(Cond))).c_str());
       for (NodeId V : CD.childrenOf(U, L))
         std::printf(" %s;", E.nodeName(V).c_str());
       std::printf("\n");

@@ -44,6 +44,11 @@
 # It also fails when the median read takes 2 ms or more: on a 4-vCPU
 # x86-64 guest a read answered from the session's published view takes
 # ~0.15 ms, one that queues behind the ingests on the session lock ~15 ms.
+# And it fails when setup_rss_mb (the daemon's resident set once its
+# 255-function session is loaded) is 10.5 MB or more: with the FCDG kept
+# only as its arena and recovery compiled into a plan-time schedule it is
+# ~9.2 MB; sessions that also retain the forward ECFG, its postdominator
+# tree and the FCDG Digraphs sit at ~11.2 MB.
 #
 #===----------------------------------------------------------------------===#
 
@@ -101,15 +106,20 @@ PY
   python3 - "${out}" <<'PY'
 import json, sys
 LIMIT_MS = 2
+RSS_LIMIT_MB = 10.5
 result = json.load(open(sys.argv[1]))
 p50 = result["metrics"]["read_p50_ms"]["value"]
+rss = result["metrics"]["setup_rss_mb"]["value"]
 print(f"perfbench: profile-churn correct = {result['correct']}, "
-      f"read_p50_ms = {p50:.3f} (limit {LIMIT_MS})")
+      f"read_p50_ms = {p50:.3f} (limit {LIMIT_MS}), "
+      f"setup_rss_mb = {rss:.2f} (limit {RSS_LIMIT_MB})")
 if not result["correct"]:
     sys.exit("perfbench: profile-churn answers differ from a serial replay "
              "of its acknowledged ingests")
 if p50 >= LIMIT_MS:
     sys.exit("perfbench: profile-churn reads wait on its ingests")
+if rss >= RSS_LIMIT_MB:
+    sys.exit("perfbench: profile-churn sessions retain too much memory")
 PY
 }
 

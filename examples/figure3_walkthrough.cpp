@@ -135,7 +135,7 @@ int main(int Argc, char **Argv) {
       ControlCondition Cond{U, L};
       std::printf("    --%s <%s, %s>-->", cfgLabelName(L).c_str(),
                   formatDouble(Freqs.freqOf(Cond), 4).c_str(),
-                  formatDouble(Totals.condTotal(Cond)).c_str());
+                  formatDouble(Totals.condTotal(CD.conditionId(Cond))).c_str());
       for (NodeId V : CD.childrenOf(U, L))
         std::printf(" %s;", Ecfg.nodeName(V).c_str());
       std::printf("\n");

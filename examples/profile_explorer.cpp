@@ -103,11 +103,12 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "recovery failed for %s\n", F->name().c_str());
       return 1;
     }
+    const FunctionAnalysis &FA = PA->of(*F);
     Procs.addRow(
         {F->name(),
-         formatDouble(
-             T.condTotal({PA->of(*F).ecfg().start(), CfgLabel::U})),
-         std::to_string(PA->of(*F).cd().conditions().size()),
+         formatDouble(T.condTotal(
+             FA.cd().conditionId({FA.ecfg().start(), CfgLabel::U}))),
+         std::to_string(FA.cd().conditions().size()),
          std::to_string(Smart.of(*F).numCounters())});
   }
   std::printf("%s\n", Procs.str().c_str());

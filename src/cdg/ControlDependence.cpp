@@ -3,6 +3,7 @@
 #include "cdg/ControlDependence.h"
 
 #include "graph/DepthFirst.h"
+#include "graph/Dominators.h"
 #include "support/FatalError.h"
 
 #include <algorithm>
@@ -13,12 +14,9 @@
 
 using namespace ptran;
 
-namespace {
-
-/// Builds the forward ECFG: the ECFG minus interval back edges, with any
-/// node left successor-free (a dangling latch) connected to STOP so the
-/// postdominator tree stays rooted.
-Digraph buildForwardGraph(const Ecfg &E, const IntervalStructure &IS) {
+/// Any node left successor-free (a dangling latch) is connected to STOP so
+/// the postdominator tree stays rooted.
+Digraph ptran::buildForwardGraph(const Ecfg &E, const IntervalStructure &IS) {
   const Digraph &G = E.cfg().graph();
   Digraph Forward(G.numNodes());
   unsigned NumOrig = E.numOriginalNodes();
@@ -87,14 +85,16 @@ Digraph buildForwardGraph(const Ecfg &E, const IntervalStructure &IS) {
   return Forward;
 }
 
-} // namespace
+namespace {
 
-ControlDependence::ControlDependence(const Ecfg &E,
-                                     const IntervalStructure &IS)
-    : ForwardG(buildForwardGraph(E, IS)),
-      FcdgGraph(E.cfg().graph().numNodes()),
-      Pdt(CsrGraph(ForwardG).view(), E.stop(),
-          DominatorTree::Direction::Post) {
+/// The FCDG as a Digraph over ECFG node ids: Ferrante-Ottenstein-Warren
+/// on the forward ECFG, keeping only the edges reachable from START. The
+/// forward graph, its postdominator tree and the raw dependence graph die
+/// here; the constructor freezes the result into the arena.
+Digraph buildFcdg(const Ecfg &E, const IntervalStructure &IS) {
+  Digraph ForwardG = buildForwardGraph(E, IS);
+  DominatorTree Pdt(CsrGraph(ForwardG).view(), E.stop(),
+                    DominatorTree::Direction::Post);
   // FOW over the forward graph: for every edge (A, B, l) where B does not
   // postdominate A, every node on the postdominator-tree path
   // [B .. ipostdom(A)) is control dependent on (A, l). Two same-labelled
@@ -120,16 +120,24 @@ ControlDependence::ControlDependence(const Ecfg &E,
   // The forward graph is acyclic, and so is its control dependence; the
   // DFS filter below is a safety net only (it also drops dependence edges
   // not reachable from START, e.g. inside code that cannot reach STOP).
+  Digraph Fcdg(E.cfg().graph().numNodes());
   DfsResult Dfs(CsrGraph(Cdg).view(), E.start());
   for (EdgeId EId = 0; EId < Cdg.numEdgeSlots(); ++EId) {
     const Digraph::Edge &Ed = Cdg.edge(EId);
     DfsEdgeKind Kind = Dfs.edgeKind(EId);
     if (Kind == DfsEdgeKind::Retreating || Kind == DfsEdgeKind::Unreached)
       continue;
-    FcdgGraph.addEdge(Ed.From, Ed.To, Ed.Label);
+    Fcdg.addEdge(Ed.From, Ed.To, Ed.Label);
   }
+  return Fcdg;
+}
 
-  CsrGraph FcdgCsr(FcdgGraph);
+} // namespace
+
+ControlDependence::ControlDependence(const Ecfg &E,
+                                     const IntervalStructure &IS) {
+  const Digraph Fcdg = buildFcdg(E, IS);
+  CsrGraph FcdgCsr(Fcdg);
   std::optional<std::vector<NodeId>> Order =
       topologicalOrder(FcdgCsr.view());
   if (!Order)
@@ -138,12 +146,20 @@ ControlDependence::ControlDependence(const Ecfg &E,
   // Keep only nodes reachable from START in the FCDG, in topological
   // order; isolated nodes (e.g. STOP) carry no estimation state.
   DfsResult FDfs(FcdgCsr.view(), E.start());
-  Arena.PosOf.assign(FcdgGraph.numNodes(), FlowArena::InvalidPosition);
+  Arena.PosOf.assign(Fcdg.numNodes(), FlowArena::InvalidPosition);
   for (NodeId N : *Order)
     if (FDfs.isReachable(N))
       Arena.Nodes.push_back(N);
   for (unsigned P = 0; P < Arena.Nodes.size(); ++P)
     Arena.PosOf[Arena.Nodes[P]] = P;
+
+  // Enumerate control conditions; their sorted order defines the ids.
+  std::set<ControlCondition> Seen;
+  for (EdgeId EId = 0; EId < Fcdg.numEdgeSlots(); ++EId) {
+    const Digraph::Edge &Ed = Fcdg.edge(EId);
+    Seen.insert({Ed.From, static_cast<CfgLabel>(Ed.Label)});
+  }
+  Conds.assign(Seen.begin(), Seen.end());
 
   // Freeze the FCDG's out-edges into the arena. Per node: label groups in
   // first-appearance order with children in insertion order (the
@@ -153,6 +169,7 @@ ControlDependence::ControlDependence(const Ecfg &E,
   unsigned NumPos = Arena.numPositions();
   Arena.GroupBegin.assign(NumPos + 1, 0);
   Arena.RawBegin.assign(NumPos + 1, 0);
+  std::vector<uint32_t> GroupOfEdge(Fcdg.numEdgeSlots());
   struct LocalGroup {
     CfgLabel Label;
     uint32_t Count;
@@ -163,8 +180,8 @@ ControlDependence::ControlDependence(const Ecfg &E,
   for (unsigned P = 0; P < NumPos; ++P) {
     NodeId U = Arena.Nodes[P];
     Local.clear();
-    for (EdgeId EId : FcdgGraph.outEdges(U)) {
-      CfgLabel L = static_cast<CfgLabel>(FcdgGraph.edge(EId).Label);
+    for (EdgeId EId : Fcdg.outEdges(U)) {
+      CfgLabel L = static_cast<CfgLabel>(Fcdg.edge(EId).Label);
       auto It = std::find_if(Local.begin(), Local.end(),
                              [&](const LocalGroup &G) {
                                return G.Label == L;
@@ -178,13 +195,15 @@ ControlDependence::ControlDependence(const Ecfg &E,
     Fill.clear();
     for (LocalGroup &G : Local) {
       G.Global = static_cast<uint32_t>(Arena.Groups.size());
-      Arena.Groups.push_back({G.Label, ChildCursor, ChildCursor + G.Count});
+      Arena.Groups.push_back(
+          {G.Label, conditionId({U, G.Label}), ChildCursor,
+           ChildCursor + G.Count});
       Fill.push_back(ChildCursor);
       ChildCursor += G.Count;
     }
     Arena.Children.resize(ChildCursor);
-    for (EdgeId EId : FcdgGraph.outEdges(U)) {
-      const Digraph::Edge &Ed = FcdgGraph.edge(EId);
+    for (EdgeId EId : Fcdg.outEdges(U)) {
+      const Digraph::Edge &Ed = Fcdg.edge(EId);
       CfgLabel L = static_cast<CfgLabel>(Ed.Label);
       auto It = std::find_if(Local.begin(), Local.end(),
                              [&](const LocalGroup &G) {
@@ -197,29 +216,41 @@ ControlDependence::ControlDependence(const Ecfg &E,
              "FCDG edge target must be START-reachable");
       Arena.Children[Fill[LocalIdx]++] = ChildPos;
       Arena.Raw.push_back({Ed.To, It->Global});
+      GroupOfEdge[EId] = It->Global;
     }
     Arena.GroupBegin[P + 1] = static_cast<uint32_t>(Arena.Groups.size());
     Arena.RawBegin[P + 1] = static_cast<uint32_t>(Arena.Raw.size());
   }
 
-  // Enumerate control conditions.
-  std::set<ControlCondition> Seen;
-  for (EdgeId EId = 0; EId < FcdgGraph.numEdgeSlots(); ++EId) {
-    if (!FcdgGraph.isLive(EId))
-      continue;
-    const Digraph::Edge &Ed = FcdgGraph.edge(EId);
-    Seen.insert({Ed.From, static_cast<CfgLabel>(Ed.Label)});
+  // In-edges per position, in the Digraph's per-target insertion order.
+  Arena.InBegin.assign(NumPos + 1, 0);
+  Arena.In.reserve(Arena.Raw.size());
+  for (unsigned P = 0; P < NumPos; ++P) {
+    for (EdgeId EId : Fcdg.inEdges(Arena.Nodes[P]))
+      Arena.In.push_back(GroupOfEdge[EId]);
+    Arena.InBegin[P + 1] = static_cast<uint32_t>(Arena.In.size());
   }
-  Conds.assign(Seen.begin(), Seen.end());
+}
+
+unsigned ControlDependence::conditionId(const ControlCondition &C) const {
+  auto It = std::lower_bound(Conds.begin(), Conds.end(), C);
+  return It == Conds.end() || !(*It == C)
+             ? InvalidCondition
+             : static_cast<unsigned>(It - Conds.begin());
 }
 
 std::vector<NodeId> ControlDependence::childrenOf(NodeId U,
                                                   CfgLabel L) const {
   std::vector<NodeId> Kids;
-  for (EdgeId EId : FcdgGraph.outEdges(U)) {
-    const Digraph::Edge &Ed = FcdgGraph.edge(EId);
-    if (static_cast<CfgLabel>(Ed.Label) == L)
-      Kids.push_back(Ed.To);
+  unsigned P = Arena.position(U);
+  if (P == FlowArena::InvalidPosition)
+    return Kids;
+  for (uint32_t G = Arena.groupsBegin(P); G != Arena.groupsEnd(P); ++G) {
+    const FlowArena::Group &Grp = Arena.group(G);
+    if (Grp.Label != L)
+      continue;
+    for (uint32_t C = Grp.ChildBegin; C != Grp.ChildEnd; ++C)
+      Kids.push_back(Arena.node(Arena.child(C)));
   }
   return Kids;
 }
@@ -236,16 +267,16 @@ std::string ControlDependence::dot(const Cfg &Ecfg,
       OS << ", style=dashed";
     OS << "];\n";
   }
-  for (EdgeId E = 0; E < FcdgGraph.numEdgeSlots(); ++E) {
-    if (!FcdgGraph.isLive(E))
-      continue;
-    const Digraph::Edge &Ed = FcdgGraph.edge(E);
-    CfgLabel L = static_cast<CfgLabel>(Ed.Label);
-    OS << "  n" << Ed.From << " -> n" << Ed.To << " [label=\""
-       << cfgLabelName(L) << "\"";
-    if (L == CfgLabel::Z)
-      OS << ", style=dashed";
-    OS << "];\n";
+  for (unsigned P = 0; P < Arena.numPositions(); ++P) {
+    for (uint32_t R = Arena.rawBegin(P); R != Arena.rawEnd(P); ++R) {
+      const FlowArena::RawEdge &Ed = Arena.raw(R);
+      CfgLabel L = Arena.group(Ed.Group).Label;
+      OS << "  n" << Arena.node(P) << " -> n" << Ed.To << " [label=\""
+         << cfgLabelName(L) << "\"";
+      if (L == CfgLabel::Z)
+        OS << ", style=dashed";
+      OS << "];\n";
+    }
   }
   OS << "}\n";
   return OS.str();
@@ -253,10 +284,10 @@ std::string ControlDependence::dot(const Cfg &Ecfg,
 
 std::vector<CfgLabel> ControlDependence::labelsOf(NodeId U) const {
   std::vector<CfgLabel> Labels;
-  for (EdgeId EId : FcdgGraph.outEdges(U)) {
-    CfgLabel L = static_cast<CfgLabel>(FcdgGraph.edge(EId).Label);
-    if (std::find(Labels.begin(), Labels.end(), L) == Labels.end())
-      Labels.push_back(L);
-  }
+  unsigned P = Arena.position(U);
+  if (P == FlowArena::InvalidPosition)
+    return Labels;
+  for (uint32_t G = Arena.groupsBegin(P); G != Arena.groupsEnd(P); ++G)
+    Labels.push_back(Arena.group(G).Label);
   return Labels;
 }

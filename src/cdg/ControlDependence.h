@@ -22,12 +22,16 @@
 /// Thanks to the ECFG's preheaders and pseudo edges, every interval hangs
 /// below its preheader and the graph is rooted at START (Figure 3).
 ///
-/// Besides the Digraph form, the construction freezes the FCDG into a
-/// FlowArena: a per-function arena of CSR arrays indexed by *topological
-/// position* rather than node id, so the Section 3 frequency recurrences
-/// (top-down) and the Section 4/5 TIME/VAR recurrences (bottom-up) become
-/// linear sweeps over contiguous memory with no per-node allocation. See
-/// DESIGN.md §11 for the layout contract.
+/// The FCDG has one form: a FlowArena, a per-function arena of CSR arrays
+/// indexed by *topological position* rather than node id, so the Section 3
+/// frequency recurrences (top-down) and the Section 4/5 TIME/VAR
+/// recurrences (bottom-up) become linear sweeps over contiguous memory
+/// with no per-node allocation, and counter recovery sums each node's
+/// in-edges from a CSR of its own. The forward ECFG, its postdominator
+/// tree and the intermediate dependence graphs are construction-only
+/// locals; the cdg tests rebuild the forward ECFG with buildForwardGraph
+/// for their brute-force oracle. See DESIGN.md §11 for the layout
+/// contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +39,6 @@
 #define PTRAN_CDG_CONTROLDEPENDENCE_H
 
 #include "ecfg/Ecfg.h"
-#include "graph/Dominators.h"
 #include "interval/Intervals.h"
 
 #include <optional>
@@ -61,24 +64,29 @@ struct ControlCondition {
 /// Section 3 top-down pass and a reverse sweep is the Section 4/5
 /// bottom-up pass — both linear over contiguous arrays.
 ///
-/// Two views of each node's out-edges are kept, because the two passes
-/// need different — and exactly reproduced — iteration orders:
+/// Three views of the edges are kept, because the passes need different —
+/// and exactly reproduced — iteration orders:
 ///
-///   - raw edges in edge-insertion order (rawBegin/rawEnd), preserving
-///     the equation-3 accumulation order of the old Digraph walk;
-///   - label groups (groupsBegin/groupsEnd) in label-first-appearance
-///     order, each group's children in insertion order — the L(u) and
-///     C(u, l) sets of Section 5 in exactly the order labelsOf()/
-///     childrenOf() used to produce them.
+///   - each node's raw out-edges in edge-insertion order (rawBegin/rawEnd),
+///     the equation-3 accumulation order;
+///   - each node's label groups (groupsBegin/groupsEnd) in
+///     label-first-appearance order, each group's children in insertion
+///     order — the L(u) and C(u, l) sets of Section 5;
+///   - each node's in-edges (inBegin/inEnd) as group ids, in FCDG
+///     edge-insertion order: the order counter recovery sums a node's
+///     incoming condition totals in.
 ///
-/// Group indices are global across the arena and double as dense
-/// condition ids: Frequencies::GroupFreq is indexed by them.
+/// Group indices are global across the arena; each group is one control
+/// condition. Frequencies::GroupFreq is indexed by them, and Group::Cond
+/// is the condition's id, its index in ControlDependence::conditions().
 class FlowArena {
 public:
-  /// One (node, label) out-edge group: the condition (node(P), Label) and
-  /// its children as positions [ChildBegin, ChildEnd) in children order.
+  /// One (node, label) out-edge group: the condition (node(P), Label),
+  /// its id, and its children as positions [ChildBegin, ChildEnd) in
+  /// children order.
   struct Group {
     CfgLabel Label = CfgLabel::U;
+    uint32_t Cond = 0;
     uint32_t ChildBegin = 0;
     uint32_t ChildEnd = 0;
   };
@@ -91,11 +99,19 @@ public:
 
   static constexpr unsigned InvalidPosition = static_cast<unsigned>(-1);
 
+  /// Node ids range over the whole ECFG; positions only over the FCDG's
+  /// START-reachable part.
+  unsigned numNodes() const { return static_cast<unsigned>(PosOf.size()); }
   unsigned numPositions() const {
     return static_cast<unsigned>(Nodes.size());
   }
   /// ECFG node at topological position \p P.
   NodeId node(unsigned P) const { return Nodes[P]; }
+  /// Topological position of \p N, or InvalidPosition when \p N is not
+  /// START-reachable in the FCDG.
+  unsigned position(NodeId N) const {
+    return N < PosOf.size() ? PosOf[N] : InvalidPosition;
+  }
 
   unsigned numGroups() const { return static_cast<unsigned>(Groups.size()); }
   uint32_t groupsBegin(unsigned P) const { return GroupBegin[P]; }
@@ -105,9 +121,16 @@ public:
   /// [ChildBegin, ChildEnd) range).
   unsigned child(uint32_t C) const { return Children[C]; }
 
+  unsigned numEdges() const { return static_cast<unsigned>(Raw.size()); }
   uint32_t rawBegin(unsigned P) const { return RawBegin[P]; }
   uint32_t rawEnd(unsigned P) const { return RawBegin[P + 1]; }
   const RawEdge &raw(uint32_t R) const { return Raw[R]; }
+
+  /// In-edges of position \p P: [inBegin, inEnd) indexes inGroup.
+  uint32_t inBegin(unsigned P) const { return InBegin[P]; }
+  uint32_t inEnd(unsigned P) const { return InBegin[P + 1]; }
+  /// The group (the source's condition) of in-edge \p I.
+  uint32_t inGroup(uint32_t I) const { return In[I]; }
 
 private:
   friend class ControlDependence;
@@ -118,9 +141,16 @@ private:
   std::vector<uint32_t> Children;  ///< Child topological positions.
   std::vector<uint32_t> RawBegin;  ///< numPositions + 1 offsets.
   std::vector<RawEdge> Raw;
+  std::vector<uint32_t> InBegin;   ///< numPositions + 1 offsets.
+  std::vector<uint32_t> In;        ///< Group ids of in-edges.
 };
 
-/// The forward control dependence graph and its supporting structures.
+/// The acyclic "forward ECFG" control dependence is computed on: the ECFG
+/// \p E minus the back edges of \p IS, with dangling latches connected
+/// to STOP so postdominators stay defined.
+Digraph buildForwardGraph(const Ecfg &E, const IntervalStructure &IS);
+
+/// The forward control dependence graph: its arena and its conditions.
 class ControlDependence {
 public:
   /// Computes the FCDG for \p E. \p IS must be the interval structure of
@@ -129,16 +159,8 @@ public:
   /// dependences; the paper assumes the program completes execution.
   ControlDependence(const Ecfg &E, const IntervalStructure &IS);
 
-  /// The acyclic "forward ECFG" the dependence was computed on: the ECFG
-  /// minus interval back edges, with dangling latches connected to STOP.
-  const Digraph &forwardGraph() const { return ForwardG; }
-
-  /// Forward control dependence graph over the ECFG's node ids.
-  /// Guaranteed acyclic.
-  const Digraph &fcdg() const { return FcdgGraph; }
-
-  /// The FCDG frozen into topologically-indexed CSR arrays — what the
-  /// frequency and TIME/VAR sweeps actually run on.
+  /// The FCDG frozen into topologically-indexed CSR arrays; guaranteed
+  /// acyclic.
   const FlowArena &arena() const { return Arena; }
 
   /// Topological order of the FCDG (parents before children), covering
@@ -147,8 +169,16 @@ public:
 
   /// All control conditions (U, L) that appear as FCDG edge labels,
   /// sorted. Only branch points appear: real conditionals, preheaders
-  /// (loop frequency on U, pseudo on Z) and START.
+  /// (loop frequency on U, pseudo on Z) and START. A condition's index
+  /// here is its *condition id*, the key of every dense per-condition
+  /// vector (FrequencyTotals::Cond, FunctionPlan::resolutions()).
   const std::vector<ControlCondition> &conditions() const { return Conds; }
+
+  static constexpr unsigned InvalidCondition = static_cast<unsigned>(-1);
+
+  /// The id of \p C, or InvalidCondition when it is not an FCDG
+  /// condition.
+  unsigned conditionId(const ControlCondition &C) const;
 
   /// FCDG children of \p U reached via label \p L — the set C(u, l) of
   /// Section 5. Allocates; the hot paths read the arena instead.
@@ -163,9 +193,6 @@ public:
   std::string dot(const Cfg &Ecfg, std::string_view Title) const;
 
 private:
-  Digraph ForwardG;
-  Digraph FcdgGraph;
-  DominatorTree Pdt;
   FlowArena Arena;
   std::vector<ControlCondition> Conds;
 };

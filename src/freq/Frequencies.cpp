@@ -14,9 +14,9 @@ Frequencies ptran::computeFrequencies(const FunctionAnalysis &FA,
   NodeId Start = FA.ecfg().start();
 
   Frequencies Out;
-  Out.NodeFreq.assign(CD.fcdg().numNodes(), 0.0);
+  Out.NodeFreq.assign(A.numNodes(), 0.0);
   Out.GroupFreq.assign(A.numGroups(), 0.0);
-  Out.Invocations = Totals.condTotal({Start, CfgLabel::U});
+  Out.Invocations = Totals.condTotal(CD.conditionId({Start, CfgLabel::U}));
 
   // Equation 1.
   if (Start < Out.NodeFreq.size())
@@ -24,16 +24,17 @@ Frequencies ptran::computeFrequencies(const FunctionAnalysis &FA,
 
   // One top-down pass over the arena (positions are topological): FREQ at
   // a node needs its NODE_FREQ, which equation 3 provides from the
-  // already-processed FCDG parents. Group order is the old labelsOf()
-  // order and the raw edges are in insertion order, so every floating-
-  // point operation happens in the same sequence as the Digraph walk.
+  // already-processed FCDG parents. Groups are in labelsOf() order and
+  // the raw edges in FCDG edge-insertion order, which fixes the sequence
+  // of every floating-point operation.
   for (unsigned P = 0; P < A.numPositions(); ++P) {
     NodeId U = A.node(P);
     double NodeFreqU = Out.NodeFreq[U];
     // Equation 2 per outgoing condition, with the division-by-zero guard.
     for (uint32_t Gi = A.groupsBegin(P); Gi != A.groupsEnd(P); ++Gi) {
-      ControlCondition Cond{U, A.group(Gi).Label};
-      double Total = Totals.condTotal(Cond);
+      const FlowArena::Group &G = A.group(Gi);
+      ControlCondition Cond{U, G.Label};
+      double Total = Totals.condTotal(G.Cond);
       double Denominator = Out.Invocations * NodeFreqU;
       double Freq = Denominator == 0.0 ? 0.0 : Total / Denominator;
       Out.GroupFreq[Gi] = Freq;

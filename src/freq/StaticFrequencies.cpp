@@ -30,7 +30,7 @@ ptran::computeStaticFrequencies(const FunctionAnalysis &FA,
   const Function &F = FA.function();
 
   StaticFrequencies Out;
-  Out.Freqs.NodeFreq.assign(CD.fcdg().numNodes(), 0.0);
+  Out.Freqs.NodeFreq.assign(CD.arena().numNodes(), 0.0);
   Out.Freqs.Invocations = 1.0;
 
   // Single-constant-assignment environment: lets the analysis see through
@@ -153,7 +153,7 @@ ptran::computeStaticFrequencies(const FunctionAnalysis &FA,
   }
 
   // Dense FREQ, then NODE_FREQ via equation 3 over the arena's raw edges
-  // (insertion order, same accumulation sequence as the Digraph walk).
+  // (in FCDG edge-insertion order).
   populateGroupFreq(Out.Freqs, CD);
   NodeId Start = E.start();
   if (Start < Out.Freqs.NodeFreq.size())
@@ -174,7 +174,8 @@ Frequencies ptran::hybridFrequencies(const FunctionAnalysis &FA,
                                      const StaticFrequencies &Static,
                                      const FrequencyTotals *Totals) {
   if (Totals && Totals->Ok &&
-      Totals->condTotal({FA.ecfg().start(), CfgLabel::U}) > 0.0)
+      Totals->condTotal(
+          FA.cd().conditionId({FA.ecfg().start(), CfgLabel::U})) > 0.0)
     return computeFrequencies(FA, *Totals);
   return Static.Freqs;
 }

@@ -5,6 +5,8 @@
 #include "support/Casting.h"
 #include "support/StringUtils.h"
 
+#include <cctype>
+
 using namespace ptran;
 
 int64_t Symbol::elementCount() const {
@@ -104,27 +106,40 @@ bool Function::finalize(DiagnosticEngine &Diags) {
   return Finalized;
 }
 
+size_t Program::NameHash::operator()(std::string_view Name) const {
+  uint64_t H = 0xcbf29ce484222325ULL; // FNV-1a over the lowercased bytes.
+  for (char C : Name) {
+    H ^= static_cast<uint64_t>(std::tolower(static_cast<unsigned char>(C)));
+    H *= 0x100000001b3ULL;
+  }
+  return static_cast<size_t>(H);
+}
+
+bool Program::NameEq::operator()(std::string_view A,
+                                 std::string_view B) const {
+  return equalsLower(A, B);
+}
+
 Function *Program::createFunction(std::string Name, DiagnosticEngine &Diags) {
   if (findFunction(Name)) {
     Diags.error("duplicate procedure name " + Name);
     return nullptr;
   }
   Funcs.push_back(std::make_unique<Function>(std::move(Name)));
-  return Funcs.back().get();
+  Function *F = Funcs.back().get();
+  F->Index = static_cast<unsigned>(Funcs.size() - 1);
+  ByName.emplace(toLower(F->name()), F);
+  return F;
 }
 
 Function *Program::findFunction(std::string_view Name) {
-  for (auto &F : Funcs)
-    if (equalsLower(F->name(), Name))
-      return F.get();
-  return nullptr;
+  auto It = ByName.find(Name);
+  return It == ByName.end() ? nullptr : It->second;
 }
 
 const Function *Program::findFunction(std::string_view Name) const {
-  for (const auto &F : Funcs)
-    if (equalsLower(F->name(), Name))
-      return F.get();
-  return nullptr;
+  auto It = ByName.find(Name);
+  return It == ByName.end() ? nullptr : It->second;
 }
 
 bool Program::finalize(DiagnosticEngine &Diags) {

@@ -20,6 +20,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace ptran {
@@ -48,6 +50,12 @@ public:
   Function &operator=(const Function &) = delete;
 
   const std::string &name() const { return Name; }
+
+  static constexpr unsigned InvalidIndex = static_cast<unsigned>(-1);
+
+  /// Position in its Program's functions() (InvalidIndex outside one):
+  /// a dense key for per-function tables.
+  unsigned index() const { return Index; }
 
   /// -- Symbols ----------------------------------------------------------
 
@@ -100,7 +108,9 @@ public:
   bool isFinalized() const { return Finalized; }
 
 private:
+  friend class Program;
   std::string Name;
+  unsigned Index = InvalidIndex;
   std::vector<Symbol> Symbols;
   std::vector<VarId> Params;
   std::vector<std::unique_ptr<Expr>> Arena;
@@ -138,7 +148,20 @@ public:
   bool finalize(DiagnosticEngine &Diags);
 
 private:
+  /// Case-insensitive hashing and equality, so a lookup by any spelling
+  /// needs no lowercased copy of the name.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view Name) const;
+  };
+  struct NameEq {
+    using is_transparent = void;
+    bool operator()(std::string_view A, std::string_view B) const;
+  };
+
   std::vector<std::unique_ptr<Function>> Funcs;
+  /// Functions by lowercased name.
+  std::unordered_map<std::string, Function *, NameHash, NameEq> ByName;
   std::string Entry = "main";
 };
 

@@ -33,8 +33,19 @@ ptran::checkFrequencyConsistency(const FunctionAnalysis &FA,
     return Findings;
   }
 
-  std::set<ControlCondition> Conds(CD.conditions().begin(),
-                                   CD.conditions().end());
+  auto Total = [&](const ControlCondition &C) {
+    return Totals.condTotal(CD.conditionId(C));
+  };
+  auto IsCond = [&](const ControlCondition &C) {
+    return CD.conditionId(C) != ControlDependence::InvalidCondition;
+  };
+
+  if (Totals.Cond.size() != CD.conditions().size()) {
+    Report("totals hold " + std::to_string(Totals.Cond.size()) +
+           " condition totals, the FCDG has " +
+           std::to_string(CD.conditions().size()));
+    return Findings;
+  }
 
   // Recompute node totals from the condition totals (equation 3) and
   // compare with the supplied ones.
@@ -48,7 +59,7 @@ ptran::checkFrequencyConsistency(const FunctionAnalysis &FA,
 
   // Per-condition basics.
   for (const ControlCondition &Cond : CD.conditions()) {
-    double T = Totals.condTotal(Cond);
+    double T = Total(Cond);
     if (T < -Tolerance)
       Report("negative total for (" + Ext.nodeName(Cond.Node) + ", " +
              cfgLabelName(Cond.Label) + ")");
@@ -78,7 +89,7 @@ ptran::checkFrequencyConsistency(const FunctionAnalysis &FA,
     double NodeTotal = Derived[U];
     double Sum = 0.0;
     for (CfgLabel L : Labels) {
-      double T = Totals.condTotal({U, L});
+      double T = Total({U, L});
       Sum += T;
       if (T > NodeTotal + Tolerance * std::max(1.0, NodeTotal))
         Report("branch total (" + Ext.nodeName(U) + ", " +
@@ -95,9 +106,9 @@ ptran::checkFrequencyConsistency(const FunctionAnalysis &FA,
   for (NodeId H : FA.intervals().headers()) {
     NodeId Ph = E.preheaderOf(H);
     ControlCondition LoopCond{Ph, CfgLabel::U};
-    if (!Conds.count(LoopCond))
+    if (!IsCond(LoopCond))
       continue;
-    double HeaderExecs = Totals.condTotal(LoopCond);
+    double HeaderExecs = Total(LoopCond);
     double Entries = Derived[Ph];
 
     // Observation 1: exits sum to entries. Expressible only when every
@@ -109,8 +120,8 @@ ptran::checkFrequencyConsistency(const FunctionAnalysis &FA,
     auto AddExit = [&](NodeId Src, CfgLabel L) {
       if (!Seen.insert({Src, L}).second)
         return;
-      if (Conds.count({Src, L})) {
-        ExitSum += Totals.condTotal({Src, L});
+      if (IsCond({Src, L})) {
+        ExitSum += Total({Src, L});
         return;
       }
       // Sole-label sources traverse the exit once per execution; a DO
@@ -123,8 +134,8 @@ ptran::checkFrequencyConsistency(const FunctionAnalysis &FA,
         ExitSum += Derived[Src];
         return;
       }
-      if (Conds.count({Src, CfgLabel::T}) && L == CfgLabel::F && Real == 2) {
-        ExitSum += Derived[Src] - Totals.condTotal({Src, CfgLabel::T});
+      if (IsCond({Src, CfgLabel::T}) && L == CfgLabel::F && Real == 2) {
+        ExitSum += Derived[Src] - Total({Src, CfgLabel::T});
         return;
       }
       ExitsKnown = false;

@@ -3,7 +3,6 @@
 #include "profile/CounterPlan.h"
 
 #include "graph/DepthFirst.h"
-#include "profile/Recovery.h"
 #include "support/Casting.h"
 #include "support/FatalError.h"
 
@@ -30,6 +29,8 @@ const char *ptran::profileModeName(ProfileMode M) {
 
 const char *ptran::resolutionKindName(Resolution::Kind K) {
   switch (K) {
+  case Resolution::Kind::None:
+    return "none";
   case Resolution::Kind::Measured:
     return "measured";
   case Resolution::Kind::Zero:
@@ -50,7 +51,7 @@ const char *ptran::resolutionKindName(Resolution::Kind K) {
 
 namespace {
 
-RecoveryTerm condTerm(ControlCondition C, double Coeff) {
+RecoveryTerm condTerm(unsigned C, double Coeff) {
   RecoveryTerm T;
   T.K = RecoveryTerm::Kind::CondTotal;
   T.Cond = C;
@@ -90,21 +91,26 @@ std::vector<CfgLabel> realOutLabels(const Ecfg &E, NodeId U) {
 }
 
 /// True if node \p To is reachable from \p From in the FCDG.
-bool fcdgReaches(const Digraph &Fcdg, NodeId From, NodeId To) {
+bool fcdgReaches(const FlowArena &A, NodeId From, NodeId To) {
   if (From == To)
     return true;
-  std::vector<bool> Seen(Fcdg.numNodes(), false);
-  std::vector<NodeId> Worklist = {From};
-  Seen[From] = true;
+  unsigned FromPos = A.position(From);
+  if (FromPos == FlowArena::InvalidPosition)
+    return false; // Outside the FCDG: no out-edges.
+  std::vector<bool> Seen(A.numPositions(), false);
+  std::vector<unsigned> Worklist = {FromPos};
+  Seen[FromPos] = true;
   while (!Worklist.empty()) {
-    NodeId N = Worklist.back();
+    unsigned P = Worklist.back();
     Worklist.pop_back();
-    for (NodeId S : Fcdg.successors(N)) {
+    for (uint32_t R = A.rawBegin(P); R != A.rawEnd(P); ++R) {
+      NodeId S = A.raw(R).To;
       if (S == To)
         return true;
-      if (!Seen[S]) {
-        Seen[S] = true;
-        Worklist.push_back(S);
+      unsigned SP = A.position(S);
+      if (!Seen[SP]) {
+        Seen[SP] = true;
+        Worklist.push_back(SP);
       }
     }
   }
@@ -232,8 +238,15 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
 
   std::set<ControlCondition> Conds(CD.conditions().begin(),
                                    CD.conditions().end());
+  Plan.Resolutions.assign(Conds.size(), Resolution());
+  // Every condition given a rule below is an FCDG condition.
+  auto Rule = [&](ControlCondition Cond) -> Resolution & {
+    unsigned Id = CD.conditionId(Cond);
+    assert(Id != ControlDependence::InvalidCondition);
+    return Plan.Resolutions[Id];
+  };
   auto Resolved = [&](ControlCondition Cond) {
-    return Plan.Resolutions.count(Cond) != 0;
+    return Rule(Cond).K != Resolution::Kind::None;
   };
 
   bool UseDerivations = Mode != ProfileMode::Opt1;
@@ -246,7 +259,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
   // Pseudo edges can never be taken (footnote to Figure 2).
   for (const ControlCondition &Cond : CD.conditions())
     if (Cond.Label == CfgLabel::Z)
-      Plan.Resolutions[Cond] = {Resolution::Kind::Zero, 0, {}};
+      Rule(Cond) = {Resolution::Kind::Zero, 0, {}};
 
   // The procedure's own invocation count.
   ControlCondition StartCond{E.start(), CfgLabel::U};
@@ -256,7 +269,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
     PC.Sites.push_back(
         {CounterSite::Kind::ProcEntry, InvalidStmt, CfgLabel::U, 0});
     unsigned Id = Plan.addCounter(std::move(PC));
-    Plan.Resolutions[StartCond] = {Resolution::Kind::Measured, Id, {}};
+    Rule(StartCond) = {Resolution::Kind::Measured, Id, {}};
   }
 
   // Loop frequencies, per header.
@@ -275,7 +288,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
         Resolution R;
         R.K = Resolution::Kind::DoConstTrip;
         R.Terms.push_back(nodeTerm(Ph, static_cast<double>(Trip + 1)));
-        Plan.Resolutions[LoopCond] = std::move(R);
+        Rule(LoopCond) = std::move(R);
       } else {
         // Optimization 3: add the header-execution count once per entry.
         PlannedCounter PC;
@@ -283,7 +296,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
         PC.Sites.push_back(
             {CounterSite::Kind::DoLoopEntryAdd, C.origin(H), CfgLabel::U, 0});
         unsigned Id = Plan.addCounter(std::move(PC));
-        Plan.Resolutions[LoopCond] = {Resolution::Kind::Measured, Id, {}};
+        Rule(LoopCond) = {Resolution::Kind::Measured, Id, {}};
       }
       // The DO header's own branch totals follow from the loop frequency:
       // F is taken once per entry, T makes up the rest.
@@ -291,15 +304,15 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
       if (Conds.count(TCond)) {
         Resolution R;
         R.K = Resolution::Kind::DoDerived;
-        R.Terms.push_back(condTerm(LoopCond, 1.0));
+        R.Terms.push_back(condTerm(CD.conditionId(LoopCond), 1.0));
         R.Terms.push_back(nodeTerm(Ph, -1.0));
-        Plan.Resolutions[TCond] = std::move(R);
+        Rule(TCond) = std::move(R);
       }
       if (Conds.count(FCond)) {
         Resolution R;
         R.K = Resolution::Kind::DoDerived;
         R.Terms.push_back(nodeTerm(Ph, 1.0));
-        Plan.Resolutions[FCond] = std::move(R);
+        Rule(FCond) = std::move(R);
       }
       continue;
     }
@@ -322,7 +335,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
       R.K = Resolution::Kind::LatchSum;
       R.Terms.push_back(nodeTerm(Ph, 1.0));
       R.Terms.push_back(counterTerm(Id, 1.0));
-      Plan.Resolutions[LoopCond] = std::move(R);
+      Rule(LoopCond) = std::move(R);
     } else {
       // Optimization 1 only: count header executions directly.
       PlannedCounter PC;
@@ -330,7 +343,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
       PC.Sites.push_back(
           {CounterSite::Kind::Statement, C.origin(H), CfgLabel::U, 0});
       unsigned Id = Plan.addCounter(std::move(PC));
-      Plan.Resolutions[LoopCond] = {Resolution::Kind::Measured, Id, {}};
+      Rule(LoopCond) = {Resolution::Kind::Measured, Id, {}};
     }
   }
 
@@ -357,7 +370,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
           if (Other.Source == Candidate.Source &&
               Other.Label == Candidate.Label)
             continue;
-          if (fcdgReaches(CD.fcdg(), Candidate.Source, Other.Source)) {
+          if (fcdgReaches(CD.arena(), Candidate.Source, Other.Source)) {
             Safe = false;
             break;
           }
@@ -373,13 +386,13 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
               Other.Label == Candidate.Label)
             continue;
           if (Other.IsCondition) {
-            R.Terms.push_back(
-                condTerm({Other.Source, Other.Label}, -1.0));
+            R.Terms.push_back(condTerm(
+                CD.conditionId({Other.Source, Other.Label}), -1.0));
           } else {
             R.Terms.push_back(nodeTerm(Other.Source, -1.0));
           }
         }
-        Plan.Resolutions[DropCond] = std::move(R);
+        Rule(DropCond) = std::move(R);
         break; // One derivation per loop.
       }
     }
@@ -423,17 +436,15 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
         R.Terms.push_back(nodeTerm(U, 1.0));
         for (CfgLabel Other : AllLabels)
           if (Other != L)
-            R.Terms.push_back(condTerm({U, Other}, -1.0));
-        Plan.Resolutions[Cond] = std::move(R);
+            R.Terms.push_back(condTerm(CD.conditionId({U, Other}), -1.0));
+        Rule(Cond) = std::move(R);
         continue;
       }
       // Reuse a single-site latch counter when it already measures this
       // exact branch event.
       auto Existing = SingleSiteCounters.find({C.origin(U), L});
       if (Existing != SingleSiteCounters.end()) {
-        Plan.Resolutions[Cond] = {Resolution::Kind::Measured,
-                                  Existing->second,
-                                  {}};
+        Rule(Cond) = {Resolution::Kind::Measured, Existing->second, {}};
         continue;
       }
       PlannedCounter PC;
@@ -441,7 +452,7 @@ void FunctionPlan::buildOptimized(FunctionPlan &Plan,
       PC.Sites.push_back(
           {CounterSite::Kind::Edge, C.origin(U), L, 0});
       unsigned Id = Plan.addCounter(std::move(PC));
-      Plan.Resolutions[Cond] = {Resolution::Kind::Measured, Id, {}};
+      Rule(Cond) = {Resolution::Kind::Measured, Id, {}};
     }
   }
 }
@@ -458,18 +469,18 @@ FunctionPlan FunctionPlan::build(const FunctionAnalysis &FA,
 
   // Safety net: the derivation rules above are chosen to be acyclic, but
   // adversarial control flow could still produce an unresolvable system.
-  // Fall back to direct measurement for any stuck condition.
-  for (unsigned Attempt = 0; Attempt < FA.cd().conditions().size();
-       ++Attempt) {
-    std::vector<double> Zeros(Plan.numCounters(), 0.0);
-    FrequencyTotals Probe = recoverTotals(FA, Plan, Zeros);
-    if (Probe.Ok)
+  // Fall back to direct measurement for any stuck condition, the least
+  // unresolved id first, and compile again.
+  const std::vector<ControlCondition> &Conds = FA.cd().conditions();
+  for (size_t Attempt = 0;; ++Attempt) {
+    std::vector<unsigned> Unresolved = Plan.compileSchedule(FA);
+    if (Plan.Recoverable || Attempt == Conds.size())
       break;
-    if (Probe.Unresolved.empty())
+    if (Unresolved.empty())
       break; // Stuck on node totals only; nothing measurable remains.
     const Cfg &C = FA.cfg();
     const Ecfg &E = FA.ecfg();
-    ControlCondition Cond = Probe.Unresolved.front();
+    ControlCondition Cond = Conds[Unresolved.front()];
     PlannedCounter PC;
     PC.Name = "repair(" + E.cfg().nodeName(Cond.Node) + "," +
               cfgLabelName(Cond.Label) + ")";
@@ -484,9 +495,106 @@ FunctionPlan FunctionPlan::build(const FunctionAnalysis &FA,
           {CounterSite::Kind::Edge, C.origin(Cond.Node), Cond.Label, 0});
     }
     unsigned Id = Plan.addCounter(std::move(PC));
-    Plan.Resolutions[Cond] = {Resolution::Kind::Measured, Id, {}};
+    Plan.Resolutions[Unresolved.front()] = {Resolution::Kind::Measured, Id,
+                                            {}};
   }
   return Plan;
+}
+
+std::vector<unsigned>
+FunctionPlan::compileSchedule(const FunctionAnalysis &FA) {
+  const ControlDependence &CD = FA.cd();
+  const FlowArena &A = CD.arena();
+  const unsigned NumConds = static_cast<unsigned>(CD.conditions().size());
+  const unsigned NumPos = A.numPositions();
+  const NodeId Start = FA.ecfg().start();
+  const unsigned StartCond = CD.conditionId({Start, CfgLabel::U});
+
+  // Entities: condition id C is C, arena position P is NumConds + P. A
+  // dependency that can never be met (no rule, a node outside the FCDG)
+  // counts as one input that never arrives.
+  constexpr uint32_t Never = static_cast<uint32_t>(-1);
+  auto ForEachInput = [&](uint32_t Entity, auto &&Visit) {
+    if (Entity >= NumConds) {
+      unsigned P = Entity - NumConds;
+      if (A.node(P) == Start) {
+        Visit(StartCond == ControlDependence::InvalidCondition ? Never
+                                                               : StartCond);
+        return;
+      }
+      if (A.inBegin(P) == A.inEnd(P))
+        Visit(Never);
+      for (uint32_t I = A.inBegin(P); I != A.inEnd(P); ++I)
+        Visit(A.group(A.inGroup(I)).Cond);
+      return;
+    }
+    const Resolution &R = Resolutions[Entity];
+    switch (R.K) {
+    case Resolution::Kind::None:
+      Visit(Never);
+      return;
+    case Resolution::Kind::Measured:
+    case Resolution::Kind::Zero:
+      return;
+    default:
+      break;
+    }
+    for (const RecoveryTerm &T : R.Terms) {
+      if (T.K == RecoveryTerm::Kind::CondTotal) {
+        Visit(T.Cond < NumConds ? T.Cond : Never);
+      } else if (T.K == RecoveryTerm::Kind::NodeTotal) {
+        unsigned P = A.position(T.Node);
+        Visit(P == FlowArena::InvalidPosition ? Never : NumConds + P);
+      }
+    }
+  };
+
+  // Pending input counts, and each entity's dependents as a CSR.
+  const uint32_t NumEntities = NumConds + NumPos;
+  std::vector<uint32_t> Pending(NumEntities, 0);
+  std::vector<uint32_t> DepBegin(NumEntities + 1, 0);
+  for (uint32_t E = 0; E < NumEntities; ++E)
+    ForEachInput(E, [&](uint32_t In) {
+      ++Pending[E];
+      if (In != Never)
+        ++DepBegin[In + 1];
+    });
+  for (uint32_t E = 0; E < NumEntities; ++E)
+    DepBegin[E + 1] += DepBegin[E];
+  std::vector<uint32_t> Dependents(DepBegin[NumEntities]);
+  std::vector<uint32_t> Fill(DepBegin.begin(), DepBegin.end() - 1);
+  for (uint32_t E = 0; E < NumEntities; ++E)
+    ForEachInput(E, [&](uint32_t In) {
+      if (In != Never)
+        Dependents[Fill[In]++] = E;
+    });
+
+  // Kahn's algorithm: the schedule lists each entity once all its inputs
+  // are listed. The values recovery computes do not depend on which such
+  // order it is, only on each step's own summation order.
+  Schedule.clear();
+  std::vector<bool> Done(NumEntities, false);
+  std::vector<uint32_t> Ready;
+  for (uint32_t E = 0; E < NumEntities; ++E)
+    if (Pending[E] == 0)
+      Ready.push_back(E);
+  for (size_t Next = 0; Next < Ready.size(); ++Next) {
+    uint32_t E = Ready[Next];
+    Done[E] = true;
+    Schedule.push_back(E < NumConds ? RecoveryStep{false, E}
+                                    : RecoveryStep{true, E - NumConds});
+    for (uint32_t D = DepBegin[E]; D != DepBegin[E + 1]; ++D)
+      if (--Pending[Dependents[D]] == 0)
+        Ready.push_back(Dependents[D]);
+  }
+  Schedule.shrink_to_fit();
+  Recoverable = Schedule.size() == NumEntities;
+
+  std::vector<unsigned> Unresolved;
+  for (uint32_t C = 0; C < NumConds; ++C)
+    if (!Done[C])
+      Unresolved.push_back(C);
+  return Unresolved;
 }
 
 std::string FunctionPlan::str(const FunctionAnalysis &FA) const {
@@ -516,7 +624,11 @@ std::string FunctionPlan::str(const FunctionAnalysis &FA) const {
     }
     OS << "]\n";
   }
-  for (const auto &[Cond, R] : Resolutions) {
+  for (size_t Id = 0; Id < Resolutions.size(); ++Id) {
+    const Resolution &R = Resolutions[Id];
+    if (R.K == Resolution::Kind::None)
+      continue;
+    const ControlCondition &Cond = FA.cd().conditions()[Id];
     OS << "  (" << FA.ecfg().cfg().nodeName(Cond.Node) << ", "
        << cfgLabelName(Cond.Label) << ") <- " << resolutionKindName(R.K);
     if (R.K == Resolution::Kind::Measured)

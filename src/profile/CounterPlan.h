@@ -79,7 +79,8 @@ struct RecoveryTerm {
     CounterVal ///< Raw value of a physical counter (by local index).
   };
   Kind K = Kind::CondTotal;
-  ControlCondition Cond;
+  /// For CondTotal: the condition's id (ControlDependence::conditionId).
+  unsigned Cond = 0;
   NodeId Node = InvalidNode;
   unsigned Counter = 0;
   double Coeff = 1.0;
@@ -88,6 +89,7 @@ struct RecoveryTerm {
 /// How one condition's TOTAL_FREQ is obtained.
 struct Resolution {
   enum class Kind {
+    None,           ///< No rule (only while a plan is being built).
     Measured,       ///< Value of a physical counter.
     Zero,           ///< Pseudo edge; identically zero.
     SumComplement,  ///< Optimization 2 at a branch node.
@@ -97,7 +99,7 @@ struct Resolution {
     DoDerived,      ///< DO header branch totals derived from the loop
                     ///< frequency and entry count.
   };
-  Kind K = Kind::Measured;
+  Kind K = Kind::None;
   /// For Measured: local counter index.
   unsigned Counter = 0;
   /// For derivations: TOTAL = sum of terms.
@@ -106,6 +108,14 @@ struct Resolution {
 
 /// \returns a short name for a resolution kind ("measured", "zero", ...).
 const char *resolutionKindName(Resolution::Kind K);
+
+/// One step of a compiled recovery schedule: resolve the condition with
+/// id \p Id by its Resolution, or (IsNode) the total of the node at arena
+/// position \p Id from its in-edges.
+struct RecoveryStep {
+  bool IsNode = false;
+  uint32_t Id = 0;
+};
 
 /// The counter plan of one function.
 class FunctionPlan {
@@ -121,10 +131,17 @@ public:
     return static_cast<unsigned>(Counters.size());
   }
 
-  /// Resolution per control condition (empty for naive plans).
-  const std::map<ControlCondition, Resolution> &resolutions() const {
-    return Resolutions;
-  }
+  /// Resolution per condition id (empty for naive plans).
+  const std::vector<Resolution> &resolutions() const { return Resolutions; }
+
+  /// Section 3's recovery compiled once, at build time: every condition
+  /// and FCDG node total, each after the totals it reads (empty for naive
+  /// plans). Recovery is one linear pass over it.
+  const std::vector<RecoveryStep> &schedule() const { return Schedule; }
+
+  /// True when the schedule resolves every condition and node total. The
+  /// build's repair loop makes this hold for every optimized plan.
+  bool recoverable() const { return Recoverable; }
 
   /// Naive plans: the basic blocks, aligned with counters (block i is
   /// counted by counter i).
@@ -145,9 +162,17 @@ private:
                              ProfileMode Mode);
   static void buildNaive(FunctionPlan &Plan, const FunctionAnalysis &FA);
 
+  /// Compiles Schedule from Resolutions (Kahn's algorithm over the
+  /// dependencies of the rules and node totals) and sets Recoverable.
+  /// \returns the ids of the conditions left unresolved, ascending: those
+  /// outside the rules' least fixpoint, whatever the counter values.
+  std::vector<unsigned> compileSchedule(const FunctionAnalysis &FA);
+
   ProfileMode Mode = ProfileMode::Smart;
   std::vector<PlannedCounter> Counters;
-  std::map<ControlCondition, Resolution> Resolutions;
+  std::vector<Resolution> Resolutions;
+  std::vector<RecoveryStep> Schedule;
+  bool Recoverable = false;
   std::vector<std::vector<NodeId>> Blocks;
 };
 

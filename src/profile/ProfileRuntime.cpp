@@ -49,16 +49,18 @@ ProfileRuntime::ProfileRuntime(const ProgramAnalysis &PA,
         }
       }
     }
-    Tables.emplace(F, std::move(T));
+    T.F = F;
+    if (F->index() >= Tables.size())
+      Tables.resize(F->index() + 1);
+    Tables[F->index()] = std::move(T);
   }
 }
 
 const ProfileRuntime::SiteTables &
 ProfileRuntime::tablesFor(const Function &F) const {
-  auto It = Tables.find(&F);
-  if (It == Tables.end())
+  if (F.index() >= Tables.size() || Tables[F.index()].F != &F)
     reportFatalError("profiling a function without a plan: " + F.name());
-  return It->second;
+  return Tables[F.index()];
 }
 
 void ProfileRuntime::onProcedureEntry(const Function &F, unsigned) {
@@ -188,6 +190,7 @@ FrequencyTotals ExactProfile::totals(const Function &F) const {
   const FunctionAnalysis &FA = PA.of(F);
   const Ecfg &E = FA.ecfg();
   FrequencyTotals Out;
+  Out.Cond.reserve(FA.cd().conditions().size());
   for (const ControlCondition &Cond : FA.cd().conditions()) {
     double Total = 0.0;
     if (Cond.Label == CfgLabel::Z) {
@@ -199,7 +202,7 @@ FrequencyTotals ExactProfile::totals(const Function &F) const {
     } else {
       Total = transferCount(F, FA.cfg().origin(Cond.Node), Cond.Label);
     }
-    Out.Cond[Cond] = Total;
+    Out.Cond.push_back(Total);
   }
   Out.Node = nodeTotalsFromConds(FA, Out.Cond);
   Out.Ok = true;
@@ -226,32 +229,35 @@ LoopFrequencyStats::LoopFrequencyStats(const ProgramAnalysis &PA) {
       }
       FnShapes.push_back(std::move(Shape));
     }
-    Shapes.emplace(F, std::move(FnShapes));
+    if (F->index() >= Shapes.size())
+      Shapes.resize(F->index() + 1);
+    Shapes[F->index()] = std::move(FnShapes);
   }
 }
 
 void LoopFrequencyStats::onProcedureEntry(const Function &F, unsigned Depth) {
   Frames.resize(Depth + 1);
   Frames[Depth].F = &F;
+  Frames[Depth].Shapes =
+      F.index() < Shapes.size() ? &Shapes[F.index()] : nullptr;
   Frames[Depth].Active.clear();
 }
 
-void LoopFrequencyStats::onProcedureExit(const Function &F, unsigned Depth) {
+void LoopFrequencyStats::onProcedureExit(const Function &, unsigned Depth) {
   if (Depth >= Frames.size())
     return;
   // Close any loops still open (closed normally via the exit transfer, but
   // a fault can interrupt execution mid-loop).
-  closeLoopsOutside(Frames[Depth], F, InvalidStmt);
+  closeLoopsOutside(Frames[Depth], InvalidStmt);
   Frames.resize(Depth);
 }
 
-void LoopFrequencyStats::onStatement(const Function &F, StmtId S,
+void LoopFrequencyStats::onStatement(const Function &, StmtId S,
                                      unsigned Depth) {
   FunctionState &State = Frames[Depth];
-  auto It = Shapes.find(&F);
-  if (It == Shapes.end())
+  if (!State.Shapes)
     return;
-  const std::vector<LoopShape> &FnShapes = It->second;
+  const std::vector<LoopShape> &FnShapes = *State.Shapes;
 
   // Header executions: bump active loops, activate on first execution.
   for (unsigned I = 0; I < FnShapes.size(); ++I) {
@@ -269,15 +275,15 @@ void LoopFrequencyStats::onStatement(const Function &F, StmtId S,
 }
 
 void LoopFrequencyStats::closeLoopsOutside(FunctionState &State,
-                                           const Function &F, StmtId Target) {
+                                           StmtId Target) {
   while (!State.Active.empty()) {
     ActiveLoop &A = State.Active.back();
-    const LoopShape &Shape = Shapes[&F][A.LoopIdx];
+    const LoopShape &Shape = (*State.Shapes)[A.LoopIdx];
     bool Inside = Target != InvalidStmt && Target < Shape.BodyStmts.size() &&
                   Shape.BodyStmts[Target];
     if (Inside)
       return;
-    Moments &M = Stats[{&F, Shape.HeaderStmt}];
+    Moments &M = Stats[{State.F, Shape.HeaderStmt}];
     M.Entries += 1;
     M.Sum += A.HeaderExecs;
     M.SumSq += A.HeaderExecs * A.HeaderExecs;
@@ -293,7 +299,7 @@ void LoopFrequencyStats::onTransfer(const Function &F, StmtId, CfgLabel,
   if (Depth >= Frames.size() ||
       (To != InvalidStmt && isa<GotoStmt>(F.stmt(To))))
     return;
-  closeLoopsOutside(Frames[Depth], F, To);
+  closeLoopsOutside(Frames[Depth], To);
 }
 
 const LoopFrequencyStats::Moments *

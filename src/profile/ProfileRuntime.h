@@ -68,8 +68,8 @@ public:
   double overheadCycles() const;
 
   /// Recovers TOTAL_FREQ for one function from the current counters.
-  /// \p Cancel (optional) bounds the recovery fixpoint; an expired token
-  /// yields Ok = false (see recoverTotals).
+  /// \p Cancel (optional): an expired token yields Ok = false (see
+  /// recoverTotals).
   FrequencyTotals recover(const Function &F,
                           CancelToken *Cancel = nullptr) const;
 
@@ -78,6 +78,8 @@ public:
 
 private:
   struct SiteTables {
+    /// The function these tables belong to.
+    const Function *F = nullptr;
     /// Per statement: counters bumped when it executes.
     std::vector<std::vector<unsigned>> OnStmt;
     /// Per statement: (label, counter) pairs bumped on matching transfer.
@@ -94,7 +96,9 @@ private:
   const ProgramPlan &Plan;
   CostModel CM;
   ObsRegistry *Obs = nullptr;
-  std::map<const Function *, SiteTables> Tables;
+  /// Indexed by Function::index(), so each event's lookup is an array
+  /// access.
+  std::vector<SiteTables> Tables;
   std::vector<double> Counters;
   uint64_t Increments = 0;
   uint64_t Adds = 0;
@@ -189,16 +193,20 @@ private:
   };
   struct FunctionState {
     const Function *F = nullptr;
+    /// F's loops (null when F was not analysed), resolved once per
+    /// activation.
+    const std::vector<LoopShape> *Shapes = nullptr;
     /// Active loops, innermost last.
     std::vector<ActiveLoop> Active;
   };
 
   /// Records and pops active loops, innermost first, until one whose body
   /// holds \p Target (InvalidStmt closes them all).
-  void closeLoopsOutside(FunctionState &State, const Function &F,
-                         StmtId Target);
+  void closeLoopsOutside(FunctionState &State, StmtId Target);
 
-  std::map<const Function *, std::vector<LoopShape>> Shapes;
+  /// Loops per function, indexed by Function::index() (empty for
+  /// functions without an analysis).
+  std::vector<std::vector<LoopShape>> Shapes;
   std::map<std::pair<const Function *, StmtId>, Moments> Stats;
   /// Stack of per-activation states, indexed by frame depth.
   std::vector<FunctionState> Frames;

@@ -2,6 +2,7 @@
 
 #include "profile/Recovery.h"
 
+#include <cassert>
 #include <cmath>
 #include <string>
 
@@ -22,173 +23,103 @@ FrequencyTotals ptran::recoverTotals(const FunctionAnalysis &FA,
       Diags->error("counter vector for " + FA.function().name() + " has " +
                    std::to_string(Counters.size()) + " entries, plan expects " +
                    std::to_string(Plan.numCounters()));
-    FrequencyTotals Bad;
-    Bad.Ok = false;
-    return Bad;
+    return FrequencyTotals();
   }
-  if (Plan.mode() == ProfileMode::Naive) {
-    // Naive plans measure basic blocks, not conditions; nothing to solve.
-    FrequencyTotals Empty;
-    Empty.Ok = false;
-    return Empty;
+  // Naive plans measure basic blocks, not conditions; nothing to solve.
+  // An unrecoverable plan (the build's repair loop leaves none) cannot
+  // resolve everything whatever the counters say.
+  if (Plan.mode() == ProfileMode::Naive || !Plan.recoverable())
+    return FrequencyTotals();
+  if (Obs)
+    Obs->addCounter("recovery.calls");
+  if (Cancel && Cancel->checkpoint()) {
+    if (Diags)
+      Diags->error(cancelMessage(*Cancel, "frequency recovery for " +
+                                              FA.function().name()));
+    return FrequencyTotals();
   }
 
   const ControlDependence &CD = FA.cd();
-  const Digraph &Fcdg = CD.fcdg();
-  NodeId Start = FA.ecfg().start();
+  const FlowArena &A = CD.arena();
+  const std::vector<Resolution> &Rules = Plan.resolutions();
+  const NodeId Start = FA.ecfg().start();
 
   FrequencyTotals Out;
-  Out.Node.assign(Fcdg.numNodes(), -1.0);
-  std::map<ControlCondition, double> Known;
+  Out.Cond.assign(CD.conditions().size(), 0.0);
+  Out.Node.assign(A.numNodes(), -1.0);
   bool Clamped = false;
 
-  auto CondKnown = [&](const ControlCondition &C) {
-    return Known.count(C) != 0;
-  };
-
-  // Fixpoint propagation over node totals and condition rules. Every
-  // productive pass resolves at least one condition or node total, so a
-  // well-formed plan converges within conditions + nodes passes; the cap
-  // only trips on contradictory input (e.g. a NaN counter keeps a node
-  // total "unknown" forever because NaN >= 0.0 is false, re-deriving it
-  // each pass with Changed stuck at true).
-  const uint64_t MaxIterations =
-      2 * (static_cast<uint64_t>(CD.conditions().size()) + Fcdg.numNodes()) + 8;
-  bool Changed = true;
-  uint64_t Iterations = 0;
-  while (Changed) {
-    if (Iterations >= MaxIterations) {
-      if (Diags)
-        Diags->error("frequency recovery for " + FA.function().name() +
-                     " did not converge after " +
-                     std::to_string(Iterations) +
-                     " iterations; counters are contradictory (NaN or cyclic "
-                     "derivation)");
-      if (Obs) {
-        Obs->addCounter("recovery.calls");
-        Obs->addCounter("recovery.fixpoint_iterations", Iterations);
-        Obs->addCounter("recovery.diverged");
-      }
-      FrequencyTotals Bad;
-      Bad.Ok = false;
-      return Bad;
-    }
-    if (Cancel && Cancel->checkpoint()) {
-      if (Diags)
-        Diags->error(cancelMessage(*Cancel, "frequency recovery for " +
-                                                FA.function().name()));
-      if (Obs) {
-        Obs->addCounter("recovery.calls");
-        Obs->addCounter("recovery.fixpoint_iterations", Iterations);
-      }
-      FrequencyTotals Bad;
-      Bad.Ok = false;
-      return Bad;
-    }
-    Changed = false;
-    ++Iterations;
-
-    // Node totals: START's equals its own U condition (the procedure's
-    // invocation count); every other node sums its incoming conditions.
-    for (NodeId N : CD.topoOrder()) {
-      if (Out.Node[N] >= 0.0)
-        continue;
+  for (const RecoveryStep &S : Plan.schedule()) {
+    if (S.IsNode) {
+      // START's total is its own U condition (the procedure's invocation
+      // count); every other node sums its incoming conditions.
+      NodeId N = A.node(S.Id);
+      double Sum;
       if (N == Start) {
-        ControlCondition StartCond{Start, CfgLabel::U};
-        if (CondKnown(StartCond)) {
-          Out.Node[N] = Known[StartCond];
-          Changed = true;
+        Sum = Out.Cond[CD.conditionId({Start, CfgLabel::U})];
+      } else {
+        Sum = 0.0;
+        for (uint32_t I = A.inBegin(S.Id); I != A.inEnd(S.Id); ++I)
+          Sum += Out.Cond[A.group(A.inGroup(I)).Cond];
+      }
+      // The value check: a NaN or negative node total means the counters
+      // contradict each other. The fixpoint solver this pass replaces
+      // never settled on such counters and gave up after its iteration
+      // cap; the diagnostic keeps its wording and count.
+      if (!(Sum >= 0.0)) {
+        if (Diags) {
+          uint64_t Cap =
+              2 * (static_cast<uint64_t>(CD.conditions().size()) +
+                   A.numNodes()) +
+              8;
+          Diags->error("frequency recovery for " + FA.function().name() +
+                       " did not converge after " + std::to_string(Cap) +
+                       " iterations; counters are contradictory (NaN or "
+                       "cyclic derivation)");
         }
-        continue;
+        return FrequencyTotals();
       }
-      double Sum = 0.0;
-      bool AllKnown = true;
-      for (EdgeId In : Fcdg.inEdges(N)) {
-        const Digraph::Edge &Ed = Fcdg.edge(In);
-        ControlCondition C{Ed.From, static_cast<CfgLabel>(Ed.Label)};
-        if (!CondKnown(C)) {
-          AllKnown = false;
-          break;
-        }
-        Sum += Known[C];
-      }
-      if (AllKnown && Fcdg.inDegree(N) > 0) {
-        Out.Node[N] = Sum;
-        Changed = true;
-      }
+      Out.Node[N] = Sum;
+      continue;
     }
-
-    // Condition rules.
-    for (const auto &[Cond, R] : Plan.resolutions()) {
-      if (CondKnown(Cond))
-        continue;
-      switch (R.K) {
-      case Resolution::Kind::Measured:
-        Known[Cond] = Counters[R.Counter];
-        Changed = true;
-        continue;
-      case Resolution::Kind::Zero:
-        Known[Cond] = 0.0;
-        Changed = true;
-        continue;
-      default:
+    const Resolution &R = Rules[S.Id];
+    switch (R.K) {
+    case Resolution::Kind::Measured:
+      Out.Cond[S.Id] = Counters[R.Counter];
+      continue;
+    case Resolution::Kind::Zero:
+      Out.Cond[S.Id] = 0.0;
+      continue;
+    default:
+      break;
+    }
+    assert(R.K != Resolution::Kind::None && "scheduled a condition without "
+                                            "a rule");
+    double Value = 0.0;
+    for (const RecoveryTerm &T : R.Terms) {
+      switch (T.K) {
+      case RecoveryTerm::Kind::CondTotal:
+        Value += T.Coeff * Out.Cond[T.Cond];
+        break;
+      case RecoveryTerm::Kind::NodeTotal:
+        Value += T.Coeff * Out.Node[T.Node];
+        break;
+      case RecoveryTerm::Kind::CounterVal:
+        Value += T.Coeff * Counters[T.Counter];
         break;
       }
-      // Linear rule: resolvable when every term is known.
-      double Value = 0.0;
-      bool AllKnown = true;
-      for (const RecoveryTerm &T : R.Terms) {
-        switch (T.K) {
-        case RecoveryTerm::Kind::CondTotal:
-          if (!CondKnown(T.Cond)) {
-            AllKnown = false;
-            break;
-          }
-          Value += T.Coeff * Known[T.Cond];
-          break;
-        case RecoveryTerm::Kind::NodeTotal:
-          if (Out.Node[T.Node] < 0.0) {
-            AllKnown = false;
-            break;
-          }
-          Value += T.Coeff * Out.Node[T.Node];
-          break;
-        case RecoveryTerm::Kind::CounterVal:
-          Value += T.Coeff * Counters[T.Counter];
-          break;
-        }
-        if (!AllKnown)
-          break;
-      }
-      if (AllKnown) {
-        // Counter noise can produce tiny negative values for identically
-        // zero paths; clamp.
-        Clamped |= Value < 0.0;
-        Known[Cond] = Value < 0.0 ? 0.0 : Value;
-        Changed = true;
-      }
     }
+    // Counter noise can produce tiny negative values for identically zero
+    // paths; clamp.
+    Clamped |= Value < 0.0;
+    Out.Cond[S.Id] = Value < 0.0 ? 0.0 : Value;
   }
 
-  if (Obs) {
-    Obs->addCounter("recovery.calls");
-    Obs->addCounter("recovery.fixpoint_iterations", Iterations);
-  }
-
-  Out.Cond = Known;
   Out.Ok = true;
-  for (const ControlCondition &C : CD.conditions())
-    if (!CondKnown(C)) {
-      Out.Ok = false;
-      Out.Unresolved.push_back(C);
-    }
-  for (NodeId N : CD.topoOrder())
-    if (Out.Node[N] < 0.0)
-      Out.Ok = false;
-  Out.Exact = Out.Ok && !Clamped;
+  Out.Exact = !Clamped;
   for (double C : Counters)
     Out.Exact &= std::floor(C) == C;
-  for (const auto &[Cond, T] : Out.Cond)
+  for (double T : Out.Cond)
     Out.Exact &= T <= ExactTotalLimit;
   for (double N : Out.Node)
     Out.Exact &= N <= ExactTotalLimit;
@@ -197,15 +128,13 @@ FrequencyTotals ptran::recoverTotals(const FunctionAnalysis &FA,
 
 bool ptran::addExactTotals(FrequencyTotals &Acc,
                            const FrequencyTotals &Delta) {
-  // Totals recovered through one plan resolve the same conditions, so
-  // equal sizes mean the keys match one for one.
+  // Totals recovered through one plan hold the same conditions and nodes.
   if (!Acc.Exact || !Delta.Exact || Acc.Cond.size() != Delta.Cond.size() ||
       Acc.Node.size() != Delta.Node.size())
     return false;
-  auto DIt = Delta.Cond.begin();
-  for (auto &[Cond, T] : Acc.Cond) {
-    T += (DIt++)->second;
-    Acc.Exact &= T <= ExactTotalLimit;
+  for (size_t C = 0; C < Acc.Cond.size(); ++C) {
+    Acc.Cond[C] += Delta.Cond[C];
+    Acc.Exact &= Acc.Cond[C] <= ExactTotalLimit;
   }
   for (size_t N = 0; N < Acc.Node.size(); ++N) {
     if (Acc.Node[N] < 0.0)
@@ -216,35 +145,29 @@ bool ptran::addExactTotals(FrequencyTotals &Acc,
   return true;
 }
 
-std::vector<double> ptran::nodeTotalsFromConds(
-    const FunctionAnalysis &FA,
-    const std::map<ControlCondition, double> &Cond) {
+std::vector<double>
+ptran::nodeTotalsFromConds(const FunctionAnalysis &FA,
+                           const std::vector<double> &Cond) {
   const ControlDependence &CD = FA.cd();
-  const Digraph &Fcdg = CD.fcdg();
+  const FlowArena &A = CD.arena();
+  assert(Cond.size() == CD.conditions().size() &&
+         "one condition total per condition id");
   NodeId Start = FA.ecfg().start();
+  unsigned StartCond = CD.conditionId({Start, CfgLabel::U});
 
-  std::vector<double> Node(Fcdg.numNodes(), -1.0);
-  for (NodeId N : CD.topoOrder()) {
+  std::vector<double> Node(A.numNodes(), -1.0);
+  for (unsigned P = 0; P < A.numPositions(); ++P) {
+    NodeId N = A.node(P);
     if (N == Start) {
-      auto It = Cond.find({Start, CfgLabel::U});
-      Node[N] = It == Cond.end() ? 0.0 : It->second;
+      Node[N] = StartCond == ControlDependence::InvalidCondition
+                    ? 0.0
+                    : Cond[StartCond];
       continue;
     }
     double Sum = 0.0;
-    for (EdgeId In : Fcdg.inEdges(N)) {
-      const Digraph::Edge &Ed = Fcdg.edge(In);
-      auto It = Cond.find({Ed.From, static_cast<CfgLabel>(Ed.Label)});
-      Sum += It == Cond.end() ? 0.0 : It->second;
-    }
+    for (uint32_t I = A.inBegin(P); I != A.inEnd(P); ++I)
+      Sum += Cond[A.group(A.inGroup(I)).Cond];
     Node[N] = Sum;
   }
   return Node;
-}
-
-bool ptran::planIsRecoverable(const FunctionAnalysis &FA,
-                              const FunctionPlan &Plan) {
-  if (Plan.mode() == ProfileMode::Naive)
-    return true; // Naive plans have no condition rules to resolve.
-  std::vector<double> Zeros(Plan.numCounters(), 0.0);
-  return recoverTotals(FA, Plan, Zeros).Ok;
 }

@@ -7,10 +7,18 @@
 /// \file
 /// Reconstructs TOTAL_FREQ for every control condition (and the total
 /// execution frequency of every FCDG node) from the reduced counter set of
-/// a FunctionPlan. Derivation rules are linear, so recovery is a simple
-/// fixpoint propagation: a node total becomes known when all its incoming
-/// condition totals are known; a derived condition becomes known when all
-/// terms of its rule are known.
+/// a FunctionPlan. Derivation rules are linear and which totals each one
+/// reads depends only on the plan, so FunctionPlan::build compiles them
+/// once into a schedule (FunctionPlan::schedule) and recovery is a single
+/// pass over it: a node total sums its in-edges' condition totals in FCDG
+/// edge-insertion order, a derived condition sums its rule's terms in term
+/// order. Totals are dense vectors keyed by condition id and node id.
+///
+/// Counter values are checked explicitly as the pass goes: a node total
+/// that comes out NaN or negative rejects the counters (Ok = false). That
+/// is exactly where the fixpoint solver this pass replaces (kept in
+/// tests/Reference.h as its oracle) never settled, and the diagnostic is
+/// the one it gave.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +29,6 @@
 #include "profile/CounterPlan.h"
 #include "support/Cancellation.h"
 
-#include <map>
 #include <vector>
 
 namespace ptran {
@@ -30,14 +37,13 @@ namespace ptran {
 /// many runs the counters cover).
 struct FrequencyTotals {
   bool Ok = false;
-  /// TOTAL_FREQ per control condition.
-  std::map<ControlCondition, double> Cond;
+  /// TOTAL_FREQ per control condition, indexed by condition id (the
+  /// condition's index in ControlDependence::conditions()). Empty when
+  /// recovery failed.
+  std::vector<double> Cond;
   /// Total execution frequency per ECFG node (indexed by NodeId); nodes
-  /// outside the FCDG keep -1.
+  /// outside the FCDG keep -1. Empty when recovery failed.
   std::vector<double> Node;
-  /// Conditions the solver could not resolve (diagnostic aid; empty when
-  /// Ok).
-  std::vector<ControlCondition> Unresolved;
   /// True when recovery is exactly additive here: every counter is an
   /// integer, no derived total was clamped at zero and every total is at
   /// most 2^52. Recovering the sum of two such counter vectors then gives
@@ -46,21 +52,21 @@ struct FrequencyTotals {
   bool Exact = false;
 
   double nodeTotal(NodeId N) const { return Node[N]; }
-  double condTotal(const ControlCondition &C) const {
-    auto It = Cond.find(C);
-    return It == Cond.end() ? 0.0 : It->second;
+  /// TOTAL_FREQ of condition id \p Id; 0 for an id these totals do not
+  /// hold (ControlDependence::InvalidCondition included).
+  double condTotal(unsigned Id) const {
+    return Id < Cond.size() ? Cond[Id] : 0.0;
   }
 };
 
 /// Recovers all totals from \p Counters (the function's local counter
-/// values, Plan.numCounters() of them). A counter vector that does not
-/// match the plan's size (e.g. a profile of an older program) yields
-/// FrequencyTotals{Ok = false} and a diagnostic on \p Diags instead of an
-/// out-of-bounds read. When \p Obs is enabled, each call bumps
-/// `recovery.calls` and `recovery.fixpoint_iterations` (passes of the
-/// propagation loop) in the registry. \p Cancel (optional) is polled once
-/// per fixpoint iteration: an expired token yields Ok = false with a
-/// structured Timeout/Cancelled diagnostic instead of finishing the solve.
+/// values, Plan.numCounters() of them) in one pass over Plan.schedule().
+/// A counter vector that does not match the plan's size (e.g. a profile
+/// of an older program) yields FrequencyTotals{Ok = false} and a
+/// diagnostic on \p Diags instead of an out-of-bounds read; so does a node
+/// total that comes out NaN or negative. When \p Obs is enabled, each call
+/// bumps `recovery.calls`. \p Cancel (optional) is polled once: an expired
+/// token yields Ok = false with a structured Timeout/Cancelled diagnostic.
 FrequencyTotals recoverTotals(const FunctionAnalysis &FA,
                               const FunctionPlan &Plan,
                               const std::vector<double> &Counters,
@@ -75,18 +81,13 @@ FrequencyTotals recoverTotals(const FunctionAnalysis &FA,
 /// either is not Exact.
 bool addExactTotals(FrequencyTotals &Acc, const FrequencyTotals &Delta);
 
-/// Computes node totals from already-known condition totals via the FCDG
-/// recurrence (equation 3 of Section 3, in total form). Used both by the
-/// solver and to turn exact ground-truth condition counts into node
+/// Computes node totals from condition totals \p Cond (one per condition
+/// id) via the FCDG recurrence (equation 3 of Section 3, in total form),
+/// summing each node's in-edges in the order recovery does. Used to turn
+/// exact ground-truth condition counts, or accumulated ones, into node
 /// totals.
-std::vector<double>
-nodeTotalsFromConds(const FunctionAnalysis &FA,
-                    const std::map<ControlCondition, double> &Cond);
-
-/// Symbolically checks that \p Plan can recover every condition (runs the
-/// solver with zero-valued counters and inspects resolvability). Used by
-/// tests and by plan validation.
-bool planIsRecoverable(const FunctionAnalysis &FA, const FunctionPlan &Plan);
+std::vector<double> nodeTotalsFromConds(const FunctionAnalysis &FA,
+                                        const std::vector<double> &Cond);
 
 } // namespace ptran
 

@@ -838,14 +838,9 @@ public:
     durable::DurableRecord R;
     R.Type = durable::RecordType::EpochFold;
     R.Session = Entry.Name;
-    for (const auto &[F, Totals] : Batch) {
-      durable::FoldEntry FE;
-      FE.Function = F->name();
-      for (const auto &[Cond, Total] : Totals.Cond)
-        FE.Conds.push_back(
-            {Cond.Node, static_cast<uint8_t>(Cond.Label), Total});
-      R.Folds.push_back(std::move(FE));
-    }
+    for (const auto &[F, Totals] : Batch)
+      R.Folds.push_back(
+          {F->name(), Entry.Session->condRecords(*F, Totals.Cond)});
     for (const Function *F : Clamped)
       R.Clamped.push_back(F->name());
     uint64_t Lsn = Core.journalAppend(R);
@@ -972,12 +967,12 @@ static void applyFolds(EstimationSession &Session,
                             "' not found; its totals dropped");
       continue;
     }
-    FrequencyTotals T;
-    T.Ok = true;
-    for (const durable::CondTotal &C : FE.Conds)
-      T.Cond[ControlCondition{C.Node, static_cast<CfgLabel>(C.Label)}] =
-          C.Total;
-    Batch.emplace_back(F, std::move(T));
+    size_t Dropped = 0;
+    Batch.emplace_back(F, Session.deltaFromRecords(*F, FE.Conds, Dropped));
+    if (Dropped)
+      Diagnostics.push_back(Where + ": " + std::to_string(Dropped) +
+                            " total(s) for function '" + FE.Function +
+                            "' name conditions it does not have; dropped");
   }
   if (!Batch.empty())
     Session.accumulateTotalsBatch(Batch);

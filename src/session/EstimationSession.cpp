@@ -84,15 +84,23 @@ void EstimationSession::accumulateTotals(const Function &F,
 
 void EstimationSession::accumulateTotalsLocked(const Function &F,
                                                const FrequencyTotals &Delta) {
-  // Deltas may be partial (no Σ identities to hold them to), but the
-  // values themselves must be sane counts.
-  for (const auto &[Cond, Total] : Delta.Cond) {
-    if (std::isfinite(Total) && Total >= 0.0 &&
-        Total <= ProfileFile::SaturationLimit)
-      continue;
-    std::string Issue =
-        "externally accumulated totals are non-finite, negative or "
-        "overflowed";
+  // Deltas may be partial (no Σ identities to hold them to), but they
+  // must have the function's shape (or be empty: no totals at all), and
+  // the values themselves must be sane counts.
+  const size_t NumConds = Est->analysis().of(F).cd().conditions().size();
+  auto Sane = [](double Total) {
+    return std::isfinite(Total) && Total >= 0.0 &&
+           Total <= ProfileFile::SaturationLimit;
+  };
+  std::string Issue;
+  if (!Delta.Cond.empty() && Delta.Cond.size() != NumConds)
+    Issue = "externally accumulated totals hold " +
+            std::to_string(Delta.Cond.size()) + " condition totals, " +
+            F.name() + " has " + std::to_string(NumConds);
+  else if (!std::all_of(Delta.Cond.begin(), Delta.Cond.end(), Sane))
+    Issue = "externally accumulated totals are non-finite, negative or "
+            "overflowed";
+  if (!Issue.empty()) {
     if (Opts.OnBadProfile == BadProfilePolicy::Quarantine) {
       quarantine(F, Issue);
     } else {
@@ -107,13 +115,49 @@ void EstimationSession::accumulateTotalsLocked(const Function &F,
   // not: clamp the accumulator at 2^53 exactly as the PTPF merge does, so
   // repeated valid deltas degrade to a diagnosed lower bound instead of a
   // silently imprecise double.
-  std::map<ControlCondition, double> &Acc = External[&F];
   bool Saturated = false;
-  for (const auto &[Cond, Total] : Delta.Cond)
-    Saturated |= saturatingAdd(Acc[Cond], Total);
+  if (std::any_of(Delta.Cond.begin(), Delta.Cond.end(),
+                  [](double T) { return T != 0.0; })) {
+    std::vector<double> &Acc = External[&F];
+    Acc.resize(NumConds, 0.0);
+    for (size_t C = 0; C < NumConds; ++C)
+      if (Delta.Cond[C] != 0.0)
+        Saturated |= saturatingAdd(Acc[C], Delta.Cond[C]);
+  }
   if (Saturated)
     noteSaturation(F);
   Dirty.insert(&F);
+}
+
+std::vector<durable::CondTotal>
+EstimationSession::condRecords(const Function &F,
+                               const std::vector<double> &Cond) const {
+  const std::vector<ControlCondition> &Conds =
+      Est->analysis().of(F).cd().conditions();
+  std::vector<durable::CondTotal> Out;
+  for (size_t C = 0; C < Cond.size() && C < Conds.size(); ++C)
+    if (Cond[C] != 0.0)
+      Out.push_back({Conds[C].Node, static_cast<uint8_t>(Conds[C].Label),
+                     Cond[C]});
+  return Out;
+}
+
+FrequencyTotals EstimationSession::deltaFromRecords(
+    const Function &F, const std::vector<durable::CondTotal> &Records,
+    size_t &Dropped) const {
+  const ControlDependence &CD = Est->analysis().of(F).cd();
+  FrequencyTotals T;
+  T.Ok = true;
+  T.Cond.assign(CD.conditions().size(), 0.0);
+  for (const durable::CondTotal &R : Records) {
+    unsigned Id =
+        CD.conditionId({R.Node, static_cast<CfgLabel>(R.Label)});
+    if (Id == ControlDependence::InvalidCondition)
+      ++Dropped;
+    else
+      T.Cond[Id] = R.Total;
+  }
+  return T;
 }
 
 uint64_t EstimationSession::foldTotalsBatch(
@@ -147,11 +191,8 @@ uint64_t EstimationSession::inputKeyOf(const Function &F,
   };
   auto MixDouble = [&Mix](double D) { Mix(std::bit_cast<uint64_t>(D)); };
   Mix(Totals.Cond.size());
-  for (const auto &[Cond, Total] : Totals.Cond) {
-    Mix(Cond.Node);
-    Mix(static_cast<uint64_t>(Cond.Label));
+  for (double Total : Totals.Cond)
     MixDouble(Total);
-  }
   // Loop moments (keyed by header statement) can change while condition
   // totals stay identical — e.g. per-entry counts 1,3 vs 2,2 — so they
   // must be part of the key for Profiled variance to invalidate correctly.
@@ -172,7 +213,7 @@ std::string
 EstimationSession::totalsIssue(const FrequencyTotals &Totals) const {
   if (!Totals.Ok)
     return "counter recovery failed";
-  for (const auto &[Cond, Total] : Totals.Cond)
+  for (double Total : Totals.Cond)
     if (!std::isfinite(Total) || Total < 0.0)
       return "recovered totals contain non-finite or negative values";
   for (double N : Totals.Node)
@@ -281,10 +322,14 @@ bool EstimationSession::addExternal(const Function &F,
                                     bool &Saturated) const {
   Saturated = false;
   auto It = External.find(&F);
-  if (It == External.end() || It->second.empty())
+  if (It == External.end())
     return false;
-  for (const auto &[Cond, Total] : It->second)
-    Saturated |= saturatingAdd(Totals.Cond[Cond], Total);
+  const std::vector<double> &Ext = It->second;
+  // A failed recovery leaves no condition totals to add onto.
+  Totals.Cond.resize(Ext.size(), 0.0);
+  for (size_t C = 0; C < Ext.size(); ++C)
+    if (Ext[C] != 0.0) // Zero: no delta touched the condition.
+      Saturated |= saturatingAdd(Totals.Cond[C], Ext[C]);
   // Node totals follow from condition totals via the FCDG recurrence.
   Totals.Node = nodeTotalsFromConds(Est->analysis().of(F), Totals.Cond);
   return true;
@@ -328,9 +373,9 @@ bool EstimationSession::refreshInputs(std::string &Error,
         degradeForDeadline(*F, Cancel->describe());
       continue;
     }
-    // The recovery fixpoint is the expensive part of reading new
-    // counters; run it only when the runtime actually moved, not when a
-    // query follows a pure external-delta injection.
+    // Recovery is the expensive part of reading new counters; run it
+    // only when the runtime actually moved, not when a query follows a
+    // pure external-delta injection.
     if (RuntimeStale && !QuarantinedFns.count(F.get())) {
       In.Base = Est->runtime().recover(*F);
       std::string Issue = totalsIssue(In.Base);
@@ -691,14 +736,8 @@ void EstimationSession::captureDurableState(
   for (const auto &FPtr : P->functions()) {
     const Function *F = FPtr.get();
     auto EIt = External.find(F);
-    if (EIt != External.end() && !EIt->second.empty()) {
-      durable::FoldEntry FE;
-      FE.Function = F->name();
-      for (const auto &[Cond, Total] : EIt->second)
-        FE.Conds.push_back({Cond.Node,
-                            static_cast<uint8_t>(Cond.Label), Total});
-      Out.External.push_back(std::move(FE));
-    }
+    if (EIt != External.end())
+      Out.External.push_back({F->name(), condRecords(*F, EIt->second)});
     if (SaturatedFns.count(F))
       Out.Saturated.push_back(F->name());
     auto QIt = QuarantinedFns.find(F);
@@ -752,12 +791,13 @@ void EstimationSession::restoreDurableState(
                               "' not found; its totals dropped");
         continue;
       }
-      FrequencyTotals T;
-      T.Ok = true;
-      for (const durable::CondTotal &C : FE.Conds)
-        T.Cond[ControlCondition{C.Node, static_cast<CfgLabel>(C.Label)}] =
-            C.Total;
-      accumulateTotalsLocked(*F, T);
+      size_t Dropped = 0;
+      accumulateTotalsLocked(*F, deltaFromRecords(*F, FE.Conds, Dropped));
+      if (Dropped)
+        Diagnostics.push_back(Where + ": " + std::to_string(Dropped) +
+                              " total(s) for function '" + FE.Function +
+                              "' name conditions it does not have; "
+                              "dropped");
     }
     for (const std::string &Fn : State.Saturated) {
       if (const Function *F = P->findFunction(Fn))
@@ -871,8 +911,8 @@ ValidatedProfile EstimationSession::validateProfile(const ProfileFile &PF,
       continue;
     Sec.Totals = recoverTotals(*FA, Est->plan().of(*F), S.Counters, nullptr,
                                nullptr, Cancel);
-    // Expiry inside the recovery fixpoint is a transient cut, not bad
-    // data: abort the ingest rather than misclassify the section.
+    // Expiry during recovery is a transient cut, not bad data: abort the
+    // ingest rather than misclassify the section.
     if (Cancel && Cancel->expired())
       return CutShort();
     Sec.Issue = totalsIssue(Sec.Totals);

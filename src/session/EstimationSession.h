@@ -196,12 +196,29 @@ public:
 
   /// Folds an externally recorded totals delta (e.g. one streaming-ingest
   /// epoch) into \p F's accumulated totals. Node totals are rederived
-  /// through the FCDG recurrence, so \p Delta only needs condition
-  /// entries — deltas may be partial, so only value sanity (finite,
-  /// non-negative, unsaturated) is enforced here, per the session's
-  /// BadProfilePolicy. Complete profiles should arrive through
-  /// ingestProfile(), which additionally checks the paper's Σ identities.
+  /// through the FCDG recurrence, so \p Delta only needs its condition
+  /// totals, one per condition id of \p F (Delta.Node is ignored). A zero
+  /// entry adds nothing, so a partial delta is zero elsewhere; only value
+  /// sanity (finite, non-negative, unsaturated) and the shape are
+  /// enforced here, per the session's BadProfilePolicy. Complete profiles
+  /// should arrive through ingestProfile(), which additionally checks the
+  /// paper's Σ identities.
   void accumulateTotals(const Function &F, const FrequencyTotals &Delta);
+
+  /// The durable form of \p F's condition totals \p Cond (one per
+  /// condition id): a (node, label, total) record per nonzero total, in
+  /// condition-id (sorted) order. Journal folds and snapshots store deltas
+  /// this way.
+  std::vector<durable::CondTotal>
+  condRecords(const Function &F, const std::vector<double> &Cond) const;
+
+  /// The inverse of condRecords: a delta for \p F, a later record for a
+  /// condition overriding an earlier one. A record naming a condition
+  /// \p F's FCDG does not have is dropped and counted in \p Dropped.
+  FrequencyTotals
+  deltaFromRecords(const Function &F,
+                   const std::vector<durable::CondTotal> &Records,
+                   size_t &Dropped) const;
 
   /// Folds many functions' deltas under ONE lock acquisition, so a
   /// concurrent estimate() either sees none of the batch or all of it —
@@ -396,8 +413,8 @@ private:
     /// Structural fingerprint + totals + loop moments, hashed.
     uint64_t Key = 0;
     /// Totals recovered from the counter runtime, cached so queries after
-    /// a pure external-delta injection skip the recovery fixpoint for
-    /// every untouched function. An ingest adds the section's validated
+    /// a pure external-delta injection skip recovery for every untouched
+    /// function. An ingest adds the section's validated
     /// totals here (addExactTotals) instead of recovering again.
     FrequencyTotals Base;
     /// Set when counter recovery failed (naive plans on unexecuted
@@ -492,10 +509,13 @@ private:
   /// Current frequencies of every function, updated in place as inputs
   /// change; analyses read it by reference (no per-query copies).
   std::map<const Function *, Frequencies> FreqsByFunction;
-  /// Partial totals deltas from accumulateTotals (condition entries
-  /// only): stream folds and restored snapshots' external totals.
-  /// Ingested profiles go to the counter runtime instead.
-  std::map<const Function *, std::map<ControlCondition, double>> External;
+  /// Sums of the totals deltas from accumulateTotals, one per condition
+  /// id: stream folds and restored snapshots' external totals. A function
+  /// has an entry once a delta gave it a nonzero total, and since deltas
+  /// are non-negative, the nonzero entries are exactly the conditions
+  /// some delta touched. Ingested profiles go to the counter runtime
+  /// instead.
+  std::map<const Function *, std::vector<double>> External;
   std::vector<std::unique_ptr<ConfigCache>> Configs;
   /// Counters may have moved: re-recover every function's base totals.
   bool RuntimeStale = true;

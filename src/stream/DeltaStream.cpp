@@ -135,6 +135,8 @@ CounterDeltaStream::FlushReport CounterDeltaStream::flush() {
   for (FuncEntry &FE : Funcs) {
     FrequencyTotals Delta;
     Delta.Ok = true;
+    Delta.Cond.assign(FE.Conds.size(), 0.0);
+    bool Any = false;
     bool FnClamped = false;
     for (size_t J = 0; J < FE.Conds.size(); ++J) {
       double Total = 0.0;
@@ -155,10 +157,11 @@ CounterDeltaStream::FlushReport CounterDeltaStream::flush() {
         Total = CounterSaturationLimit;
         FnClamped = true;
       }
-      Delta.Cond[FE.Conds[J]] = Total;
+      Delta.Cond[J] = Total; // Cell J is condition id J.
+      Any = true;
       ++R.Cells;
     }
-    if (!Delta.Cond.empty()) {
+    if (Any) {
       ++R.Functions;
       Batch.emplace_back(FE.F, std::move(Delta));
       if (FnClamped)

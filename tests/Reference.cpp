@@ -2,10 +2,14 @@
 
 #include "Reference.h"
 
+#include "profile/Recovery.h"
 #include "support/Casting.h"
 #include "support/FatalError.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <utility>
 
 using namespace ptran;
@@ -259,4 +263,192 @@ ptran::testing::bruteForceControlDependence(const Digraph &G, NodeId Stop) {
     }
   }
   return Out;
+}
+
+FixpointTotals ptran::testing::fixpointRecoverTotals(
+    const FunctionAnalysis &FA, const FunctionPlan &Plan,
+    const std::vector<double> &Counters, DiagnosticEngine *Diags) {
+  if (Counters.size() != Plan.numCounters()) {
+    if (Diags)
+      Diags->error("counter vector for " + FA.function().name() + " has " +
+                   std::to_string(Counters.size()) + " entries, plan expects " +
+                   std::to_string(Plan.numCounters()));
+    return FixpointTotals();
+  }
+  if (Plan.mode() == ProfileMode::Naive)
+    return FixpointTotals();
+
+  const ControlDependence &CD = FA.cd();
+  const FlowArena &A = CD.arena();
+  const std::vector<ControlCondition> &Conds = CD.conditions();
+  const std::vector<Resolution> &Rules = Plan.resolutions();
+  NodeId Start = FA.ecfg().start();
+
+  FixpointTotals Out;
+  Out.Node.assign(A.numNodes(), -1.0);
+  std::map<ControlCondition, double> Known;
+  bool Clamped = false;
+  auto CondKnown = [&](const ControlCondition &C) {
+    return Known.count(C) != 0;
+  };
+
+  const uint64_t MaxIterations =
+      2 * (static_cast<uint64_t>(Conds.size()) + A.numNodes()) + 8;
+  bool Changed = true;
+  uint64_t Iterations = 0;
+  while (Changed) {
+    if (Iterations >= MaxIterations) {
+      if (Diags)
+        Diags->error("frequency recovery for " + FA.function().name() +
+                     " did not converge after " +
+                     std::to_string(Iterations) +
+                     " iterations; counters are contradictory (NaN or cyclic "
+                     "derivation)");
+      return FixpointTotals();
+    }
+    Changed = false;
+    ++Iterations;
+
+    // Node totals: START's equals its own U condition; every other node
+    // sums its incoming conditions, in in-edge order.
+    for (unsigned P = 0; P < A.numPositions(); ++P) {
+      NodeId N = A.node(P);
+      if (Out.Node[N] >= 0.0)
+        continue;
+      if (N == Start) {
+        ControlCondition StartCond{Start, CfgLabel::U};
+        if (CondKnown(StartCond)) {
+          Out.Node[N] = Known[StartCond];
+          Changed = true;
+        }
+        continue;
+      }
+      double Sum = 0.0;
+      bool AllKnown = true;
+      for (uint32_t I = A.inBegin(P); I != A.inEnd(P); ++I) {
+        const ControlCondition &C = Conds[A.group(A.inGroup(I)).Cond];
+        if (!CondKnown(C)) {
+          AllKnown = false;
+          break;
+        }
+        Sum += Known[C];
+      }
+      if (AllKnown && A.inBegin(P) != A.inEnd(P)) {
+        Out.Node[N] = Sum;
+        Changed = true;
+      }
+    }
+
+    // Condition rules, in condition order.
+    for (size_t Id = 0; Id < Rules.size(); ++Id) {
+      const Resolution &R = Rules[Id];
+      const ControlCondition &Cond = Conds[Id];
+      if (R.K == Resolution::Kind::None || CondKnown(Cond))
+        continue;
+      if (R.K == Resolution::Kind::Measured) {
+        Known[Cond] = Counters[R.Counter];
+        Changed = true;
+        continue;
+      }
+      if (R.K == Resolution::Kind::Zero) {
+        Known[Cond] = 0.0;
+        Changed = true;
+        continue;
+      }
+      double Value = 0.0;
+      bool AllKnown = true;
+      for (const RecoveryTerm &T : R.Terms) {
+        switch (T.K) {
+        case RecoveryTerm::Kind::CondTotal:
+          if (T.Cond >= Conds.size() || !CondKnown(Conds[T.Cond])) {
+            AllKnown = false;
+            break;
+          }
+          Value += T.Coeff * Known[Conds[T.Cond]];
+          break;
+        case RecoveryTerm::Kind::NodeTotal:
+          if (Out.Node[T.Node] < 0.0) {
+            AllKnown = false;
+            break;
+          }
+          Value += T.Coeff * Out.Node[T.Node];
+          break;
+        case RecoveryTerm::Kind::CounterVal:
+          Value += T.Coeff * Counters[T.Counter];
+          break;
+        }
+        if (!AllKnown)
+          break;
+      }
+      if (AllKnown) {
+        Clamped |= Value < 0.0;
+        Known[Cond] = Value < 0.0 ? 0.0 : Value;
+        Changed = true;
+      }
+    }
+  }
+
+  Out.Cond = Known;
+  Out.Ok = true;
+  for (const ControlCondition &C : Conds)
+    if (!CondKnown(C)) {
+      Out.Ok = false;
+      Out.Unresolved.push_back(C);
+    }
+  for (unsigned P = 0; P < A.numPositions(); ++P)
+    if (Out.Node[A.node(P)] < 0.0)
+      Out.Ok = false;
+  constexpr double ExactTotalLimit = 4503599627370496.0; // 2^52
+  Out.Exact = Out.Ok && !Clamped;
+  for (double C : Counters)
+    Out.Exact &= std::floor(C) == C;
+  for (const auto &[Cond, T] : Out.Cond)
+    Out.Exact &= T <= ExactTotalLimit;
+  for (double N : Out.Node)
+    Out.Exact &= N <= ExactTotalLimit;
+  return Out;
+}
+
+std::string ptran::testing::compareWithFixpoint(
+    const FunctionAnalysis &FA, const FunctionPlan &Plan,
+    const std::vector<double> &Counters) {
+  DiagnosticEngine GotDiags, WantDiags;
+  FrequencyTotals Got = recoverTotals(FA, Plan, Counters, &GotDiags);
+  FixpointTotals Want = fixpointRecoverTotals(FA, Plan, Counters, &WantDiags);
+  auto Same = [](double A, double B) {
+    return std::bit_cast<uint64_t>(A) == std::bit_cast<uint64_t>(B);
+  };
+  auto Num = [](double V) {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+    return std::string(Buf);
+  };
+  const std::string Where = FA.function().name() + ": ";
+  if (Got.Ok != Want.Ok)
+    return Where + "Ok " + std::to_string(Got.Ok) + " vs fixpoint " +
+           std::to_string(Want.Ok);
+  if (GotDiags.str() != WantDiags.str())
+    return Where + "diagnostics '" + GotDiags.str() + "' vs fixpoint '" +
+           WantDiags.str() + "'";
+  if (!Got.Ok)
+    return Got.Cond.empty() && Got.Node.empty()
+               ? ""
+               : Where + "a failed recovery kept totals";
+  if (Got.Exact != Want.Exact)
+    return Where + "Exact differs";
+  const std::vector<ControlCondition> &Conds = FA.cd().conditions();
+  if (Got.Cond.size() != Conds.size() || Want.Cond.size() != Conds.size())
+    return Where + "condition count differs";
+  for (size_t C = 0; C < Conds.size(); ++C)
+    if (!Same(Got.Cond[C], Want.Cond.at(Conds[C])))
+      return Where + "condition " + std::to_string(C) + " total " +
+             Num(Got.Cond[C]) + " vs fixpoint " +
+             Num(Want.Cond.at(Conds[C]));
+  if (Got.Node.size() != Want.Node.size())
+    return Where + "node count differs";
+  for (size_t N = 0; N < Got.Node.size(); ++N)
+    if (!Same(Got.Node[N], Want.Node[N]))
+      return Where + "node " + std::to_string(N) + " total " +
+             Num(Got.Node[N]) + " vs fixpoint " + Num(Want.Node[N]);
+  return "";
 }

@@ -7,8 +7,9 @@
 /// \file
 /// Slow, obviously-correct reference implementations used to validate the
 /// production algorithms: reachability-based dominators, a literal
-/// transcription of the paper's Definition 2 of control dependence, and
-/// an absorbing-Markov-chain model of average execution time and its
+/// transcription of the paper's Definition 2 of control dependence, the
+/// fixpoint solver of Section 3's counter recovery, and an
+/// absorbing-Markov-chain model of average execution time and its
 /// variance that shares nothing with the paper's FCDG algorithm.
 ///
 //===----------------------------------------------------------------------===//
@@ -19,11 +20,13 @@
 #include "graph/Digraph.h"
 #include "interp/CostModel.h"
 #include "interp/Observer.h"
+#include "profile/CounterPlan.h"
 
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -48,6 +51,38 @@ std::vector<std::set<NodeId>> bruteForcePostDominators(const Digraph &G,
 /// postdominated by Y. Returns (X, Y, L) triples.
 std::set<std::tuple<NodeId, NodeId, LabelId>>
 bruteForceControlDependence(const Digraph &G, NodeId Stop);
+
+/// What fixpointRecoverTotals recovers: condition totals keyed by
+/// condition, node totals by node id (-1 = unknown), and the conditions
+/// it could not resolve. Failures leave everything empty.
+struct FixpointTotals {
+  bool Ok = false;
+  std::map<ControlCondition, double> Cond;
+  std::vector<double> Node;
+  std::vector<ControlCondition> Unresolved;
+  bool Exact = false;
+};
+
+/// Section 3's counter recovery solved as a fixpoint: each pass re-walks
+/// every FCDG node's in-edges and every rule of \p Plan, a node total
+/// becoming known when all its incoming condition totals are (and only
+/// while it is >= 0, so a NaN or negative one stays unknown), a derived
+/// condition when all its terms are. A pass that changes nothing ends the
+/// solve; 2·(|conditions| + |nodes|) + 8 passes abort it with a "did not
+/// converge" error on \p Diags. This is the solver recoverTotals' plan-time
+/// schedule replaced, kept as its oracle: the two must agree bit for bit.
+FixpointTotals fixpointRecoverTotals(const FunctionAnalysis &FA,
+                                     const FunctionPlan &Plan,
+                                     const std::vector<double> &Counters,
+                                     DiagnosticEngine *Diags = nullptr);
+
+/// Recovers \p Counters with both recoverTotals and fixpointRecoverTotals
+/// and compares them bit for bit: the Ok and Exact flags, the diagnostics,
+/// every condition total and every node total. \returns a description of
+/// the first difference, or "" when they agree.
+std::string compareWithFixpoint(const FunctionAnalysis &FA,
+                                const FunctionPlan &Plan,
+                                const std::vector<double> &Counters);
 
 /// Counts, per function, what an interpreter run did: activations,
 /// statement executions, the first statement of each activation, and

@@ -42,7 +42,7 @@ function(check_trace_and_stats LABEL TRACE_FILE STDOUT_FILE)
   if(NOT OUT MATCHES "observability: counters")
     message(FATAL_ERROR "${LABEL}: --stats printed no counter table")
   endif()
-  if(NOT OUT MATCHES "recovery.fixpoint_iterations")
+  if(NOT OUT MATCHES "recovery.calls")
     message(FATAL_ERROR "${LABEL}: recovery counters missing from --stats")
   endif()
 endfunction()

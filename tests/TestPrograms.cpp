@@ -47,6 +47,16 @@ Figure1Program ptran::testing::makeFigure1() {
   return Fix;
 }
 
+FrequencyTotals ptran::testing::invocationDelta(const FunctionAnalysis &FA,
+                                                double Total) {
+  FrequencyTotals Delta;
+  Delta.Ok = true;
+  Delta.Cond.assign(FA.cd().conditions().size(), 0.0);
+  Delta.Cond.at(FA.cd().conditionId({FA.ecfg().start(), CfgLabel::U})) =
+      Total;
+  return Delta;
+}
+
 TimeAnalysisOptions ptran::testing::figure3CostOptions() {
   TimeAnalysisOptions Opts;
   Opts.LocalCostOverride =

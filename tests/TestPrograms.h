@@ -16,6 +16,7 @@
 
 #include "cost/TimeAnalysis.h"
 #include "ir/Builder.h"
+#include "profile/Recovery.h"
 #include "support/Rng.h"
 
 #include <memory>
@@ -49,6 +50,11 @@ struct Figure1Program {
 
 /// Builds the Figure 1 fixture. Aborts on internal construction errors.
 Figure1Program makeFigure1();
+
+/// A totals delta for \p FA holding \p Total for its invocation count,
+/// (START, U), and zero for every other condition: the partial form
+/// EstimationSession::accumulateTotals takes.
+FrequencyTotals invocationDelta(const FunctionAnalysis &FA, double Total);
 
 /// The Figure 3 cost assignment: COST = 1 for IF statements, 100 for the
 /// body of FOO (so TIME(FOO START) = 100), 0 for everything else.

@@ -26,13 +26,11 @@ namespace {
 std::set<std::tuple<NodeId, NodeId, LabelId>>
 fcdgEdges(const FunctionAnalysis &FA) {
   std::set<std::tuple<NodeId, NodeId, LabelId>> Out;
-  const Digraph &F = FA.cd().fcdg();
-  for (EdgeId E = 0; E < F.numEdgeSlots(); ++E) {
-    if (!F.isLive(E))
-      continue;
-    const Digraph::Edge &Ed = F.edge(E);
-    Out.insert({Ed.From, Ed.To, Ed.Label});
-  }
+  const FlowArena &A = FA.cd().arena();
+  for (unsigned P = 0; P < A.numPositions(); ++P)
+    for (uint32_t R = A.rawBegin(P); R != A.rawEnd(P); ++R)
+      Out.insert({A.node(P), A.raw(R).To,
+                  static_cast<LabelId>(A.group(A.raw(R).Group).Label)});
   return Out;
 }
 
@@ -40,8 +38,8 @@ void expectMatchesDefinition2(const FunctionAnalysis &FA,
                               const std::string &Context) {
   std::set<std::tuple<NodeId, NodeId, LabelId>> Got = fcdgEdges(FA);
   std::set<std::tuple<NodeId, NodeId, LabelId>> Truth =
-      bruteForceControlDependence(FA.cd().forwardGraph(),
-                                  FA.ecfg().stop());
+      bruteForceControlDependence(
+          buildForwardGraph(FA.ecfg(), FA.intervals()), FA.ecfg().stop());
 
   for (const auto &[X, Y, L] : Truth)
     EXPECT_TRUE(Got.count({X, Y, L}))
@@ -86,17 +84,28 @@ TEST(ControlDependenceTest, FcdgIsRootedAndAcyclicOnWorkloads) {
     ASSERT_NE(PA, nullptr) << Diags.str();
     for (const auto &F : Prog->functions()) {
       const FunctionAnalysis &FA = PA->of(*F);
-      // Acyclic by construction (would have aborted otherwise); rooted:
-      // the topological order covers everything with FCDG in-edges.
-      std::set<NodeId> InTopo(FA.cd().topoOrder().begin(),
-                              FA.cd().topoOrder().end());
-      const Digraph &Fcdg = FA.cd().fcdg();
-      for (NodeId N = 0; N < Fcdg.numNodes(); ++N)
-        if (Fcdg.inDegree(N) > 0) {
-          EXPECT_TRUE(InTopo.count(N))
-              << W->Name << "/" << F->name() << " node "
-              << FA.ecfg().cfg().nodeName(N) << " not reachable from START";
+      // Acyclic and rooted: every edge goes forward in the topological
+      // order and every node but START has an in-edge. The in-edge CSR
+      // lists exactly the out-edges into each node.
+      const FlowArena &A = FA.cd().arena();
+      std::vector<std::multiset<uint32_t>> In(A.numPositions()),
+          Out(A.numPositions());
+      for (unsigned P = 0; P < A.numPositions(); ++P) {
+        for (uint32_t R = A.rawBegin(P); R != A.rawEnd(P); ++R) {
+          EXPECT_GT(A.position(A.raw(R).To), P)
+              << W->Name << "/" << F->name() << " edge into "
+              << FA.ecfg().cfg().nodeName(A.raw(R).To);
+          Out[A.position(A.raw(R).To)].insert(A.raw(R).Group);
         }
+        for (uint32_t I = A.inBegin(P); I != A.inEnd(P); ++I)
+          In[P].insert(A.inGroup(I));
+        if (P != 0) {
+          EXPECT_FALSE(In[P].empty())
+              << W->Name << "/" << F->name() << " node "
+              << FA.ecfg().cfg().nodeName(A.node(P)) << " has no in-edge";
+        }
+      }
+      EXPECT_EQ(In, Out) << W->Name << "/" << F->name();
       // START comes first.
       ASSERT_FALSE(FA.cd().topoOrder().empty());
       EXPECT_EQ(FA.cd().topoOrder().front(), FA.ecfg().start());
@@ -118,18 +127,20 @@ TEST(ControlDependenceTest, IntervalsNestUnderPreheaders) {
   NodeId Ph = FA->ecfg().preheaderOf(H);
 
   // BFS in the FCDG from the preheader.
-  const Digraph &Fcdg = FA->cd().fcdg();
-  std::vector<bool> Reach(Fcdg.numNodes(), false);
+  const FlowArena &A = FA->cd().arena();
+  std::vector<bool> Reach(A.numNodes(), false);
   std::vector<NodeId> Worklist = {Ph};
   Reach[Ph] = true;
   while (!Worklist.empty()) {
-    NodeId N = Worklist.back();
+    unsigned P = A.position(Worklist.back());
     Worklist.pop_back();
-    for (NodeId S : Fcdg.successors(N))
+    for (uint32_t R = A.rawBegin(P); R != A.rawEnd(P); ++R) {
+      NodeId S = A.raw(R).To;
       if (!Reach[S]) {
         Reach[S] = true;
         Worklist.push_back(S);
       }
+    }
   }
   for (NodeId N : FA->intervals().loopBody(H))
     EXPECT_TRUE(Reach[N]) << FA->ecfg().cfg().nodeName(N);

@@ -75,7 +75,7 @@ TEST(ConsistencyCheck, DetectsCorruptedTotals) {
   {
     FrequencyTotals Bad = Good;
     NodeId B = FA.cfg().nodeForStmt(Fix.B);
-    Bad.Cond[{B, CfgLabel::F}] += 3.0;
+    Bad.Cond.at(FA.cd().conditionId({B, CfgLabel::F})) += 3.0;
     Bad.Node = nodeTotalsFromConds(FA, Bad.Cond);
     std::vector<std::string> Findings =
         checkFrequencyConsistency(FA, Bad);
@@ -85,8 +85,9 @@ TEST(ConsistencyCheck, DetectsCorruptedTotals) {
   // Nonzero pseudo edge.
   {
     FrequencyTotals Bad = Good;
-    for (const ControlCondition &C : FA.cd().conditions())
-      if (C.Label == CfgLabel::Z) {
+    const std::vector<ControlCondition> &Conds = FA.cd().conditions();
+    for (size_t C = 0; C < Conds.size(); ++C)
+      if (Conds[C].Label == CfgLabel::Z) {
         Bad.Cond[C] = 5.0;
         break;
       }
@@ -99,7 +100,7 @@ TEST(ConsistencyCheck, DetectsCorruptedTotals) {
   {
     FrequencyTotals Bad = Good;
     NodeId Ph = FA.ecfg().preheaderOf(FA.intervals().headers().at(0));
-    Bad.Cond[{Ph, CfgLabel::U}] = 0.25;
+    Bad.Cond.at(FA.cd().conditionId({Ph, CfgLabel::U})) = 0.25;
     std::vector<std::string> Findings =
         checkFrequencyConsistency(FA, Bad);
     EXPECT_FALSE(Findings.empty());
@@ -109,7 +110,7 @@ TEST(ConsistencyCheck, DetectsCorruptedTotals) {
   {
     FrequencyTotals Bad = Good;
     NodeId A = FA.cfg().nodeForStmt(Fix.A);
-    Bad.Cond[{A, CfgLabel::T}] = -1.0;
+    Bad.Cond.at(FA.cd().conditionId({A, CfgLabel::T})) = -1.0;
     std::vector<std::string> Findings =
         checkFrequencyConsistency(FA, Bad);
     EXPECT_FALSE(Findings.empty());
@@ -174,10 +175,13 @@ end
   EXPECT_DOUBLE_EQ(Freqs.NodeFreq[I1], Freqs.NodeFreq[K3]);
   EXPECT_DOUBLE_EQ(Freqs.NodeFreq[I1], Freqs.NodeFreq[J2]);
   auto Parents = [&](NodeId N) {
-    std::set<std::pair<NodeId, LabelId>> Out;
-    for (EdgeId E : FA.cd().fcdg().inEdges(N)) {
-      const Digraph::Edge &Ed = FA.cd().fcdg().edge(E);
-      Out.insert({Ed.From, Ed.Label});
+    std::set<std::pair<NodeId, CfgLabel>> Out;
+    const FlowArena &A = FA.cd().arena();
+    unsigned P = A.position(N);
+    for (uint32_t I = A.inBegin(P); I != A.inEnd(P); ++I) {
+      const ControlCondition &C =
+          FA.cd().conditions()[A.group(A.inGroup(I)).Cond];
+      Out.insert({C.Node, C.Label});
     }
     return Out;
   };

@@ -56,12 +56,16 @@ TEST(TimeAnalysisUnit, SingleBranchByHand) {
   FrequencyTotals Totals;
   Totals.Ok = true;
   NodeId IfNode = FA.cfg().nodeForStmt(If);
-  Totals.Cond[{E.start(), CfgLabel::U}] = 100;
-  Totals.Cond[{IfNode, CfgLabel::T}] = 25;
-  Totals.Cond[{IfNode, CfgLabel::F}] = 75;
   for (const ControlCondition &C : FA.cd().conditions())
-    if (!Totals.Cond.count(C))
-      Totals.Cond[C] = C.Label == CfgLabel::Z ? 0 : 100;
+    Totals.Cond.push_back(C.Label == CfgLabel::Z ? 0 : 100);
+  auto Set = [&](ControlCondition C, double V) {
+    unsigned Id = FA.cd().conditionId(C);
+    if (Id != ControlDependence::InvalidCondition)
+      Totals.Cond[Id] = V;
+  };
+  Set({E.start(), CfgLabel::U}, 100);
+  Set({IfNode, CfgLabel::T}, 25);
+  Set({IfNode, CfgLabel::F}, 75);
   Totals.Node = nodeTotalsFromConds(FA, Totals.Cond);
 
   Frequencies Freqs = computeFrequencies(FA, Totals);
@@ -330,8 +334,7 @@ TEST(FrequenciesUnit, ZeroDenominatorGuard) {
 
   FrequencyTotals Totals;
   Totals.Ok = true;
-  for (const ControlCondition &C : FA.cd().conditions())
-    Totals.Cond[C] = 0.0;
+  Totals.Cond.assign(FA.cd().conditions().size(), 0.0);
   Totals.Node = nodeTotalsFromConds(FA, Totals.Cond);
   Frequencies Freqs = computeFrequencies(FA, Totals);
   EXPECT_DOUBLE_EQ(Freqs.Invocations, 0.0);

@@ -52,15 +52,18 @@ TEST_F(Figure3Test, ScenarioCountsMatchThePaper) {
   NodeId Header = A;
   NodeId Ph = E.preheaderOf(Header);
   ASSERT_NE(Ph, InvalidNode);
+  auto Total = [&](NodeId U, CfgLabel L) {
+    return T.condTotal(FA.cd().conditionId({U, L}));
+  };
 
-  EXPECT_DOUBLE_EQ(T.condTotal({E.start(), CfgLabel::U}), 1.0);
-  EXPECT_DOUBLE_EQ(T.condTotal({Ph, CfgLabel::U}), 10.0); // A executed 10x.
-  EXPECT_DOUBLE_EQ(T.condTotal({A, CfgLabel::T}), 10.0);  // M >= 0 always.
-  EXPECT_DOUBLE_EQ(T.condTotal({A, CfgLabel::F}), 0.0);
-  EXPECT_DOUBLE_EQ(T.condTotal({B, CfgLabel::T}), 1.0);   // The final exit.
-  EXPECT_DOUBLE_EQ(T.condTotal({B, CfgLabel::F}), 9.0);   // 9 calls to FOO.
-  EXPECT_DOUBLE_EQ(T.condTotal({C, CfgLabel::T}), 0.0);
-  EXPECT_DOUBLE_EQ(T.condTotal({C, CfgLabel::F}), 0.0);
+  EXPECT_DOUBLE_EQ(Total(E.start(), CfgLabel::U), 1.0);
+  EXPECT_DOUBLE_EQ(Total(Ph, CfgLabel::U), 10.0); // A executed 10x.
+  EXPECT_DOUBLE_EQ(Total(A, CfgLabel::T), 10.0);  // M >= 0 always.
+  EXPECT_DOUBLE_EQ(Total(A, CfgLabel::F), 0.0);
+  EXPECT_DOUBLE_EQ(Total(B, CfgLabel::T), 1.0);   // The final exit.
+  EXPECT_DOUBLE_EQ(Total(B, CfgLabel::F), 9.0);   // 9 calls to FOO.
+  EXPECT_DOUBLE_EQ(Total(C, CfgLabel::T), 0.0);
+  EXPECT_DOUBLE_EQ(Total(C, CfgLabel::F), 0.0);
   EXPECT_DOUBLE_EQ(T.nodeTotal(D), 9.0);
 }
 
@@ -154,7 +157,7 @@ TEST_F(Figure3Test, SmartPlanUsesFewCounters) {
   EXPECT_LE(Plan.numCounters(), 5u);
 
   // Every condition must be recoverable from those counters.
-  EXPECT_TRUE(planIsRecoverable(Est->analysis().of(*Fix.Main), Plan));
+  EXPECT_TRUE(Plan.recoverable());
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "Reference.h"
 #include "TestPrograms.h"
 
 #include "cost/Estimator.h"
@@ -344,6 +345,29 @@ TEST(FormatCompat, ProfileFileImageIsPinned) {
   ASSERT_FALSE(PF->sections()[0].Loops.empty());
   EXPECT_EQ(PF->sections()[0].Loops[0].Entries, 3.0);
   EXPECT_EQ(toHex(PF->serialize()), PtpfImage);
+}
+
+TEST(FormatCompat, ProfileImageRecoversLikeTheFixpoint) {
+  // The pinned profile's counters, recovered through the compiled
+  // schedule, must equal the fixpoint oracle bit for bit.
+  ptran::testing::Figure1Program Fig = ptran::testing::makeFigure1();
+  DiagnosticEngine Diags;
+  auto Est = Estimator::create(*Fig.Prog, CostModel::optimizing(),
+                               EstimatorOptions(Diags));
+  ASSERT_NE(Est, nullptr) << Diags.str();
+  DiagnosticEngine LoadDiags;
+  std::optional<ProfileFile> PF =
+      ProfileFile::deserialize(fromHex(PtpfImage), &LoadDiags);
+  ASSERT_TRUE(PF.has_value()) << LoadDiags.str();
+  ASSERT_EQ(PF->sections().size(), 2u);
+  for (const FunctionSection &S : PF->sections()) {
+    const Function *F = Fig.Prog->findFunction(S.Name);
+    ASSERT_NE(F, nullptr) << S.Name;
+    const FunctionAnalysis &FA = Est->analysis().of(*F);
+    const FunctionPlan &Plan = Est->plan().of(*F);
+    EXPECT_TRUE(recoverTotals(FA, Plan, S.Counters).Ok) << S.Name;
+    EXPECT_EQ(ptran::testing::compareWithFixpoint(FA, Plan, S.Counters), "");
+  }
 }
 
 TEST(FormatCompat, JournalImageIsPinned) {

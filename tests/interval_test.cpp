@@ -8,6 +8,7 @@
 
 #include "TestPrograms.h"
 
+#include "graph/Dominators.h"
 #include "interval/Intervals.h"
 #include "ir/Builder.h"
 

@@ -42,6 +42,30 @@ TEST(Builder, BuildsAndFinalizes) {
   EXPECT_TRUE(verifyProgram(P, Diags)) << Diags.str();
 }
 
+TEST(Program, FindsFunctionsByAnySpelling) {
+  Program P;
+  DiagnosticEngine Diags;
+  Function *Main = P.createFunction("Main", Diags);
+  Function *Sub = P.createFunction("sub_TWO", Diags);
+  ASSERT_NE(Main, nullptr);
+  ASSERT_NE(Sub, nullptr);
+  EXPECT_EQ(P.findFunction("main"), Main);
+  EXPECT_EQ(P.findFunction("MAIN"), Main);
+  EXPECT_EQ(P.findFunction("SUB_two"), Sub);
+  EXPECT_EQ(P.findFunction("sub_two"), Sub);
+  EXPECT_EQ(P.findFunction("sub"), nullptr);
+  EXPECT_EQ(P.findFunction(""), nullptr);
+  EXPECT_EQ(Main->index(), 0u);
+  EXPECT_EQ(Sub->index(), 1u);
+  EXPECT_EQ(P.entry(), Main); // The entry name "main", any spelling.
+  // A name that differs only in case is a duplicate.
+  EXPECT_EQ(P.createFunction("MAIN", Diags), nullptr);
+  EXPECT_NE(Diags.str().find("duplicate procedure name MAIN"),
+            std::string::npos)
+      << Diags.str();
+  EXPECT_EQ(P.functions().size(), 2u);
+}
+
 TEST(Builder, ReportsDanglingLabel) {
   Program P;
   DiagnosticEngine Diags;

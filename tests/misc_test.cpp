@@ -12,6 +12,7 @@
 #include "cost/Estimator.h"
 #include "cost/Report.h"
 #include "interp/Interpreter.h"
+#include "graph/Dominators.h"
 #include "interval/Intervals.h"
 #include "support/Rng.h"
 #include "support/StringUtils.h"

@@ -136,8 +136,9 @@ TEST(ComputedGoto, NwaySumComplementDropsOneCounter) {
   // The smart plan derives exactly one of them by sum-complement.
   FunctionPlan Plan = FunctionPlan::build(FA, ProfileMode::Smart);
   unsigned Measured = 0, Complemented = 0;
-  for (const auto &[Cond, R2] : Plan.resolutions()) {
-    if (Cond.Node != CgNode)
+  for (size_t Id = 0; Id < Plan.resolutions().size(); ++Id) {
+    const Resolution &R2 = Plan.resolutions()[Id];
+    if (FA.cd().conditions()[Id].Node != CgNode)
       continue;
     Measured += R2.K == Resolution::Kind::Measured;
     Complemented += R2.K == Resolution::Kind::SumComplement ||
@@ -158,9 +159,9 @@ TEST(ComputedGoto, NwaySumComplementDropsOneCounter) {
   FrequencyTotals Got = Rt.recover(*Main);
   FrequencyTotals Truth = Exact.totals(*Main);
   ASSERT_TRUE(Got.Ok);
-  for (const ControlCondition &C : FA.cd().conditions())
+  for (size_t C = 0; C < FA.cd().conditions().size(); ++C)
     EXPECT_NEAR(Got.condTotal(C), Truth.condTotal(C), 1e-9)
-        << cfgLabelName(C.Label);
+        << cfgLabelName(FA.cd().conditions()[C].Label);
 }
 
 TEST(DoWhile, ParsesAndRuns) {
@@ -233,7 +234,7 @@ end
   FrequencyTotals T = Est->totalsFor(*Main);
   ASSERT_TRUE(T.Ok);
   NodeId Ph = FA.ecfg().preheaderOf(FA.intervals().headers()[0]);
-  EXPECT_DOUBLE_EQ(T.condTotal({Ph, CfgLabel::U}), 8.0);
+  EXPECT_DOUBLE_EQ(T.condTotal(FA.cd().conditionId({Ph, CfgLabel::U})), 8.0);
 }
 
 TEST(DoWhile, MissingEnddoIsDiagnosed) {

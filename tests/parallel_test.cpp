@@ -43,9 +43,9 @@ syntheticFrequencies(const Program &Prog, const ProgramAnalysis &PA) {
         V = 0.0;
       else if (FA.ecfg().headerOf(C.Node) != InvalidNode)
         V = 3.0;
-      Totals.Cond[C] = V;
+      Totals.Cond.push_back(V);
     }
-    Totals.Cond[{FA.ecfg().start(), CfgLabel::U}] = 1.0;
+    Totals.Cond[FA.cd().conditionId({FA.ecfg().start(), CfgLabel::U})] = 1.0;
     Totals.Node = nodeTotalsFromConds(FA, Totals.Cond);
     Freqs[F.get()] = computeFrequencies(FA, Totals);
   }

@@ -5,7 +5,7 @@
 // Covers the fault-tolerant profile subsystem: serialize/deserialize and
 // file round trips, the bit-flip property ("every single-byte corruption
 // is diagnosed, never a crash or a silently wrong result"), saturating
-// merge semantics, the bounded recovery fixpoint on poisoned counters,
+// merge semantics, recovery's rejection of poisoned counters,
 // and the deterministic fault-injection harness itself.
 //
 //===----------------------------------------------------------------------===//
@@ -283,9 +283,9 @@ TEST(ProfileFile, MergeSkipsFingerprintMismatchedSection) {
   EXPECT_TRUE(Warned) << MD.str();
 }
 
-// Satellite (a): the recovery fixpoint must terminate with a diagnostic
-// on contradictory counters (a NaN can keep the "is this total known yet"
-// test false forever) instead of spinning.
+// Contradictory counters (here all NaN) must fail recovery with a
+// diagnostic: the value check on node totals rejects them, with the
+// message the fixpoint solver it replaced gave when it never settled.
 TEST(Recovery, PoisonedCountersTerminateWithDiagnostic) {
   std::unique_ptr<Program> Prog = parseDiamond();
   DiagnosticEngine Diags;

@@ -8,15 +8,22 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Reference.h"
 #include "TestPrograms.h"
 
 #include "interp/Interpreter.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
+#include "parser/Parser.h"
 #include "profile/ProfileRuntime.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <utility>
 
 using namespace ptran;
 using namespace ptran::testing;
@@ -70,8 +77,9 @@ void expectRecoveryMatchesExact(const ProfiledProgram &P) {
       FrequencyTotals Got = P.Runtimes[M]->recover(*F);
       ASSERT_TRUE(Got.Ok) << profileModeName(OptimizedModes[M])
                           << " recovery failed for " << F->name();
-      for (const ControlCondition &C : FA.cd().conditions()) {
-        EXPECT_NEAR(Got.condTotal(C), Truth.condTotal(C), 1e-6)
+      for (unsigned Id = 0; Id < FA.cd().conditions().size(); ++Id) {
+        const ControlCondition &C = FA.cd().conditions()[Id];
+        EXPECT_NEAR(Got.condTotal(Id), Truth.condTotal(Id), 1e-6)
             << profileModeName(OptimizedModes[M]) << " condition ("
             << FA.ecfg().cfg().nodeName(C.Node) << ", "
             << cfgLabelName(C.Label) << ") in " << F->name() << "\n"
@@ -86,7 +94,64 @@ void expectRecoveryMatchesExact(const ProfiledProgram &P) {
   }
 }
 
+/// A random counter value: mostly small integers and fractions, with NaN,
+/// infinities, negatives and huge values mixed in when \p Poison is set.
+double randomCounter(Rng &R, bool Poison) {
+  if (Poison && R.bernoulli(0.15)) {
+    static const double Bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity(),
+                                 -1.0, -0.5, -0.0, 1e300};
+    return Bad[R.uniformInt(0, 6)];
+  }
+  // Integers keep recovery exact; fractions of mixed magnitude make the
+  // rounding of every sum depend on its order.
+  if (R.bernoulli(0.4))
+    return static_cast<double>(R.uniformInt(0, 40));
+  return R.uniformReal() * std::ldexp(1.0, static_cast<int>(
+                                               R.uniformInt(-4, 20)));
+}
+
+/// Recovery over the compiled schedule must equal the fixpoint oracle bit
+/// for bit: on the counters \p P's run produced, and on \p Vectors random
+/// counter vectors per function and mode (every other one poisoned).
+/// \returns how many comparisons ended Ok and how many failed.
+std::pair<unsigned, unsigned>
+expectScheduleMatchesFixpoint(const ProfiledProgram &P, uint64_t Seed,
+                              unsigned Vectors) {
+  unsigned Ok = 0, Failed = 0;
+  Rng R(Seed);
+  for (const auto &F : P.Prog->functions()) {
+    const FunctionAnalysis &FA = P.PA->of(*F);
+    for (int M = 0; M < 3; ++M) {
+      const FunctionPlan &Plan = P.Plans[M].of(*F);
+      std::vector<std::vector<double>> Inputs = {
+          P.Runtimes[M]->countersFor(*F)};
+      for (unsigned V = 0; V < Vectors; ++V) {
+        std::vector<double> &C = Inputs.emplace_back(Plan.numCounters());
+        for (double &X : C)
+          X = randomCounter(R, V % 2 == 1);
+      }
+      for (const std::vector<double> &C : Inputs) {
+        EXPECT_EQ(compareWithFixpoint(FA, Plan, C), "")
+            << profileModeName(OptimizedModes[M]);
+        (recoverTotals(FA, Plan, C).Ok ? Ok : Failed) += 1;
+      }
+    }
+  }
+  return {Ok, Failed};
+}
+
 class RandomProgramRecovery : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RandomProgramRecovery, ScheduleMatchesFixpointOracle) {
+  RandomProgramConfig Cfg;
+  std::unique_ptr<Program> Prog = makeRandomProgram(GetParam(), Cfg);
+  ProfiledProgram P = profileOnce(std::move(Prog));
+  ASSERT_TRUE(P.Result.Ok) << P.Result.Error;
+  // Clean vectors always recover.
+  EXPECT_GT(expectScheduleMatchesFixpoint(P, GetParam(), 16).first, 0u);
+}
 
 TEST_P(RandomProgramRecovery, AllOptimizedModesMatchExactCounts) {
   RandomProgramConfig Cfg;
@@ -106,7 +171,11 @@ TEST_P(RandomProgramRecovery, PlansAreSymbolicallyRecoverable) {
   for (const auto &F : Prog->functions())
     for (ProfileMode M : OptimizedModes) {
       FunctionPlan Plan = FunctionPlan::build(PA->of(*F), M);
-      EXPECT_TRUE(planIsRecoverable(PA->of(*F), Plan))
+      EXPECT_TRUE(Plan.recoverable())
+          << profileModeName(M) << " plan unrecoverable for " << F->name();
+      // The fixpoint oracle agrees: it resolves everything on zeros.
+      std::vector<double> Zeros(Plan.numCounters(), 0.0);
+      EXPECT_TRUE(fixpointRecoverTotals(PA->of(*F), Plan, Zeros).Ok)
           << profileModeName(M) << " plan unrecoverable for " << F->name();
     }
 }
@@ -139,6 +208,50 @@ TEST(WorkloadRecovery, LivermoreLoops) {
 TEST(WorkloadRecovery, SimpleKernel) {
   ProfiledProgram P = profileOnce(parseWorkload(simpleKernel()));
   expectRecoveryMatchesExact(P);
+}
+
+TEST(WorkloadRecovery, ScheduleMatchesFixpointOnLivermoreAndSimple) {
+  for (const Workload *W : {&livermoreLoops(), &simpleKernel()}) {
+    ProfiledProgram P = profileOnce(parseWorkload(*W));
+    ASSERT_TRUE(P.Result.Ok) << W->Name << ": " << P.Result.Error;
+    auto [Ok, Failed] = expectScheduleMatchesFixpoint(P, 7, 8);
+    // Clean vectors always recover; poisoned ones mostly do not.
+    EXPECT_GT(Ok, 0u) << W->Name;
+    EXPECT_GT(Failed, 0u) << W->Name;
+  }
+}
+
+TEST(WorkloadRecovery, ScheduleKeepsTheInEdgeSummationOrder) {
+  // "y = 1" is control dependent on three IF branches, so its node total
+  // sums three nonzero condition totals, and with fractional counters the
+  // order of that sum shows in the last bits.
+  DiagnosticEngine Diags;
+  std::unique_ptr<Program> Prog = parseProgram(R"FTN(
+program main
+  integer a, b, c, y
+  a = 1
+  b = 0
+  c = 1
+  y = 0
+  if (a .gt. 0) goto 10
+  if (b .gt. 0) goto 10
+  if (c .gt. 0) goto 10
+  goto 20
+10 y = 1
+20 continue
+  print y
+end
+)FTN",
+                                               Diags);
+  ASSERT_NE(Prog, nullptr) << Diags.str();
+  ProfiledProgram P = profileOnce(std::move(Prog));
+  ASSERT_TRUE(P.Result.Ok) << P.Result.Error;
+  const FlowArena &A = P.PA->of(*P.Prog->entry()).cd().arena();
+  unsigned MostInEdges = 0;
+  for (unsigned Q = 0; Q < A.numPositions(); ++Q)
+    MostInEdges = std::max(MostInEdges, A.inEnd(Q) - A.inBegin(Q));
+  ASSERT_GE(MostInEdges, 3u);
+  expectScheduleMatchesFixpoint(P, 11, 64);
 }
 
 TEST(WorkloadRecovery, SmartBeatsNaiveDynamically) {

@@ -85,12 +85,10 @@ void expectBitIdentical(const Program &Prog, const TimeAnalysis &A,
 /// One synthetic totals delta for a straight-line leaf: bump its
 /// invocation condition, which changes its accumulated totals (and hence
 /// its input fingerprint) without touching any other function.
-FrequencyTotals invocationDelta(const EstimationSession &S,
-                                const Function &F) {
-  FrequencyTotals Delta;
-  const FunctionAnalysis &FA = S.estimator().analysis().of(F);
-  Delta.Cond[{FA.ecfg().start(), CfgLabel::U}] = 1.0;
-  return Delta;
+FrequencyTotals invocationDelta(const EstimationSession &S, const Function &F,
+                                double Total = 1.0) {
+  return ptran::testing::invocationDelta(S.estimator().analysis().of(F),
+                                         Total);
 }
 
 TEST(EstimationSession, ColdQueryThenCacheHit) {
@@ -150,9 +148,9 @@ TEST(EstimationSession, LeafChangeInvalidatesExactlyItsAncestors) {
     FrequencyTotals Totals = Est.runtime().recover(*F);
     ASSERT_TRUE(Totals.Ok) << F->name();
     if (F.get() == LeafA) {
-      for (const auto &[Cond, Total] :
-           invocationDelta(*S, *LeafA).Cond)
-        Totals.Cond[Cond] += Total;
+      FrequencyTotals Delta = invocationDelta(*S, *LeafA);
+      for (size_t C = 0; C < Delta.Cond.size(); ++C)
+        Totals.Cond[C] += Delta.Cond[C];
       Totals.Node = nodeTotalsFromConds(Est.analysis().of(*F), Totals.Cond);
     }
     Freqs[F.get()] = computeFrequencies(Est.analysis().of(*F), Totals);
@@ -571,9 +569,7 @@ TEST(EstimationSession, BadExternalDeltaQuarantinesOrFails) {
     ASSERT_NE(S, nullptr);
     const Function *LeafB = Prog->findFunction("leafb");
     ASSERT_NE(LeafB, nullptr);
-    FrequencyTotals Delta = invocationDelta(*S, *LeafB);
-    Delta.Cond.begin()->second = NaN;
-    S->accumulateTotals(*LeafB, Delta);
+    S->accumulateTotals(*LeafB, invocationDelta(*S, *LeafB, NaN));
     EstimateResult R = S->estimateEntry();
     ASSERT_TRUE(R.Ok) << R.Error;
     EXPECT_TRUE(S->isQuarantined(*LeafB));
@@ -588,9 +584,7 @@ TEST(EstimationSession, BadExternalDeltaQuarantinesOrFails) {
     auto S = runSession(*Prog, 1, Diags, BadProfilePolicy::Fail);
     ASSERT_NE(S, nullptr);
     const Function *LeafB = Prog->findFunction("leafb");
-    FrequencyTotals Delta = invocationDelta(*S, *LeafB);
-    Delta.Cond.begin()->second = NaN;
-    S->accumulateTotals(*LeafB, Delta);
+    S->accumulateTotals(*LeafB, invocationDelta(*S, *LeafB, NaN));
     EstimateResult R = S->estimateEntry();
     EXPECT_FALSE(R.Ok);
     EXPECT_NE(R.Error.find("leafb"), std::string::npos) << R.Error;
@@ -616,8 +610,8 @@ TEST(EstimationSession, RepeatedValidDeltasSaturateAtTwoPow53) {
   const Function *LeafA = Prog->findFunction("leafa");
   ASSERT_NE(LeafA, nullptr);
 
-  FrequencyTotals Limit = invocationDelta(*S, *LeafA);
-  Limit.Cond.begin()->second = ProfileFile::SaturationLimit;
+  FrequencyTotals Limit =
+      invocationDelta(*S, *LeafA, ProfileFile::SaturationLimit);
   S->accumulateTotals(*LeafA, Limit);
   S->accumulateTotals(*LeafA, Limit);
   Ref->accumulateTotals(*LeafA, Limit);
@@ -781,13 +775,15 @@ TEST(EstimationSession, LockFreeReadsSeeAPrefixOfAcknowledgedIngests) {
   // main; every ingest dilutes the skew and moves TIME.
   const Function *Main = Prog->entry();
   FrequencyTotals Skew;
-  for (const ControlCondition &C :
-       Producer->estimator().analysis().of(*Main).cd().conditions())
-    if (C.Label == CfgLabel::T) {
+  const std::vector<ControlCondition> &MainConds =
+      Producer->estimator().analysis().of(*Main).cd().conditions();
+  Skew.Cond.assign(MainConds.size(), 0.0);
+  for (size_t C = 0; C < MainConds.size(); ++C)
+    if (MainConds[C].Label == CfgLabel::T) {
       Skew.Cond[C] = 1000.0;
       break;
     }
-  ASSERT_EQ(Skew.Cond.size(), 1u);
+  ASSERT_EQ(std::count(Skew.Cond.begin(), Skew.Cond.end(), 1000.0), 1);
   auto Fresh = [&](DiagnosticEngine &Diags) {
     auto S = runSession(*Prog, 1, Diags);
     S->accumulateTotals(*Main, Skew);

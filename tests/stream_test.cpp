@@ -12,6 +12,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestPrograms.h"
+
 #include "obs/Observability.h"
 #include "parser/Parser.h"
 #include "session/EstimationSession.h"
@@ -28,6 +30,7 @@
 #include <gtest/gtest.h>
 
 using namespace ptran;
+using ptran::testing::invocationDelta;
 
 namespace {
 
@@ -187,9 +190,7 @@ TEST(CounterDeltaStream, SingleWriterFoldMatchesSerialAccumulate) {
 
   // ...and the same three bumps through the serial API.
   const FunctionAnalysis &FA = Ref->estimator().analysis().of(*LeafA);
-  FrequencyTotals Delta;
-  Delta.Cond[{FA.ecfg().start(), CfgLabel::U}] = 3.0;
-  Ref->accumulateTotals(*LeafA, Delta);
+  Ref->accumulateTotals(*LeafA, invocationDelta(FA, 3.0));
 
   EstimateResult RS = S->estimateEntry();
   EstimateResult RR = Ref->estimateEntry();
@@ -260,8 +261,9 @@ TEST(CounterDeltaStream, MultiWriterInterleavingsAreBitIdentical) {
                        });
       for (const auto &[F, Conds] : Cells) {
         FrequencyTotals Delta;
+        Delta.Cond.assign(Stream->numConditions(F), 0.0);
         for (const auto &[C, Total] : Conds)
-          Delta.Cond[Stream->conditionAt(F, C)] = Total;
+          Delta.Cond[C] = Total; // Cell C is condition id C.
         Ref->accumulateTotals(*Stream->functionAt(F), Delta);
       }
     }
@@ -296,9 +298,8 @@ TEST(CounterDeltaStream, QueriesNeverObserveATornEpoch) {
       if (E == 0)
         continue;
       const FunctionAnalysis &FA = Ref->estimator().analysis().of(*F);
-      FrequencyTotals Delta;
-      Delta.Cond[{FA.ecfg().start(), CfgLabel::U}] = static_cast<double>(E);
-      Ref->accumulateTotals(*F, Delta);
+      Ref->accumulateTotals(*F,
+                            invocationDelta(FA, static_cast<double>(E)));
     }
     EstimateResult R = Ref->estimateEntry();
     ASSERT_TRUE(R.Ok) << R.Error;
@@ -391,8 +392,9 @@ TEST(CounterDeltaStream, WritersFlusherAndQueriesRaceCleanly) {
                    [&](unsigned F, unsigned C, double D) { Cells[F][C] += D; });
   for (const auto &[F, Conds] : Cells) {
     FrequencyTotals Delta;
+    Delta.Cond.assign(Stream->numConditions(F), 0.0);
     for (const auto &[C, Total] : Conds)
-      Delta.Cond[Stream->conditionAt(F, C)] = Total;
+      Delta.Cond[C] = Total; // Cell C is condition id C.
     Ref->accumulateTotals(*Stream->functionAt(F), Delta);
   }
   EstimateResult RS = S->estimateEntry();
@@ -425,9 +427,7 @@ TEST(CounterDeltaStream, FoldClampsCellTotalsAtTwoPow53) {
   EXPECT_EQ(FR.Cells, 1u);
 
   const FunctionAnalysis &FA = Ref->estimator().analysis().of(*LeafA);
-  FrequencyTotals Delta;
-  Delta.Cond[{FA.ecfg().start(), CfgLabel::U}] = CounterSaturationLimit;
-  Ref->accumulateTotals(*LeafA, Delta);
+  Ref->accumulateTotals(*LeafA, invocationDelta(FA, CounterSaturationLimit));
 
   EstimateResult RS = S->estimateEntry();
   EstimateResult RR = Ref->estimateEntry();
