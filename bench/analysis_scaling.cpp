@@ -161,7 +161,7 @@ void benchParallelPipeline(benchmark::State &State) {
   unsigned Jobs = static_cast<unsigned>(State.range(1));
   std::unique_ptr<Program> Prog = makeManyFunctionProgram(Funcs, 3);
   AnalysisOptions Opts;
-  Opts.Exec.Jobs = Jobs;
+  Opts.Jobs = Jobs;
   for (auto _ : State) {
     DiagnosticEngine Diags;
     auto PA = ProgramAnalysis::compute(*Prog, Diags, Opts);
@@ -174,34 +174,10 @@ BENCHMARK(benchParallelPipeline)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// SCC-wave interprocedural pass across State.range(1) workers.
-void benchParallelTimeAnalysis(benchmark::State &State) {
-  unsigned Funcs = static_cast<unsigned>(State.range(0));
-  unsigned Jobs = static_cast<unsigned>(State.range(1));
-  std::unique_ptr<Program> Prog = makeManyFunctionProgram(Funcs, 3);
-  DiagnosticEngine Diags;
-  auto PA = ProgramAnalysis::compute(*Prog, Diags);
-  if (!PA || !PA->allOk())
-    reportFatalError("analysis failed for many-function program");
-  std::map<const Function *, Frequencies> Freqs =
-      syntheticFrequencies(*Prog, *PA);
-  CostModel CM = CostModel::optimizing();
-  TimeAnalysisOptions Opts;
-  Opts.Exec.Jobs = Jobs;
-  for (auto _ : State) {
-    TimeAnalysis TA = TimeAnalysis::run(*PA, Freqs, CM, Opts);
-    benchmark::DoNotOptimize(TA.programTime());
-  }
-  State.counters["jobs"] = Jobs;
-}
-BENCHMARK(benchParallelTimeAnalysis)
-    ->ArgsProduct({{256}, {1, 2, 4, 8}})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// Wall-clock speedup table for the full parallel pipeline (analysis +
-// TIME/VAR) on the many-function workload, with a bit-for-bit equality
-// check of every function's TIME/VAR against the serial run.
+// Wall-clock speedup table for the per-function analysis fan-out on the
+// many-function workload. The wall time includes the serial TIME/VAR
+// sweep that follows, and every function's TIME/VAR is checked bit for
+// bit against the jobs=1 run.
 void printParallelSpeedupTable() {
   constexpr unsigned Funcs = 255;
   std::unique_ptr<Program> Prog = makeManyFunctionProgram(Funcs, 3);
@@ -210,16 +186,14 @@ void printParallelSpeedupTable() {
   auto RunOnce = [&](unsigned Jobs) {
     DiagnosticEngine Diags;
     AnalysisOptions AOpts;
-    AOpts.Exec.Jobs = Jobs;
+    AOpts.Jobs = Jobs;
     auto Start = std::chrono::steady_clock::now();
     auto PA = ProgramAnalysis::compute(*Prog, Diags, AOpts);
     if (!PA || !PA->allOk())
       reportFatalError("analysis failed for many-function program");
     std::map<const Function *, Frequencies> Freqs =
         syntheticFrequencies(*Prog, *PA);
-    TimeAnalysisOptions TAOpts;
-    TAOpts.Exec.Jobs = Jobs;
-    TimeAnalysis TA = TimeAnalysis::run(*PA, Freqs, CM, TAOpts);
+    TimeAnalysis TA = TimeAnalysis::run(*PA, Freqs, CM);
     auto End = std::chrono::steady_clock::now();
     std::vector<double> Estimates;
     for (const auto &F : Prog->functions()) {
@@ -232,7 +206,8 @@ void printParallelSpeedupTable() {
 
   // Warm up allocators etc., then take the best of 3 per job count.
   RunOnce(1);
-  std::printf("=== Parallel pipeline speedup (%u functions, depth 3) ===\n",
+  std::printf("=== Analysis fan-out speedup (%u functions, depth 3; wall "
+              "includes the serial TIME/VAR sweep) ===\n",
               Funcs);
   TablePrinter T({"jobs", "wall [ms]", "speedup vs 1", "output"});
   std::vector<double> Reference;
@@ -262,9 +237,9 @@ void printParallelSpeedupTable() {
   std::printf("%s\n", T.str().c_str());
 }
 
-// The TIME/VAR sweep on the interprocedural SCC-wave pass, per job
-// count, with a bit-for-bit memcmp of every function's TIME/VAR against
-// the jobs=1 run.
+// The serial interprocedural TIME/VAR sweep, best of 5, with a
+// bit-for-bit memcmp of every function's TIME/VAR against a separate
+// reference run.
 void printTimeVarSweepTable() {
   constexpr unsigned Funcs = 511;
   std::unique_ptr<Program> Prog = makeManyFunctionProgram(Funcs, 6);
@@ -276,11 +251,9 @@ void printTimeVarSweepTable() {
   std::map<const Function *, Frequencies> Freqs =
       syntheticFrequencies(*Prog, *PA);
 
-  auto RunOnce = [&](unsigned Jobs, std::vector<double> &Estimates) {
-    TimeAnalysisOptions Opts;
-    Opts.Exec.Jobs = Jobs;
+  auto RunOnce = [&](std::vector<double> &Estimates) {
     auto Start = std::chrono::steady_clock::now();
-    TimeAnalysis TA = TimeAnalysis::run(*PA, Freqs, CM, Opts);
+    TimeAnalysis TA = TimeAnalysis::run(*PA, Freqs, CM);
     auto End = std::chrono::steady_clock::now();
     Estimates.clear();
     for (const auto &F : Prog->functions()) {
@@ -290,25 +263,20 @@ void printTimeVarSweepTable() {
     return std::chrono::duration<double>(End - Start).count();
   };
 
-  std::printf("=== TIME/VAR sweep on the SCC-wave pass (%u functions, "
-              "depth 6) ===\n",
-              Funcs);
-  TablePrinter T({"jobs", "sweep [ms]", "output"});
+  std::printf("=== TIME/VAR sweep (%u functions, depth 6) ===\n", Funcs);
+  TablePrinter T({"pass", "sweep [ms]", "output"});
   std::vector<double> Reference;
-  for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
-    double Best = 1e100;
-    std::vector<double> Est;
-    for (int Rep = 0; Rep < 5; ++Rep)
-      Best = std::min(Best, RunOnce(Jobs, Est));
-    if (Jobs == 1)
-      Reference = Est;
-    bool Identical = Est.size() == Reference.size() &&
-                     std::memcmp(Est.data(), Reference.data(),
-                                 Est.size() * sizeof(double)) == 0;
-    char Ms[32];
-    std::snprintf(Ms, sizeof(Ms), "%.3f", Best * 1e3);
-    T.addRow({std::to_string(Jobs), Ms, Identical ? "identical" : "DIFFERS"});
-  }
+  RunOnce(Reference);
+  double Best = 1e100;
+  std::vector<double> Est;
+  for (int Rep = 0; Rep < 5; ++Rep)
+    Best = std::min(Best, RunOnce(Est));
+  bool Identical = Est.size() == Reference.size() &&
+                   std::memcmp(Est.data(), Reference.data(),
+                               Est.size() * sizeof(double)) == 0;
+  char Ms[32];
+  std::snprintf(Ms, sizeof(Ms), "%.3f", Best * 1e3);
+  T.addRow({"serial", Ms, Identical ? "identical" : "DIFFERS"});
   std::printf("%s\n", T.str().c_str());
 }
 
@@ -375,8 +343,6 @@ void printIncrementalReestimationTable() {
   // timing everything a non-incremental client redoes per query: counter
   // recovery, frequency computation and the full TIME/VAR pass.
   const Estimator &Est = S->estimator();
-  TimeAnalysisOptions TAOpts;
-  TAOpts.Exec.Jobs = Jobs;
   double BestCold = 1e100;
   TimeAnalysis Cold;
   for (int Rep = 0; Rep < 3; ++Rep) {
@@ -393,7 +359,7 @@ void printIncrementalReestimationTable() {
       }
       Freqs[F.get()] = computeFrequencies(Est.analysis().of(*F), Totals);
     }
-    Cold = TimeAnalysis::run(Est.analysis(), Freqs, CM, TAOpts);
+    Cold = TimeAnalysis::run(Est.analysis(), Freqs, CM);
     End = std::chrono::steady_clock::now();
     BestCold = std::min(BestCold,
                         std::chrono::duration<double>(End - Start).count());
@@ -1071,7 +1037,7 @@ void printReplicationLagTable() {
 
 /// Bytes the main malloc arena has handed out and not taken back; 0
 /// where mallinfo2 is unavailable. The analyses run on this thread
-/// (serial ExecutionPolicy), so their allocations land in this arena.
+/// (the default jobs=1), so their allocations land in this arena.
 size_t heapInUse() {
 #ifdef __GLIBC__
   return mallinfo2().uordblks;

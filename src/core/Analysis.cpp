@@ -59,8 +59,11 @@ ProgramAnalysis::compute(const Program &P, DiagnosticEngine &Diags,
   std::vector<char> SkipFlags(Funcs.size(), 0);
   CancelToken *Cancel = Opts.Cancel;
 
-  PoolLease Pool(Opts.Exec, Funcs.size(), Opts.Obs);
-  if (Pool->workerCount() == 0) {
+  // No more workers than functions; 0 or 1 runs the tasks inline.
+  ThreadPool Pool(static_cast<unsigned>(std::min<size_t>(
+      ThreadPool::resolveJobs(Opts.Jobs), Funcs.size())));
+  Pool.attachObservability(Opts.Obs);
+  if (Pool.workerCount() == 0) {
     for (size_t I = 0; I < Funcs.size(); ++I) {
       if (Cancel && Cancel->checkpoint()) {
         SkipFlags[I] = 1;
@@ -72,7 +75,7 @@ ProgramAnalysis::compute(const Program &P, DiagnosticEngine &Diags,
     std::vector<std::future<void>> Futures;
     Futures.reserve(Funcs.size());
     for (size_t I = 0; I < Funcs.size(); ++I)
-      Futures.push_back(Pool->submit(
+      Futures.push_back(Pool.submit(
           Cancel, [&Funcs, &Results, &Local, &SkipFlags, &Opts, Cancel, I] {
             if (Cancel && Cancel->checkpoint()) {
               SkipFlags[I] = 1;

@@ -23,7 +23,6 @@
 #include "interval/Intervals.h"
 #include "obs/Observability.h"
 #include "support/Cancellation.h"
-#include "support/ExecutionPolicy.h"
 
 #include <map>
 #include <memory>
@@ -34,13 +33,13 @@ namespace ptran {
 
 /// Options controlling the per-function pipeline.
 struct AnalysisOptions {
-  /// Worker threads (or a shared pool) for ProgramAnalysis::compute.
-  /// Functions are analyzed independently, so the fan-out is
-  /// embarrassingly parallel; each task reports into its own
+  /// Worker threads for ProgramAnalysis::compute: 1 = serial, 0 =
+  /// hardware concurrency. Functions are analyzed independently, so the
+  /// fan-out is embarrassingly parallel; each task reports into its own
   /// DiagnosticEngine and the locals are merged back in program order, so
-  /// results and diagnostics are bit-for-bit identical under every
-  /// policy.
-  ExecutionPolicy Exec;
+  /// results and diagnostics are bit-for-bit identical under every job
+  /// count. The pool lives only for the one compute() call.
+  unsigned Jobs = 1;
   /// Tracing/metrics sink: when set, every pass of the pipeline (CFG,
   /// intervals, ECFG, FCDG) records a per-function timing span and the
   /// pool reports task counters. Disabled (the default) costs one branch
@@ -81,7 +80,7 @@ private:
 /// FunctionAnalysis for every procedure of a program.
 class ProgramAnalysis {
 public:
-  /// Analyzes all procedures (across Opts.Exec workers). Always
+  /// Analyzes all procedures (across Opts.Jobs workers). Always
   /// returns a bundle: functions whose analysis fails (e.g. irreducible
   /// control flow) are recorded in failures() with their diagnostics in
   /// \p Diags, while every other function stays usable — callers decide

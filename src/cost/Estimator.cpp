@@ -17,7 +17,7 @@ std::unique_ptr<Estimator> Estimator::create(const Program &P,
   Est->CM = CM;
   Est->Opts = Opts;
   AnalysisOptions AOpts;
-  AOpts.Exec = Opts.Exec;
+  AOpts.Jobs = Opts.Jobs;
   AOpts.Obs = Opts.Obs;
   AOpts.Cancel = Opts.Cancel;
   Est->PA = ProgramAnalysis::compute(P, Diags, AOpts);
@@ -56,8 +56,6 @@ TimeAnalysis Estimator::analyze() {
 TimeAnalysis Estimator::analyze(TimeAnalysisOptions TAOpts) {
   if (TAOpts.LoopVariance == LoopVarianceMode::Profiled && !TAOpts.Stats)
     TAOpts.Stats = Stats.get();
-  if (!TAOpts.Exec.Pool && TAOpts.Exec.Jobs == 1)
-    TAOpts.Exec = Opts.Exec;
   if (!TAOpts.Diags)
     TAOpts.Diags = Opts.Diags;
   if (!TAOpts.Obs)

@@ -35,10 +35,10 @@ namespace ptran {
 struct EstimatorOptions {
   /// Counter-placement mode for the profiling plan.
   ProfileMode Mode = ProfileMode::Smart;
-  /// Parallelism shared by every pass the estimator runs (per-function
-  /// analysis fan-out and the interprocedural TIME/VAR waves). A session
-  /// typically points this at one long-lived pool.
-  ExecutionPolicy Exec;
+  /// Worker threads for the per-function analysis fan-out (1 = serial,
+  /// 0 = hardware concurrency). Every other pass, the interprocedural
+  /// TIME/VAR sweep included, runs on the calling thread.
+  unsigned Jobs = 1;
   /// Default loop-variance model for analyze() calls (and session queries)
   /// that do not specify one.
   LoopVarianceMode LoopVariance = LoopVarianceMode::Zero;
@@ -47,7 +47,7 @@ struct EstimatorOptions {
   DiagnosticEngine *Diags = nullptr;
   /// Tracing/metrics registry shared by every pass the estimator drives
   /// (analysis spans, plan construction, profiled runs, counter recovery,
-  /// the TIME/VAR waves). Disabled by default; the registry must outlive
+  /// the TIME/VAR sweep). Disabled by default; the registry must outlive
   /// the estimator when set.
   ObsRegistry *Obs = nullptr;
   /// What an EstimationSession does with a function whose profile data
@@ -82,11 +82,7 @@ struct EstimatorOptions {
     return *this;
   }
   EstimatorOptions &jobs(unsigned J) {
-    Exec.Jobs = J;
-    return *this;
-  }
-  EstimatorOptions &pool(ThreadPool &P) {
-    Exec.Pool = &P;
+    Jobs = J;
     return *this;
   }
   EstimatorOptions &loopVariance(LoopVarianceMode M) {
@@ -136,11 +132,11 @@ public:
   /// Recovers totals and frequencies for every function from the counters
   /// accumulated so far, then runs the time/variance analysis.
   /// \p Opts.Stats is filled in automatically when LoopVariance ==
-  /// Profiled and no stats were supplied; \p Opts.Exec defaults to the
-  /// estimator's execution policy unless the caller overrides it.
+  /// Profiled and no stats were supplied; unset diagnostics, observability
+  /// and cancellation sinks default to the estimator's.
   TimeAnalysis analyze(TimeAnalysisOptions Opts);
   /// Same, with the estimator's option defaults (loop-variance mode,
-  /// execution policy, diagnostics sink).
+  /// diagnostics sink).
   TimeAnalysis analyze();
 
   const EstimatorOptions &options() const { return Opts; }

@@ -6,15 +6,10 @@
 #include "obs/HotpathAlloc.h"
 #include "support/Casting.h"
 #include "support/FatalError.h"
-#include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <set>
-#include <unordered_map>
 
 using namespace ptran;
 
@@ -67,7 +62,7 @@ std::vector<NodeEstimates> computeFunction(
     const CostModel &CM, const TimeAnalysisOptions &Opts,
     const std::map<const Function *, FunctionSummary> &Callees,
     const std::vector<const Function *> &CalleeOf,
-    ThreadSafeDiagnostics *Unresolved, std::atomic<uint64_t> &HotpathAllocs) {
+    std::set<std::string> *Unresolved, uint64_t &HotpathAllocs) {
   const ControlDependence &CD = FA.cd();
   const FlowArena &A = CD.arena();
   const Ecfg &E = FA.ecfg();
@@ -112,9 +107,9 @@ std::vector<NodeEstimates> computeFunction(
           EU.Cost += It->second.Time;
           VarCost = It->second.Var;
         } else if (Unresolved) {
-          Unresolved->warningOnce("call to unresolved procedure '" +
-                                  Call->callee() +
-                                  "' contributes zero callee time");
+          Unresolved->insert("call to unresolved procedure '" +
+                             Call->callee() +
+                             "' contributes zero callee time");
         }
       }
     }
@@ -181,7 +176,7 @@ std::vector<NodeEstimates> computeFunction(
     TimeBuf[P] = EU.Time;
     VarBuf[P] = EU.Var;
   }
-  HotpathAllocs.fetch_add(AllocScope.count(), std::memory_order_relaxed);
+  HotpathAllocs += AllocScope.count();
   return Est;
 }
 
@@ -227,47 +222,30 @@ TimeAnalysis TimeAnalysis::runImpl(
     Funcs.push_back(F.get());
   }
 
-  // One hashed, lower-cased name table resolves every callee this run.
-  // Program::findFunction is a case-insensitive linear scan, which would
-  // make call-graph construction quadratic in the number of procedures;
-  // the table gives the same first-match answer (duplicate names are
-  // rejected at Program::createFunction) in O(1).
-  std::unordered_map<std::string, const Function *> ByName;
-  for (const auto &F : Prog.functions())
-    ByName.emplace(toLower(F->name()), F.get());
-  auto Resolve = [&ByName](std::string_view Name) -> const Function * {
-    auto It = ByName.find(toLower(Name));
-    return It == ByName.end() ? nullptr : It->second;
-  };
-
   Digraph CallGraph(static_cast<unsigned>(Funcs.size()));
   for (const Function *F : Funcs)
     for (StmtId S = 0; S < F->numStmts(); ++S)
       if (const auto *Call = dyn_cast<CallStmt>(F->stmt(S)))
-        if (const Function *Callee = Resolve(Call->callee()))
+        if (const Function *Callee = Prog.findFunction(Call->callee()))
           if (Index.count(Callee))
             CallGraph.addEdge(Index[F], Index[Callee], 0);
 
-  // The call graph is consumed in CSR form: SCC condensation, the wave
-  // schedule and the dirtiness sweep all read the same flat view.
+  // The call graph is consumed in CSR form: SCC condensation, the
+  // dirtiness sweep and the recursion test all read the same flat view.
   CsrGraph CallCsr(CallGraph);
   const GraphView CallView = CallCsr.view();
   SccResult Sccs = computeSccs(CallView);
   std::map<const Function *, FunctionSummary> Summaries;
 
-  // Pre-insert every summary and estimate slot: concurrent waves then only
-  // ever write through stable references to distinct entries, never mutate
-  // the map structure. The zero-valued initial summaries double as the
-  // starting point of the recursion fixpoint (the paper defers recursion;
-  // see DESIGN.md).
-  for (const Function *F : Funcs) {
+  // Pre-insert every summary: a recursive cycle's members read each
+  // other's zero-valued initial summaries on the first fixpoint iteration
+  // (the paper defers recursion; see DESIGN.md).
+  for (const Function *F : Funcs)
     Summaries[F];
-    Out.PerFunction[F];
-  }
 
   // The sweep resolves callees through a per-function table built once
-  // per run (findFunction is a linear scan; the sweep must not pay it per
-  // call node per fixpoint iteration, and must not allocate).
+  // per run, so the allocation-free propagation loop makes no name
+  // lookups.
   std::map<const Function *, std::vector<const Function *>> CalleeTables;
   for (const Function *F : Funcs) {
     const Cfg &C = PA.of(*F).ecfg().cfg();
@@ -278,7 +256,7 @@ TimeAnalysis TimeAnalysis::runImpl(
       if (S == InvalidStmt)
         continue;
       if (const auto *Call = dyn_cast<CallStmt>(F->stmt(S)))
-        Table[N] = Resolve(Call->callee());
+        Table[N] = Prog.findFunction(Call->callee());
     }
   }
 
@@ -315,14 +293,14 @@ TimeAnalysis TimeAnalysis::runImpl(
             Previous->PerFunction.find(F)->second;
         NodeId Start = PA.of(*F).ecfg().start();
         Summaries.find(F)->second = {Cached[Start].Time, Cached[Start].Var};
-        Out.PerFunction.find(F)->second = Cached;
+        Out.PerFunction[F] = Cached;
       }
     }
   }
 
-  ThreadSafeDiagnostics Unresolved;
-  std::atomic<uint64_t> Evals{0};
-  std::atomic<uint64_t> HotAllocs{0};
+  std::set<std::string> Unresolved;
+  uint64_t Evals = 0;
+  uint64_t HotAllocs = 0;
   CancelToken *Cancel = Opts.Cancel;
 
   auto FreqsOf = [&](const Function *F) -> const Frequencies & {
@@ -336,122 +314,67 @@ TimeAnalysis TimeAnalysis::runImpl(
     const FunctionAnalysis &FA = PA.of(*F);
     std::vector<NodeEstimates> Est =
         computeFunction(FA, FreqsOf(F), CM, Opts, Summaries,
-                        CalleeTables.find(F)->second, &Unresolved, HotAllocs);
+                        CalleeTables.find(F)->second,
+                        Opts.Diags ? &Unresolved : nullptr, HotAllocs);
     NodeId Start = FA.ecfg().start();
     Summaries.find(F)->second = {Est[Start].Time, Est[Start].Var};
-    Out.PerFunction.find(F)->second = std::move(Est);
-    Evals.fetch_add(1, std::memory_order_relaxed);
+    Out.PerFunction[F] = std::move(Est);
+    ++Evals;
   };
 
-  // Condensation waves: a component is schedulable once every callee
-  // component has completed. Tarjan numbers components callees-first, so
-  // one ascending sweep assigns wave indices. Clean components never
-  // enter a wave.
-  std::vector<bool> Cyclic(Sccs.numComponents(), false);
-  std::vector<unsigned> WaveOf(Sccs.numComponents(), 0);
-  unsigned NumWaves = Sccs.numComponents() == 0 ? 0 : 1;
-  for (unsigned Comp = 0; Comp < Sccs.numComponents(); ++Comp) {
-    Cyclic[Comp] = Sccs.isInCycle(CallView, Sccs.Members[Comp].front());
-    Out.Recursive = Out.Recursive || Cyclic[Comp];
-    for (NodeId M : Sccs.Members[Comp])
-      for (const CsrEdgeRef &Ed : CallView.succs(M)) {
-        unsigned Callee = Sccs.Component[Ed.Node];
-        if (Callee != Comp)
-          WaveOf[Comp] = std::max(WaveOf[Comp], WaveOf[Callee] + 1);
-      }
-    NumWaves = std::max(NumWaves, WaveOf[Comp] + 1);
-  }
-  std::vector<std::vector<unsigned>> Waves(NumWaves);
-  unsigned DirtyCount = 0;
-  for (unsigned Comp = 0; Comp < Sccs.numComponents(); ++Comp)
-    if (DirtyComp[Comp]) {
-      Waves[WaveOf[Comp]].push_back(Comp);
-      ++DirtyCount;
-    }
-
-  // Completion flags, one per component; each slot is written by exactly
-  // one task and read only after the wave barriers (like the estimate
-  // slots above). A component that skips out on an expired token leaves
-  // its flag clear, and its members land in Unfinished below. Clean
-  // components are complete by construction.
-  std::vector<char> Done(Sccs.numComponents(), 0);
-  for (unsigned Comp = 0; Comp < Sccs.numComponents(); ++Comp)
-    if (!DirtyComp[Comp])
-      Done[Comp] = 1;
-
-  // One component is one task: an acyclic component is a single function
-  // evaluation; a recursive cycle keeps its serial fixpoint ordering
-  // inside the task. Cross-component summary reads only cross wave
-  // barriers, so every job count computes identical numbers — and because
-  // callers are scheduled in strictly later waves than their callees,
-  // monotone token expiry means a component that does run has final
-  // callee summaries, cancelled run or not.
-  auto EvalComponent = [&](unsigned Comp) {
+  // Evaluates one dirty component; false when the token expired first.
+  // An acyclic component is a single function evaluation; a recursive
+  // cycle iterates its members to the fixed iteration count.
+  auto EvalComponent = [&](unsigned Comp, bool Cyclic) {
     const std::vector<NodeId> &Members = Sccs.Members[Comp];
     if (Cancel && Cancel->checkpoint())
-      return;
+      return false;
     TimingSpan SccSpan(Obs, "timeanalysis.scc",
                        Funcs[Members.front()]->name());
-    if (!Cyclic[Comp]) {
+    if (!Cyclic) {
       Recompute(Funcs[Members.front()]);
-      Done[Comp] = 1;
-      return;
+      return true;
     }
     for (unsigned Iter = 0; Iter < RecursionIterations; ++Iter) {
       if (Iter > 0 && Cancel && Cancel->checkpoint())
-        return; // Partial fixpoint: abandon, members stay unfinished.
+        return false; // Partial fixpoint: abandon, members stay unfinished.
       for (NodeId M : Members)
         Recompute(Funcs[M]);
     }
     if (Obs)
       Obs->addCounter("timeanalysis.fixpoint_iterations",
                       RecursionIterations);
-    Done[Comp] = 1;
+    return true;
   };
 
-  PoolLease Pool(Opts.Exec,
-                 std::min<size_t>(Funcs.size(), std::max(DirtyCount, 1u)),
-                 Obs);
-  for (size_t WaveIdx = 0; WaveIdx < Waves.size(); ++WaveIdx) {
-    const std::vector<unsigned> &WaveComps = Waves[WaveIdx];
-    if (WaveComps.empty())
+  // Tarjan numbers components callees-first, so one ascending pass
+  // evaluates every component after all its callees' summaries are final.
+  // Expiry is monotone: once a checkpoint trips, that component and every
+  // later dirty one stay unfinished, and every function that did finish
+  // saw only final callee summaries — its estimates are bit-identical to
+  // an unbounded run.
+  std::set<const Function *> UnfinishedSet;
+  bool Stopped = false;
+  for (unsigned Comp = 0; Comp < Sccs.numComponents(); ++Comp) {
+    bool Cyclic = Sccs.isInCycle(CallView, Sccs.Members[Comp].front());
+    Out.Recursive = Out.Recursive || Cyclic;
+    if (!DirtyComp[Comp])
       continue;
-    if (Cancel && Cancel->expired())
-      break; // Skip scheduling the remaining waves entirely.
-    // The detail string is only materialized when tracing is on.
-    TimingSpan WaveSpan(Obs, "timeanalysis.wave",
-                        Obs ? "wave " + std::to_string(WaveIdx) + " (" +
-                                  std::to_string(WaveComps.size()) + " sccs)"
-                            : std::string());
-    if (Pool->workerCount() == 0 || WaveComps.size() == 1) {
-      for (unsigned Comp : WaveComps)
-        EvalComponent(Comp);
-      continue;
-    }
-    std::vector<std::future<void>> Futures;
-    Futures.reserve(WaveComps.size());
-    for (unsigned Comp : WaveComps)
-      Futures.push_back(Pool->submit(Cancel, [&EvalComponent, Comp] {
-        EvalComponent(Comp);
-      }));
-    waitAll(Futures);
+    Stopped = Stopped || !EvalComponent(Comp, Cyclic);
+    if (Stopped)
+      for (NodeId M : Sccs.Members[Comp])
+        UnfinishedSet.insert(Funcs[M]);
   }
 
   // Cut-short bookkeeping: unfinished functions lose their (zero-valued
   // or partial) slots entirely, so of() refuses to serve them and an
   // incremental rerun() sees them as dirty.
-  std::set<const Function *> UnfinishedSet;
-  for (unsigned Comp = 0; Comp < Sccs.numComponents(); ++Comp)
-    if (!Done[Comp])
-      for (NodeId M : Sccs.Members[Comp])
-        UnfinishedSet.insert(Funcs[M]);
   if (!UnfinishedSet.empty()) {
     Out.CutReason = Cancel ? Cancel->reason() : CancelReason::Cancelled;
     for (const Function *F : Funcs)
       if (UnfinishedSet.count(F)) {
         Out.Unfinished.push_back(F);
         Out.PerFunction.erase(F);
-        Summaries.erase(F);
       }
     if (Opts.Diags && Cancel)
       Opts.Diags->error(cancelMessage(*Cancel, "time analysis") + "; " +
@@ -467,13 +390,16 @@ TimeAnalysis TimeAnalysis::runImpl(
     }
   }
 
+  // Sorted, once per message: the warnings do not depend on which caller
+  // reached an unresolved callee first.
   if (Opts.Diags)
-    Unresolved.drainTo(*Opts.Diags);
+    for (const std::string &Message : Unresolved)
+      Opts.Diags->warning(Message);
 
-  Out.Evaluations = Evals.load();
+  Out.Evaluations = Evals;
   if (Obs) {
     Obs->addCounter("timeanalysis.evaluations", Out.Evaluations);
-    Obs->addCounter("cost.hotpath.allocs", HotAllocs.load());
+    Obs->addCounter("cost.hotpath.allocs", HotAllocs);
   }
   return Out;
 }

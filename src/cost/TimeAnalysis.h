@@ -31,7 +31,6 @@
 #include "obs/Observability.h"
 #include "profile/ProfileRuntime.h"
 #include "support/Cancellation.h"
-#include "support/ExecutionPolicy.h"
 
 #include <functional>
 #include <map>
@@ -69,29 +68,22 @@ struct TimeAnalysisOptions {
   /// the headers of exit-free DO loops are treated as deterministic: only
   /// their children's variance propagates, no branch-outcome term.
   bool DeterministicDoHeaders = false;
-  /// Workers (or a shared pool) for the interprocedural pass. The call
-  /// graph is condensed with Tarjan's SCCs, the condensation is ordered
-  /// into topological waves, and every SCC of a wave is evaluated
-  /// concurrently (recursive SCCs keep their serial fixpoint within the
-  /// wave). All cross-SCC reads happen at wave barriers, so results are
-  /// bit-for-bit identical under every policy.
-  ExecutionPolicy Exec;
   /// Optional sink for analysis warnings: calls whose callee is undefined
   /// (or otherwise unsummarized) contribute zero time, and are reported
   /// here once per callee instead of being silently dropped.
   DiagnosticEngine *Diags = nullptr;
-  /// Tracing/metrics sink: when set, the whole pass, every wave of
-  /// the SCC condensation and every component evaluation record timing
-  /// spans, and fixpoint-iteration / evaluation counters accumulate in
-  /// the registry. Disabled (the default) costs one branch per site.
+  /// Tracing/metrics sink: when set, the whole pass and every component
+  /// evaluation of the SCC condensation record timing spans, and
+  /// fixpoint-iteration / evaluation counters accumulate in the registry.
+  /// Disabled (the default) costs one branch per site.
   ObsRegistry *Obs = nullptr;
-  /// Cooperative cancellation: polled at every SCC-component entry and
-  /// every recursion-fixpoint iteration. Once the token expires no further
-  /// component is evaluated; the functions left without estimates land in
-  /// unfinished(). Because waves evaluate callers strictly after callees
-  /// and expiry is monotone, every function that did finish saw only final
-  /// callee summaries — finished estimates are bit-identical to an
-  /// unbounded run. Null (the default) = unbounded.
+  /// Cooperative cancellation: polled at every dirty SCC-component entry
+  /// and every recursion-fixpoint iteration. Once the token expires no
+  /// further component is evaluated; the functions left without estimates
+  /// land in unfinished(). Because the pass evaluates callers strictly
+  /// after callees and expiry is monotone, every function that did finish
+  /// saw only final callee summaries — finished estimates are
+  /// bit-identical to an unbounded run. Null (the default) = unbounded.
   CancelToken *Cancel = nullptr;
 };
 
@@ -132,9 +124,9 @@ public:
   /// changed functions plus their call-graph ancestors, widened to whole
   /// SCCs — is re-evaluated; every other function reuses its estimates
   /// from \p Previous verbatim, and its cached summary feeds callers at
-  /// the frontier. Because the wave schedule evaluates a function only
-  /// after all callee summaries are final, the result is bit-identical to
-  /// a full run() on the new inputs. \p Previous must come from the same
+  /// the frontier. Because the pass evaluates a function only after all
+  /// its callee summaries are final, the result is bit-identical to a
+  /// full run() on the new inputs. \p Previous must come from the same
   /// ProgramAnalysis with the same options and an identical cost model;
   /// the caller (e.g. EstimationSession) is responsible for widening
   /// \p Changed to "everything" when the configuration itself changed.

@@ -82,8 +82,9 @@ public:
 
 /// Daemon-wide configuration shared by every session ServeCore creates.
 struct ServeOptions {
-  /// Worker threads per session's pool (0 = hardware concurrency). The
-  /// daemon keeps this small: parallelism across requests comes from the
+  /// Analysis worker threads while a session loads (0 = hardware
+  /// concurrency); they are joined before the load returns. The daemon
+  /// keeps this small: parallelism across requests comes from the
   /// connection threads, not from fanning out every session's passes.
   unsigned Jobs = 1;
   /// Global budget on the memory heuristic summed over resident sessions.

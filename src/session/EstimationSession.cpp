@@ -34,17 +34,7 @@ EstimationSession::create(const Program &P, const CostModel &CM,
   S->P = &P;
   S->CM = CM;
   S->Opts = Opts;
-  // One long-lived pool for every pass the session ever runs (analysis
-  // fan-out and each query's TimeAnalysis waves), unless the caller
-  // already owns one.
-  if (!S->Opts.Exec.Pool) {
-    unsigned Workers = ThreadPool::resolveJobs(S->Opts.Exec.Jobs);
-    if (Workers > 1) {
-      S->Pool = std::make_unique<ThreadPool>(Workers);
-      S->Opts.Exec.Pool = S->Pool.get();
-    }
-  }
-  S->Est = Estimator::create(P, CM, S->Opts);
+  S->Est = Estimator::create(P, CM, Opts);
   if (!S->Est)
     return nullptr;
   return S;
@@ -477,7 +467,6 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache,
   TAOpts.LoopVariance = Cache.LoopVariance;
   if (Cache.LoopVariance == LoopVarianceMode::Profiled)
     TAOpts.Stats = &Est->loopStats();
-  TAOpts.Exec = Opts.Exec;
   TAOpts.Diags = Opts.Diags;
   TAOpts.Obs = Opts.Obs;
   TAOpts.Cancel = Cancel;
@@ -498,8 +487,8 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache,
       // query retries from the same state.
       return cancelMessage(*Cancel, "estimation");
     // Degrade: complete the unfinished functions from static frequencies
-    // with an unbudgeted incremental rerun. Waves evaluate callers after
-    // callees and expiry is monotone, so everything the budgeted run
+    // with an unbudgeted incremental rerun. The pass evaluates callers
+    // after callees and expiry is monotone, so everything the budgeted run
     // finished is bit-identical to an unbounded run and is reused as-is.
     std::vector<const Function *> Unfinished = Next.unfinished();
     for (const Function *F : Unfinished)

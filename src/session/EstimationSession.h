@@ -19,7 +19,7 @@
 /// query after new profiled runs therefore invalidates only the
 /// functions whose totals changed — plus their call-graph ancestors,
 /// which TimeAnalysis::rerun widens to whole SCCs of the condensation —
-/// and replays the wave schedule over just that dirty subgraph, feeding
+/// and re-evaluates just that dirty subgraph, callees first, feeding
 /// cached callee summaries in at the frontier. Results are bit-identical
 /// to a cold recomputation (the tests memcmp them).
 ///
@@ -178,9 +178,9 @@ class EstimationSession {
 public:
   /// Analyzes \p P (which must outlive the session) and builds the
   /// counter plan. Returns null on analysis failure, reported to
-  /// \p Opts.Diags when set. When \p Opts.Exec names no external pool,
-  /// the session creates one sized by Opts.Exec.Jobs and routes every
-  /// pass — per-function analysis, each TimeAnalysis wave — through it.
+  /// \p Opts.Diags when set. The per-function analysis fans out over
+  /// Opts.Jobs workers that are joined before create() returns, so a
+  /// session holds no threads; every later pass runs on the caller's.
   /// When \p Opts.Obs is set, the session reports `session.*`
   /// counters (runs, queries, cache hits/misses, dirty-closure sizes,
   /// evaluations) and every underlying pass records spans into the same
@@ -500,9 +500,6 @@ private:
   CostModel CM;
   /// Immutable after create(), so lock-free reads may consult it.
   EstimatorOptions Opts;
-  /// The session's own pool when the caller did not supply one;
-  /// Opts.Exec.Pool points at it.
-  std::unique_ptr<ThreadPool> Pool;
   std::unique_ptr<Estimator> Est;
 
   std::map<const Function *, InputState> Inputs;

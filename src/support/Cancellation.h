@@ -9,12 +9,12 @@
 /// pipeline. A CancelToken combines three independent trip conditions —
 /// caller cancellation, a wall-clock deadline and a checkpoint-step
 /// budget — behind one cheap poll: passes call checkpoint() at
-/// their natural unit of work (per analyzed function, per SCC-wave
+/// their natural unit of work (per analyzed function, per call-graph SCC
 /// component, per fixpoint iteration) and stop as soon as it returns true.
 ///
 /// Expiry is *monotone*: once any condition trips, expired() stays true for
-/// the lifetime of the token (until reset()). Combined with the wave order
-/// of the interprocedural pass — callers are evaluated strictly after their
+/// the lifetime of the token (until reset()). Combined with the order of
+/// the interprocedural pass — callers are evaluated strictly after their
 /// callees — monotone expiry is what guarantees that every function that
 /// did complete saw only final callee summaries, so completed results are
 /// bit-identical to an unbounded run.

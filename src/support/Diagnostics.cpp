@@ -2,7 +2,6 @@
 
 #include "support/Diagnostics.h"
 
-#include <algorithm>
 #include <iterator>
 #include <sstream>
 
@@ -51,69 +50,4 @@ void DiagnosticEngine::append(DiagnosticEngine Other) {
 void DiagnosticEngine::clear() {
   Diags.clear();
   NumErrors = 0;
-}
-
-void ThreadSafeDiagnostics::add(DiagSeverity Severity, std::string Message) {
-  std::lock_guard<std::mutex> Lock(M);
-  Pending.push_back({Severity, SourceLoc(), std::move(Message)});
-  if (Severity == DiagSeverity::Error)
-    ++NumErrors;
-}
-
-void ThreadSafeDiagnostics::error(std::string Message) {
-  add(DiagSeverity::Error, std::move(Message));
-}
-
-void ThreadSafeDiagnostics::warning(std::string Message) {
-  add(DiagSeverity::Warning, std::move(Message));
-}
-
-void ThreadSafeDiagnostics::note(std::string Message) {
-  add(DiagSeverity::Note, std::move(Message));
-}
-
-void ThreadSafeDiagnostics::warningOnce(std::string Message) {
-  std::lock_guard<std::mutex> Lock(M);
-  if (!Seen.insert(Message).second)
-    return;
-  Pending.push_back({DiagSeverity::Warning, SourceLoc(), std::move(Message)});
-}
-
-bool ThreadSafeDiagnostics::hasErrors() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return NumErrors != 0;
-}
-
-bool ThreadSafeDiagnostics::empty() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Pending.empty();
-}
-
-void ThreadSafeDiagnostics::drainTo(DiagnosticEngine &Out) {
-  std::vector<Diagnostic> Drained;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    Drained.swap(Pending);
-    Seen.clear();
-    NumErrors = 0;
-  }
-  std::stable_sort(Drained.begin(), Drained.end(),
-                   [](const Diagnostic &A, const Diagnostic &B) {
-                     if (A.Severity != B.Severity)
-                       return A.Severity < B.Severity;
-                     return A.Message < B.Message;
-                   });
-  for (Diagnostic &D : Drained) {
-    switch (D.Severity) {
-    case DiagSeverity::Error:
-      Out.error(D.Loc, std::move(D.Message));
-      break;
-    case DiagSeverity::Warning:
-      Out.warning(D.Loc, std::move(D.Message));
-      break;
-    case DiagSeverity::Note:
-      Out.note(D.Loc, std::move(D.Message));
-      break;
-    }
-  }
 }

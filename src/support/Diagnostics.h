@@ -15,8 +15,6 @@
 #ifndef PTRAN_SUPPORT_DIAGNOSTICS_H
 #define PTRAN_SUPPORT_DIAGNOSTICS_H
 
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -80,38 +78,6 @@ public:
 
 private:
   std::vector<Diagnostic> Diags;
-  unsigned NumErrors = 0;
-};
-
-/// A mutex-guarded diagnostic sink for concurrent producers whose emission
-/// order is scheduling-dependent (e.g. the SCC-wave interprocedural pass).
-/// drainTo() hands the collected messages to a plain DiagnosticEngine in
-/// sorted order, so the final output is deterministic regardless of which
-/// worker reported first.
-class ThreadSafeDiagnostics {
-public:
-  void error(std::string Message);
-  void warning(std::string Message);
-  void note(std::string Message);
-
-  /// Emits a warning only the first time \p Message is seen (across all
-  /// threads). Used for once-per-callee style reporting.
-  void warningOnce(std::string Message);
-
-  bool hasErrors() const;
-  /// True if any diagnostic (of any severity) has been collected.
-  bool empty() const;
-
-  /// Moves everything collected so far into \p Out, sorted by severity
-  /// then message text.
-  void drainTo(DiagnosticEngine &Out);
-
-private:
-  void add(DiagSeverity Severity, std::string Message);
-
-  mutable std::mutex M;
-  std::vector<Diagnostic> Pending;
-  std::set<std::string> Seen;
   unsigned NumErrors = 0;
 };
 

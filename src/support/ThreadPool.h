@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size thread pool used by the parallel analysis drivers
-/// (per-function pipeline fan-out and the SCC-wave interprocedural pass).
+/// A small fixed-size thread pool used by the per-function analysis
+/// fan-out and by ptran-serve's request workers.
 /// Tasks are submitted as callables and return exception-propagating
 /// std::futures; a worker count of 0 or 1 runs every task inline on the
 /// submitting thread, which reproduces the serial drivers bit-for-bit.

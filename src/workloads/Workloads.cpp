@@ -738,7 +738,7 @@ std::unique_ptr<Program> ptran::makeManyFunctionProgram(unsigned Funcs,
     for (unsigned D = 0; D < Depth; ++D)
       B.endDo();
     // Binary call tree: every non-leaf fans out to two independent
-    // subtrees, giving the interprocedural pass wide waves.
+    // subtrees, giving the call graph wide levels.
     unsigned Left = 2 * K + 1, Right = 2 * K + 2;
     if (Left < Funcs)
       B.callSub(NameOf(Left), {});

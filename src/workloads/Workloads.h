@@ -57,10 +57,10 @@ std::unique_ptr<Program> makeScalingProgram(unsigned Units, unsigned Depth);
 
 /// Deterministically generates a program with \p Funcs procedures whose
 /// call graph is a binary tree rooted at main (procedure k calls 2k+1 and
-/// 2k+2): ~log2(Funcs) condensation waves with up to Funcs/2 independent
-/// procedures per wave. Each body carries \p Depth nested DO loops around
-/// an IF diamond, so both the per-function fan-out and the SCC-wave
-/// interprocedural pass have real work to parallelize.
+/// 2k+2): ~log2(Funcs) call-graph levels with up to Funcs/2 independent
+/// procedures per level. Each body carries \p Depth nested DO loops
+/// around an IF diamond, so both the per-function fan-out and the
+/// interprocedural TIME/VAR sweep have real work.
 std::unique_ptr<Program> makeManyFunctionProgram(unsigned Funcs,
                                                  unsigned Depth);
 

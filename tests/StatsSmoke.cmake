@@ -30,7 +30,7 @@ function(check_trace_and_stats LABEL TRACE_FILE STDOUT_FILE)
       "${LABEL}: suspiciously few trace events (${EVENT_COUNT})")
   endif()
   foreach(SPAN analysis.program analysis.cfg plan.counters profiled-run
-          timeanalysis.run timeanalysis.wave timeanalysis.scc)
+          timeanalysis.run timeanalysis.scc)
     if(NOT TRACE_JSON MATCHES "\"name\":\"${SPAN}\"")
       message(FATAL_ERROR "${LABEL}: trace is missing span '${SPAN}'")
     endif()

@@ -180,7 +180,6 @@ sweepAt(const Program &Prog, unsigned Jobs,
   if (!Est)
     reportFatalError("estimator creation failed:\n" + Diags.str());
   EXPECT_TRUE(Est->profiledRun().Ok);
-  Opts.Exec.Jobs = Jobs;
   TimeAnalysis TA = Est->analyze(Opts);
   std::map<const Function *, FunctionSummary> Out;
   for (const auto &F : Prog.functions())

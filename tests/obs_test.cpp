@@ -342,7 +342,7 @@ TEST(ObsEndToEnd, EstimatorRecordsEveryPass) {
   for (const char *Expected :
        {"analysis.program", "analysis.cfg", "analysis.intervals",
         "analysis.ecfg", "analysis.fcdg", "plan.counters", "profiled-run",
-        "timeanalysis.run", "timeanalysis.wave", "timeanalysis.scc"})
+        "timeanalysis.run", "timeanalysis.scc"})
     EXPECT_TRUE(Names.count(Expected)) << "missing span " << Expected;
   // One program analysis per estimator: counter plans, recovery, loop
   // tracking and TIME/VAR all read the same one.
@@ -384,8 +384,8 @@ TEST(ObsEndToEnd, SessionRoutesCacheCountersThroughRegistry) {
   ASSERT_TRUE(Session->estimateEntry().Ok);
   // Same inputs again: pure cache hit, answered from the published view.
   ASSERT_TRUE(Session->estimateEntry().Ok);
-  // New run dirties the inputs; the run's view refresh reruns the wave
-  // schedule incrementally, and the read after it is a hit again.
+  // New run dirties the inputs; the run's view refresh reruns the
+  // TIME/VAR sweep incrementally, and the read after it is a hit again.
   ASSERT_TRUE(Session->profiledRun().Ok);
   ASSERT_TRUE(Session->estimateEntry().Ok);
 
@@ -396,7 +396,8 @@ TEST(ObsEndToEnd, SessionRoutesCacheCountersThroughRegistry) {
   EXPECT_GT(Reg.counterValue("session.dirty_functions"), 0u);
   EXPECT_EQ(Reg.counterValue("session.evaluations"),
             Session->totalEvaluations());
-  // The session's long-lived pool reports through the same registry.
+  // The analysis fan-out's pool, joined before create() returns, reports
+  // through the same registry.
   EXPECT_GT(Reg.counterValue("threadpool.tasks_executed"), 0u);
   EXPECT_TRUE(JsonValidator(Reg.chromeTraceJson()).valid());
 }

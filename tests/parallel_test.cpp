@@ -1,7 +1,7 @@
 //===--- tests/parallel_test.cpp - Parallel pipeline & robustness ---------===//
 //
-// Covers the parallel analysis drivers (per-function fan-out and the
-// SCC-wave interprocedural pass): job-count determinism on the Figure 1/3
+// Covers the parallel per-function analysis fan-out and the serial
+// interprocedural pass behind it: job-count determinism on the Figure 1/3
 // programs and the many-function synthetic workload, plus regression tests
 // for the robustness sweep — oversized counter vectors, programs with one
 // irreducible function, and calls to unresolved procedures.
@@ -57,13 +57,12 @@ std::vector<double> estimatesAtJobs(const Program &Prog, unsigned Jobs,
                                     const TimeAnalysisOptions &Base) {
   DiagnosticEngine Diags;
   AnalysisOptions AOpts;
-  AOpts.Exec.Jobs = Jobs;
+  AOpts.Jobs = Jobs;
   auto PA = ProgramAnalysis::compute(Prog, Diags, AOpts);
   EXPECT_TRUE(PA && PA->allOk()) << Diags.str();
   std::map<const Function *, Frequencies> Freqs =
       syntheticFrequencies(Prog, *PA);
   TimeAnalysisOptions Opts = Base;
-  Opts.Exec.Jobs = Jobs;
   TimeAnalysis TA = TimeAnalysis::run(*PA, Freqs, CostModel::optimizing(),
                                       Opts);
   std::vector<double> Out;

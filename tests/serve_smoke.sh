@@ -3,8 +3,9 @@
 #
 # Part of the ptran-times project (Sarkar, PLDI 1989 reproduction).
 #
-# Starts ptran-serve on a scratch Unix socket, checks that churning 500
-# short connections leaves its address space bounded, drives a short
+# Starts ptran-serve on a scratch Unix socket with --session-jobs=4,
+# checks that churning 500 short connections leaves its address space and
+# its thread count bounded (loaded sessions hold no workers), drives a short
 # burst of mixed estimate/ingest traffic through ptran-bench-client,
 # scrapes the stats table, asks the daemon to shut down, and checks that
 # both sides exit cleanly. Usage:
@@ -30,7 +31,7 @@ LOG="$WORK/serve.log"
 OUT="$WORK/client.log"
 rm -f "$SOCK"
 
-"$SERVE" --socket="$SOCK" --queue-limit=64 >"$LOG" 2>&1 &
+"$SERVE" --socket="$SOCK" --queue-limit=64 --session-jobs=4 >"$LOG" 2>&1 &
 SERVE_PID=$!
 
 # Wait for the listener (the daemon unlinks any stale socket first, so the
@@ -63,12 +64,15 @@ churn() {
     "$CLIENT" --socket="$SOCK" --probe=bench-0 >>"$CHURN_LOG" 2>&1
 }
 vm_size_kb() { awk '/^VmSize:/ { print $2 }' "/proc/$SERVE_PID/status"; }
+threads() { awk '/^Threads:/ { print $2 }' "/proc/$SERVE_PID/status"; }
 CHURN_RC=0
 : >"$CHURN_LOG"
+THREADS_BEFORE=$(threads)
 churn || CHURN_RC=1
 VM_BEFORE=$(vm_size_kb)
 churn || CHURN_RC=1
 VM_AFTER=$(vm_size_kb)
+THREADS_AFTER=$(threads)
 
 "$CLIENT" --socket="$SOCK" --connections=16 --requests=10 --sessions=2 \
   --scrape-stats --shutdown >"$OUT" 2>&1
@@ -98,6 +102,16 @@ echo "serve_smoke: VmSize ${VM_BEFORE} kB -> ${VM_AFTER} kB over 500 connections
 if [ "$GROWTH_KB" -ge $((64 * 1024)) ]; then
   echo "serve_smoke: VmSize grew by ${GROWTH_KB} kB over 500 closed" \
     "connections (limit 64 MB): connection threads are not reaped" >&2
+  RC=1
+fi
+# The churn loads two sessions; their analysis workers must be gone once
+# each load returns. The slack of 2 covers the last probe's connection
+# thread, which is joined only at the next accept.
+THREAD_GROWTH=$((THREADS_AFTER - THREADS_BEFORE))
+echo "serve_smoke: Threads ${THREADS_BEFORE} -> ${THREADS_AFTER} over two churns"
+if [ "$THREAD_GROWTH" -gt 2 ]; then
+  echo "serve_smoke: the daemon gained ${THREAD_GROWTH} threads (limit 2):" \
+    "loaded sessions keep worker threads" >&2
   RC=1
 fi
 # The scraped stats table must show the dispatcher's own counters.

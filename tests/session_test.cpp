@@ -6,8 +6,8 @@
 // changed leaf re-evaluates exactly the leaf and its call-graph
 // ancestors), bit-identity of incremental vs cold recomputation, the
 // batch query API with per-request configuration overrides, determinism
-// across job counts on one shared pool, and lock-free reads racing
-// ingests (rerun under TSan as session_test_tsan).
+// across job counts, a session holding no threads once created, and
+// lock-free reads racing ingests (rerun under TSan as session_test_tsan).
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +23,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <set>
 #include <thread>
@@ -260,8 +262,8 @@ TEST(EstimationSession, VarianceModeOverridesGetTheirOwnCache) {
 }
 
 TEST(EstimationSession, DeterministicAcrossJobCounts) {
-  // The session routes every pass through one shared pool; results must
-  // be bit-identical to the serial session at any worker count.
+  // The job count only sizes the analysis fan-out; results must be
+  // bit-identical to the serial session at any worker count.
   auto RunAt = [](unsigned Jobs) {
     std::unique_ptr<Program> Prog = makeManyFunctionProgram(63, 2);
     DiagnosticEngine Diags;
@@ -279,8 +281,48 @@ TEST(EstimationSession, DeterministicAcrossJobCounts) {
   EXPECT_EQ(SerialDev, ParallelDev);
 }
 
+/// Threads of this process: the entries of /proc/self/task.
+size_t processThreadCount() {
+  size_t N = 0;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)Entry;
+    ++N;
+  }
+  return N;
+}
+
+/// A joined worker can linger in /proc/self/task for a moment after its
+/// join returns, so this polls for up to a second until the thread count
+/// reaches \p Expected, and returns the last count seen.
+size_t threadCountSettlingAt(size_t Expected) {
+  size_t N = processThreadCount();
+  for (int Try = 0; Try < 100 && N != Expected; ++Try) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    N = processThreadCount();
+  }
+  return N;
+}
+
+TEST(EstimationSession, HoldsNoThreadsOnceCreated) {
+  // The analysis fan-out's workers are joined before create() returns and
+  // every later pass runs on the caller's thread, so a resident session
+  // costs no threads at any job count.
+  std::unique_ptr<Program> Prog = makeManyFunctionProgram(63, 2);
+  DiagnosticEngine Diags;
+  const size_t Before = processThreadCount();
+  auto S = EstimationSession::create(*Prog, CostModel::optimizing(),
+                                     EstimatorOptions(Diags).jobs(4));
+  ASSERT_NE(S, nullptr) << Diags.str();
+  EXPECT_EQ(threadCountSettlingAt(Before), Before);
+  ASSERT_TRUE(S->profiledRun().Ok);
+  EstimateResult R = S->estimateEntry();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(threadCountSettlingAt(Before), Before);
+}
+
 TEST(EstimationSession, RecursiveProgramsStayIncremental) {
-  // Recursion keeps its serial fixpoint inside the wave schedule; the
+  // Recursion keeps its fixpoint inside one SCC evaluation; the
   // session must still cache and invalidate around the recursive SCC.
   const char RecSource[] = R"FTN(
 program main

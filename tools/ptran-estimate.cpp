@@ -599,7 +599,6 @@ int estimateFromFrequencyModel(const Options &Opts, const CostModel &CM,
   TimeAnalysisOptions TAOpts;
   TAOpts.LoopVariance = Opts.LoopVariance;
   TAOpts.Stats = &Est.loopStats();
-  TAOpts.Exec = EOpts.Exec;
   TAOpts.Obs = EOpts.Obs;
   TAOpts.Diags = &Diags;
   TAOpts.Cancel = EOpts.Cancel;

@@ -61,7 +61,8 @@ ptran-bench-client for a load generator speaking the same protocol.
 options:
   --socket=PATH          socket path to listen on (required)
   --jobs=N               request worker threads (default 0 = all cores)
-  --session-jobs=N       worker threads inside each session (default 1)
+  --session-jobs=N       analysis worker threads while a session loads
+                         (default 1)
   --queue-limit=N        max in-flight requests before shedding (default 128)
   --memory-budget-mb=N   resident-session memory budget (default 256)
   --max-sessions=N       resident-session count cap (default 64)
