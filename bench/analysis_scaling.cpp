@@ -428,12 +428,12 @@ void printObservabilityOverheadTable() {
 
   RunOnce(nullptr); // Warm up.
   double BestOff = 1e100, BestOn = 1e100;
-  size_t SpanCount = 0;
+  uint64_t SpanCount = 0;
   for (int Rep = 0; Rep < 5; ++Rep) {
     BestOff = std::min(BestOff, RunOnce(nullptr));
     ObsRegistry Reg;
     BestOn = std::min(BestOn, RunOnce(&Reg));
-    SpanCount = Reg.spans().size();
+    SpanCount = Reg.spansRecorded();
   }
 
   std::printf("=== Observability overhead (%u functions, serial) ===\n",

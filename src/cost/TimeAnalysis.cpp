@@ -301,6 +301,9 @@ TimeAnalysis TimeAnalysis::runImpl(
   std::set<std::string> Unresolved;
   uint64_t Evals = 0;
   uint64_t HotAllocs = 0;
+  // Iterations of the recursive components that completed, counted once
+  // after the sweep.
+  uint64_t FixpointIterations = 0;
   CancelToken *Cancel = Opts.Cancel;
 
   auto FreqsOf = [&](const Function *F) -> const Frequencies & {
@@ -341,9 +344,7 @@ TimeAnalysis TimeAnalysis::runImpl(
       for (NodeId M : Members)
         Recompute(Funcs[M]);
     }
-    if (Obs)
-      Obs->addCounter("timeanalysis.fixpoint_iterations",
-                      RecursionIterations);
+    FixpointIterations += RecursionIterations;
     return true;
   };
 
@@ -398,6 +399,8 @@ TimeAnalysis TimeAnalysis::runImpl(
 
   Out.Evaluations = Evals;
   if (Obs) {
+    if (FixpointIterations)
+      Obs->addCounter("timeanalysis.fixpoint_iterations", FixpointIterations);
     Obs->addCounter("timeanalysis.evaluations", Out.Evaluations);
     Obs->addCounter("cost.hotpath.allocs", HotAllocs);
   }

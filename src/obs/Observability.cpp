@@ -12,54 +12,104 @@
 
 using namespace ptran;
 
-ObsRegistry::ObsRegistry() : Epoch(std::chrono::steady_clock::now()) {}
+ObsRegistry::ObsRegistry()
+    : Epoch(std::chrono::steady_clock::now()),
+      // Default-initialised: the ring's pages stay untouched (and out of
+      // the resident set) until spans land in them.
+      Ring(std::make_unique_for_overwrite<SpanRecord[]>(SpanCapacity)) {}
 
-void ObsRegistry::addCounter(std::string_view Name, uint64_t Delta) {
-  std::lock_guard<std::mutex> Lock(M);
-  Counters[std::string(Name)] += Delta;
+ObsCounter ObsRegistry::registerCounter(std::string_view Name) {
+  std::lock_guard<std::mutex> Lock(CounterMu);
+  auto It = Counters.find(Name);
+  if (It == Counters.end())
+    It = Counters.try_emplace(std::string(Name)).first;
+  return ObsCounter(&It->second);
 }
 
+void ObsRegistry::addCounter(std::string_view Name, uint64_t Delta) {
+  registerCounter(Name).add(Delta);
+}
+
+namespace {
+
+/// A counter appears in listings once something was added to it.
+bool listed(const ObsCounterSlot &Slot, uint64_t &Value) {
+  Value = Slot.Value.load(std::memory_order_relaxed);
+  return Value || Slot.Touched.load(std::memory_order_relaxed);
+}
+
+/// This thread's dense index: drawn once, on the thread's first span, so
+/// churning threads cost one counter increment each and no table entry.
+uint32_t threadIndex() {
+  static std::atomic<uint32_t> Next{0};
+  thread_local const uint32_t Index =
+      Next.fetch_add(1, std::memory_order_relaxed);
+  return Index;
+}
+
+} // namespace
+
 uint64_t ObsRegistry::counterValue(std::string_view Name) const {
-  std::lock_guard<std::mutex> Lock(M);
-  auto It = Counters.find(std::string(Name));
-  return It == Counters.end() ? 0 : It->second;
+  std::lock_guard<std::mutex> Lock(CounterMu);
+  auto It = Counters.find(Name);
+  return It == Counters.end()
+             ? 0
+             : It->second.Value.load(std::memory_order_relaxed);
 }
 
 std::map<std::string, uint64_t> ObsRegistry::counters() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Counters;
+  std::map<std::string, uint64_t> Out;
+  std::lock_guard<std::mutex> Lock(CounterMu);
+  for (const auto &[Name, Slot] : Counters)
+    if (uint64_t Value; listed(Slot, Value))
+      Out.emplace(Name, Value);
+  return Out;
 }
 
-unsigned ObsRegistry::tidOfLocked(std::thread::id Id) {
-  auto [It, Inserted] = Tids.emplace(Id, static_cast<unsigned>(Tids.size()));
-  (void)Inserted;
-  return It->second;
-}
-
-void ObsRegistry::recordSpan(std::string Name, std::string Detail,
+void ObsRegistry::recordSpan(const char *Name, std::string_view Detail,
                              std::chrono::steady_clock::time_point Start,
                              std::chrono::steady_clock::time_point End) {
   using namespace std::chrono;
   SpanRecord R;
-  R.Name = std::move(Name);
-  R.Detail = std::move(Detail);
+  R.Name = Name;
   R.StartNs = static_cast<uint64_t>(
       duration_cast<nanoseconds>(Start - Epoch).count());
   R.DurNs =
       static_cast<uint64_t>(duration_cast<nanoseconds>(End - Start).count());
-  std::lock_guard<std::mutex> Lock(M);
-  R.Tid = tidOfLocked(std::this_thread::get_id());
-  Spans.push_back(std::move(R));
+  R.Tid = threadIndex();
+  size_t Len = std::min(Detail.size(), DetailCapacity - 1);
+  Detail.copy(R.Detail, Len);
+  R.Detail[Len] = '\0';
+  std::lock_guard<std::mutex> Lock(SpanMu);
+  Ring[SpansRecorded++ % SpanCapacity] = R;
+}
+
+std::vector<ObsRegistry::SpanRecord>
+ObsRegistry::spanWindow(uint64_t &Recorded) const {
+  std::lock_guard<std::mutex> Lock(SpanMu);
+  Recorded = SpansRecorded;
+  if (SpansRecorded <= SpanCapacity)
+    return std::vector<SpanRecord>(Ring.get(), Ring.get() + SpansRecorded);
+  // Full ring: the oldest retained span sits where the next one goes.
+  size_t Oldest = SpansRecorded % SpanCapacity;
+  std::vector<SpanRecord> Out(Ring.get() + Oldest,
+                              Ring.get() + SpanCapacity);
+  Out.insert(Out.end(), Ring.get(), Ring.get() + Oldest);
+  return Out;
 }
 
 std::vector<ObsRegistry::SpanRecord> ObsRegistry::spans() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Spans;
+  uint64_t Recorded;
+  return spanWindow(Recorded);
+}
+
+uint64_t ObsRegistry::spansRecorded() const {
+  std::lock_guard<std::mutex> Lock(SpanMu);
+  return SpansRecorded;
 }
 
 bool ObsRegistry::empty() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Spans.empty() && Counters.empty();
+  return spansRecorded() == 0 && counters().empty();
 }
 
 uint64_t ObsRegistry::nowNs() const {
@@ -117,13 +167,8 @@ std::string microseconds(uint64_t Ns) {
 } // namespace
 
 std::string ObsRegistry::chromeTraceJson() const {
-  std::vector<SpanRecord> SpanCopy;
-  std::map<std::string, uint64_t> CounterCopy;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    SpanCopy = Spans;
-    CounterCopy = Counters;
-  }
+  std::vector<SpanRecord> SpanCopy = spans();
+  std::map<std::string, uint64_t> CounterCopy = counters();
 
   std::ostringstream Out;
   Out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -133,12 +178,12 @@ std::string ObsRegistry::chromeTraceJson() const {
     if (!First)
       Out << ",";
     First = false;
-    Out << "{\"name\":\"" << jsonEscape(S.Name)
+    Out << "{\"name\":\"" << jsonEscape(S.name())
         << "\",\"cat\":\"ptran\",\"ph\":\"X\",\"pid\":1,\"tid\":" << S.Tid
         << ",\"ts\":" << microseconds(S.StartNs)
         << ",\"dur\":" << microseconds(S.DurNs);
-    if (!S.Detail.empty())
-      Out << ",\"args\":{\"detail\":\"" << jsonEscape(S.Detail) << "\"}";
+    if (S.Detail[0])
+      Out << ",\"args\":{\"detail\":\"" << jsonEscape(S.detail()) << "\"}";
     Out << "}";
     LastNs = std::max(LastNs, S.StartNs + S.DurNs);
   }
@@ -171,28 +216,24 @@ bool ObsRegistry::writeChromeTrace(const std::string &Path,
 }
 
 std::string ObsRegistry::statsTable() const {
-  std::vector<SpanRecord> SpanCopy;
-  std::map<std::string, uint64_t> CounterCopy;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    SpanCopy = Spans;
-    CounterCopy = Counters;
-  }
+  uint64_t Recorded;
+  std::vector<SpanRecord> SpanCopy = spanWindow(Recorded);
+  std::map<std::string, uint64_t> CounterCopy = counters();
 
   struct Agg {
     uint64_t Count = 0;
     uint64_t TotalNs = 0;
     uint64_t MaxNs = 0;
   };
-  std::map<std::string, Agg> ByName;
+  std::map<std::string_view, Agg> ByName;
   for (const SpanRecord &S : SpanCopy) {
-    Agg &A = ByName[S.Name];
+    Agg &A = ByName[S.name()];
     ++A.Count;
     A.TotalNs += S.DurNs;
     A.MaxNs = std::max(A.MaxNs, S.DurNs);
   }
-  std::vector<std::pair<std::string, Agg>> Sorted(ByName.begin(),
-                                                  ByName.end());
+  std::vector<std::pair<std::string_view, Agg>> Sorted(ByName.begin(),
+                                                       ByName.end());
   std::sort(Sorted.begin(), Sorted.end(), [](const auto &A, const auto &B) {
     if (A.second.TotalNs != B.second.TotalNs)
       return A.second.TotalNs > B.second.TotalNs;
@@ -202,10 +243,13 @@ std::string ObsRegistry::statsTable() const {
   auto Ms = [](uint64_t Ns) { return formatDouble(Ns / 1e6, 4); };
 
   std::string Out = "=== observability: timing spans ===\n";
+  if (Recorded > SpanCopy.size())
+    Out += "(the last " + std::to_string(SpanCopy.size()) + " of " +
+           std::to_string(Recorded) + " spans recorded)\n";
   TablePrinter SpanTable(
       {"span", "count", "total [ms]", "mean [ms]", "max [ms]"});
   for (const auto &[Name, A] : Sorted)
-    SpanTable.addRow({Name, std::to_string(A.Count), Ms(A.TotalNs),
+    SpanTable.addRow({std::string(Name), std::to_string(A.Count), Ms(A.TotalNs),
                       Ms(A.Count ? A.TotalNs / A.Count : 0), Ms(A.MaxNs)});
   Out += SpanTable.str();
 

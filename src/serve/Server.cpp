@@ -152,10 +152,28 @@ static thread_local uint64_t RequestLsn = 0;
 // ServeCore
 //===----------------------------------------------------------------------===//
 
-void ServeCore::bump(const char *Counter, uint64_t Delta) {
-  if (Opts.Obs)
-    Opts.Obs->addCounter(Counter, Delta);
-}
+ServeCore::Counters::Counters(ObsRegistry *Obs)
+    : Requests(registerCounter(Obs, "serve.requests")),
+      Errors(registerCounter(Obs, "serve.errors")),
+      ReadOnlyRejects(registerCounter(Obs, "serve.read-only-rejects")),
+      Evictions(registerCounter(Obs, "serve.evictions")),
+      Promotions(registerCounter(Obs, "serve.promotions")),
+      Loads(registerCounter(Obs, "serve.loads")),
+      Runs(registerCounter(Obs, "serve.runs")),
+      Estimates(registerCounter(Obs, "serve.estimates")),
+      EstimateBatches(registerCounter(Obs, "serve.estimate-batches")),
+      StreamDeltas(registerCounter(Obs, "serve.stream-deltas")),
+      Ingests(registerCounter(Obs, "serve.ingests")),
+      Captures(registerCounter(Obs, "serve.captures")),
+      Checkpoints(registerCounter(Obs, "serve.checkpoints")),
+      StalenessFlushes(registerCounter(Obs, "stream.staleness_flushes")),
+      AppendFailures(registerCounter(Obs, "durable.append_failures")),
+      DurableCheckpoints(registerCounter(Obs, "durable.checkpoints")),
+      AckTimeouts(registerCounter(Obs, "repl.ack_timeouts")),
+      RotationsDeferred(registerCounter(Obs, "repl.rotations_deferred")),
+      BootstrapsServed(registerCounter(Obs, "repl.bootstraps_served")),
+      BatchesApplied(registerCounter(Obs, "repl.batches_applied")),
+      RecordsApplied(registerCounter(Obs, "repl.records_applied")) {}
 
 unsigned ServeCore::sessionCount() const {
   std::lock_guard<std::mutex> L(Mu);
@@ -216,7 +234,7 @@ void ServeCore::evictLocked(const SessionEntry *Keep) {
     TotalBytes -= Victim->second->MemBytes;
     Sessions.erase(Victim);
     journalAppend(R);
-    bump("serve.evictions");
+    Ctr.Evictions.add();
   }
 }
 
@@ -271,7 +289,7 @@ std::vector<std::string_view> ServeCore::verbNames() {
 }
 
 WireMessage ServeCore::handle(const WireMessage &Request) {
-  bump("serve.requests");
+  Ctr.Requests.add();
   const Verb *V = std::find_if(
       std::begin(Verbs), std::end(Verbs),
       [&](const Verb &Row) { return Row.Name == Request.Verb; });
@@ -286,7 +304,7 @@ WireMessage ServeCore::handle(const WireMessage &Request) {
     // A standby answers reads and refuses every state change with a
     // structured error the client can route on (retry against the
     // primary, or wait for promotion).
-    bump("serve.read-only-rejects");
+    Ctr.ReadOnlyRejects.add();
     Resp = errorResponse("read-only",
                          "this daemon is a standby replica: '" +
                              Request.Verb +
@@ -307,9 +325,9 @@ WireMessage ServeCore::handle(const WireMessage &Request) {
   // ack releases every concurrent writer at or below its LSN.
   if (uint64_t Lsn = std::exchange(RequestLsn, 0);
       Lsn && Opts.Repl && !Opts.Repl->waitDurable(Lsn))
-    bump("repl.ack_timeouts");
+    Ctr.AckTimeouts.add();
   if (Resp.Verb == "error")
-    bump("serve.errors");
+    Ctr.Errors.add();
   return Resp;
 }
 
@@ -327,7 +345,7 @@ WireMessage ServeCore::handlePromote(const WireMessage &, SessionEntry *,
   std::string Err;
   if (!Opts.Promote(Err))
     return errorResponse("promote-failed", Err);
-  bump("serve.promotions");
+  Ctr.Promotions.add();
   WireMessage Resp = okResponse();
   Resp.Params["role"] = "primary";
   return Resp;
@@ -464,7 +482,7 @@ WireMessage ServeCore::handleLoadProgram(const WireMessage &Request,
     std::shared_lock<std::shared_mutex> SL(StructureMu);
     registerEntry(Entry, /*JournalCreate=*/true);
   }
-  bump("serve.loads");
+  Ctr.Loads.add();
 
   WireMessage Resp = okResponse();
   Resp.Params["session"] = Name;
@@ -510,7 +528,7 @@ WireMessage ServeCore::handleRun(const WireMessage &Request,
   }
   if (Done != Runs)
     return errorResponse("run-failed", Last.Error);
-  bump("serve.runs", Runs);
+  Ctr.Runs.add(Runs);
   WireMessage Resp = okResponse();
   Resp.Params["runs"] = std::to_string(Entry->Session->runsExecuted());
   Resp.Params["cycles"] = preciseDouble(Last.Cycles);
@@ -533,7 +551,7 @@ WireMessage ServeCore::handleEstimate(const WireMessage &Request,
   }
 
   std::vector<EstimateResult> Results = Entry->Session->estimate(Reqs, Token);
-  bump("serve.estimates");
+  Ctr.Estimates.add();
   const EstimateResult &R = Results[0];
   if (!R.Ok)
     return errorResponse(
@@ -617,8 +635,8 @@ WireMessage ServeCore::handleEstimateBatch(const WireMessage &Request,
   // from one coherent analysis snapshot, and shared dirty functions are
   // recomputed once instead of once per query.
   std::vector<EstimateResult> Results = Entry->Session->estimate(Reqs, Token);
-  bump("serve.estimates", Results.size());
-  bump("serve.estimate-batches");
+  Ctr.Estimates.add(Results.size());
+  Ctr.EstimateBatches.add();
 
   // Per-query failures are reported in-band (`ok.I` = 0 plus `error.I`)
   // so one unknown function does not discard its batch-mates' answers.
@@ -691,7 +709,7 @@ WireMessage ServeCore::handleStreamDeltas(const WireMessage &Request,
         ++Dropped;
     }
   }
-  bump("serve.stream-deltas");
+  Ctr.StreamDeltas.add();
 
   WireMessage Resp = okResponse();
   Resp.Params["appended"] = std::to_string(Appended);
@@ -753,7 +771,7 @@ WireMessage ServeCore::handleIngestProfile(const WireMessage &Request,
   // before answering (read-your-writes); one refresh covers every fold
   // committed before it.
   Entry->Session->refreshView(Epoch, Token);
-  bump("serve.ingests");
+  Ctr.Ingests.add();
   if (!Report.Ok)
     return errorResponse(
         Token && Token->expired() ? "timeout" : "bad-profile", Report.Error);
@@ -769,7 +787,7 @@ WireMessage ServeCore::handleCaptureProfile(const WireMessage &,
                                             SessionEntry *Entry,
                                             CancelToken *) {
   std::vector<uint8_t> Bytes = Entry->Session->captureProfile().serialize();
-  bump("serve.captures");
+  Ctr.Captures.add();
   WireMessage Resp = okResponse();
   Resp.Body.assign(Bytes.begin(), Bytes.end());
   return Resp;
@@ -806,7 +824,7 @@ uint64_t ServeCore::journalAppend(durable::DurableRecord &R) {
     // Degrade durability, keep serving: the record is lost to recovery
     // but the live session stays correct, and the reference a recovery
     // is compared against is rebuilt from the same journal.
-    bump("durable.append_failures");
+    Ctr.AppendFailures.add();
     std::fprintf(stderr,
                  "ptran-serve: journal append failed (durability degraded): "
                  "%s\n",
@@ -945,10 +963,10 @@ bool ServeCore::checkpoint(std::string &Error) {
   constexpr uint64_t RotateForceBytes = 256ull << 20;
   if (Opts.Repl && Opts.Repl->minSubscriberLsn() <= W &&
       Opts.Store->journal().sizeBytes() < RotateForceBytes)
-    bump("repl.rotations_deferred");
+    Ctr.RotationsDeferred.add();
   else if (!Opts.Store->rotateJournal(Error))
     return false;
-  bump("durable.checkpoints");
+  Ctr.DurableCheckpoints.add();
   return true;
 }
 
@@ -1153,7 +1171,7 @@ bool ServeCore::captureBootstrap(BootstrapCapture &Out, std::string &Error) {
     Out.Snapshots.push_back(
         {Entry->Name,
          durable::encodeSnapshot(captureState(*Entry), Out.Watermark)});
-  bump("repl.bootstraps_served");
+  Ctr.BootstrapsServed.add();
   return true;
 }
 
@@ -1235,8 +1253,8 @@ bool ServeCore::applyReplicatedBatch(const uint8_t *Frames, size_t Len,
   if (FaultInjection::maybeCrashAt("repl.apply"))
     FaultInjection::dieAtCrashPoint();
   AppliedLsn = FirstLsn + Count - 1;
-  bump("repl.batches_applied");
-  bump("repl.records_applied", Count);
+  Ctr.BatchesApplied.add();
+  Ctr.RecordsApplied.add(Count);
   return true;
 }
 
@@ -1317,7 +1335,7 @@ void ServeCore::flusherLoop() {
         }
         PendingSince.erase(Entry.get());
         if (Stale)
-          bump("stream.staleness_flushes");
+          Ctr.StalenessFlushes.add();
       }
     }
     if (SyncDue) {
@@ -1349,7 +1367,7 @@ WireMessage ServeCore::handleCheckpoint(const WireMessage &, SessionEntry *,
   std::string Error;
   if (!checkpoint(Error))
     return errorResponse("durable-failure", Error);
-  bump("serve.checkpoints");
+  Ctr.Checkpoints.add();
   WireMessage Resp = okResponse();
   Resp.Params["journal-next-lsn"] =
       std::to_string(Opts.Store->journal().nextLsn());

@@ -130,7 +130,7 @@ struct ServeOptions {
 /// every connection of one daemon.
 class ServeCore {
 public:
-  explicit ServeCore(const ServeOptions &Opts) : Opts(Opts) {}
+  explicit ServeCore(const ServeOptions &Opts) : Opts(Opts), Ctr(Opts.Obs) {}
   ~ServeCore() { stopFlusher(); }
 
   /// Handles one request and returns the response. Safe to call from any
@@ -319,7 +319,6 @@ private:
   /// budget and session cap hold, journaling a SessionEvict per victim.
   /// Caller holds Mu (and, when durable, StructureMu shared).
   void evictLocked(const SessionEntry *Keep);
-  void bump(const char *Counter, uint64_t Delta = 1);
 
   /// Parses + analyzes one session (the expensive part, done outside any
   /// core lock). Shared by load-program and the restore path. Null with
@@ -365,6 +364,18 @@ private:
   void flusherLoop();
 
   ServeOptions Opts;
+
+  /// The dispatcher's counters, registered once against Opts.Obs (handles
+  /// that count nothing without one): a bump is one atomic add.
+  struct Counters {
+    explicit Counters(ObsRegistry *Obs);
+    ObsCounter Requests, Errors, ReadOnlyRejects, Evictions, Promotions,
+        Loads, Runs, Estimates, EstimateBatches, StreamDeltas, Ingests,
+        Captures, Checkpoints, StalenessFlushes, AppendFailures,
+        DurableCheckpoints, AckTimeouts, RotationsDeferred, BootstrapsServed,
+        BatchesApplied, RecordsApplied;
+  };
+  const Counters Ctr;
 
   /// LOCK ORDER: StructureMu -> Mu/StreamMu -> (stream FlushMu) ->
   /// DurableMu -> session lock -> journal lock. An ingest validates before

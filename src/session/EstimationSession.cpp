@@ -34,11 +34,26 @@ EstimationSession::create(const Program &P, const CostModel &CM,
   S->P = &P;
   S->CM = CM;
   S->Opts = Opts;
+  S->Ctr = Counters(Opts.Obs);
   S->Est = Estimator::create(P, CM, Opts);
   if (!S->Est)
     return nullptr;
   return S;
 }
+
+EstimationSession::Counters::Counters(ObsRegistry *Obs)
+    : Runs(registerCounter(Obs, "session.runs")),
+      Queries(registerCounter(Obs, "session.queries")),
+      CacheHits(registerCounter(Obs, "session.cache_hits")),
+      CacheMisses(registerCounter(Obs, "session.cache_misses")),
+      DirtyFunctions(registerCounter(Obs, "session.dirty_functions")),
+      Evaluations(registerCounter(Obs, "session.evaluations")),
+      CancelPolls(registerCounter(Obs, "resilience.cancel_polls")),
+      IngestProfiles(registerCounter(Obs, "session.ingest.profiles")),
+      IngestSections(registerCounter(Obs, "session.ingest.sections")),
+      IngestRejected(registerCounter(Obs, "session.ingest.rejected")),
+      IngestAccepted(registerCounter(Obs, "session.ingest.accepted")),
+      IngestQuarantined(registerCounter(Obs, "session.ingest.quarantined")) {}
 
 uint64_t EstimationSession::bumpEpoch() {
   ++StateEpoch;
@@ -52,8 +67,7 @@ RunResult EstimationSession::profiledRun(uint64_t MaxSteps) {
     std::lock_guard<std::mutex> L(Mu);
     Runs.fetch_add(1, std::memory_order_relaxed);
     RuntimeStale = true;
-    if (ObsRegistry *Obs = Opts.Obs)
-      Obs->addCounter("session.runs");
+    Ctr.Runs.add();
     R = Est->profiledRun(MaxSteps);
     Epoch = bumpEpoch();
   }
@@ -440,7 +454,6 @@ bool EstimationSession::isDefault(const EstimateRequest &R) const {
 
 std::string EstimationSession::refreshConfig(ConfigCache &Cache,
                                              CancelToken *Cancel) {
-  ObsRegistry *Obs = Opts.Obs;
   std::vector<const Function *> Changed;
   if (Cache.Analysis) {
     for (const auto &F : P->functions()) {
@@ -450,18 +463,15 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache,
     }
     if (Changed.empty()) {
       CacheHits.fetch_add(1, std::memory_order_relaxed);
-      if (Obs)
-        Obs->addCounter("session.cache_hits");
+      Ctr.CacheHits.add();
       return {};
     }
   }
-  if (Obs) {
-    Obs->addCounter("session.cache_misses");
-    // A cold run dirties the whole program; an incremental rerun only the
-    // changed functions (TimeAnalysis widens them to the dirty closure).
-    Obs->addCounter("session.dirty_functions",
-                    Cache.Analysis ? Changed.size() : P->functions().size());
-  }
+  Ctr.CacheMisses.add();
+  // A cold run dirties the whole program; an incremental rerun only the
+  // changed functions (TimeAnalysis widens them to the dirty closure).
+  Ctr.DirtyFunctions.add(Cache.Analysis ? Changed.size()
+                                        : P->functions().size());
 
   TimeAnalysisOptions TAOpts;
   TAOpts.LoopVariance = Cache.LoopVariance;
@@ -478,8 +488,7 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache,
           : TimeAnalysis::run(Est->analysis(), FreqsByFunction, Cache.CM,
                               TAOpts);
   TotalEvals.fetch_add(Next.functionEvaluations(), std::memory_order_relaxed);
-  if (Obs)
-    Obs->addCounter("session.evaluations", Next.functionEvaluations());
+  Ctr.Evaluations.add(Next.functionEvaluations());
   if (Next.cutShort()) {
     if (Opts.OnDeadline == DeadlinePolicy::Fail)
       // Leave the cache untouched: the previous analysis (if any) is still
@@ -498,8 +507,7 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache,
         Est->analysis(), FreqsByFunction, Cache.CM, TAOpts, Next, Unfinished);
     TotalEvals.fetch_add(Completed.functionEvaluations(),
                          std::memory_order_relaxed);
-    if (Obs)
-      Obs->addCounter("session.evaluations", Completed.functionEvaluations());
+    Ctr.Evaluations.add(Completed.functionEvaluations());
     Next = std::move(Completed);
   }
   Cache.Analysis = std::make_shared<const TimeAnalysis>(std::move(Next));
@@ -608,10 +616,8 @@ EstimationSession::estimate(const std::vector<EstimateRequest> &Requests,
     if (V) {
       LastEvals.store(0, std::memory_order_relaxed);
       CacheHits.fetch_add(1, std::memory_order_relaxed);
-      if (ObsRegistry *Obs = Opts.Obs) {
-        Obs->addCounter("session.queries", Requests.size());
-        Obs->addCounter("session.cache_hits");
-      }
+      Ctr.Queries.add(Requests.size());
+      Ctr.CacheHits.add();
       std::vector<EstimateResult> Results(Requests.size());
       for (size_t I = 0; I < Requests.size(); ++I)
         answer(*P, Requests[I], V->Analysis, V->Quarantined, nullptr,
@@ -628,7 +634,6 @@ EstimationSession::estimateLocked(const std::vector<EstimateRequest> &Requests,
                                   CancelToken *Cancel) {
   const uint64_t EvalsBefore = TotalEvals.load(std::memory_order_relaxed);
   const uint64_t EpochBefore = StateEpoch;
-  ObsRegistry *Obs = Opts.Obs;
   uint64_t PollsBefore = Cancel ? Cancel->polls() : 0;
   std::vector<EstimateResult> Results(Requests.size());
   ConfigCache *Default = nullptr;
@@ -638,8 +643,8 @@ EstimationSession::estimateLocked(const std::vector<EstimateRequest> &Requests,
   auto Finish = [&] {
     LastEvals.store(TotalEvals.load(std::memory_order_relaxed) - EvalsBefore,
                     std::memory_order_relaxed);
-    if (Obs && Cancel)
-      Obs->addCounter("resilience.cancel_polls", Cancel->polls() - PollsBefore);
+    if (Cancel)
+      Ctr.CancelPolls.add(Cancel->polls() - PollsBefore);
     if (Default && DegradedFns.empty()) {
       if (!View || View->Epoch != StateEpoch ||
           View->Analysis != Default->Analysis)
@@ -657,8 +662,7 @@ EstimationSession::estimateLocked(const std::vector<EstimateRequest> &Requests,
     Default = nullptr;
     return Finish();
   };
-  if (Obs)
-    Obs->addCounter("session.queries", Requests.size());
+  Ctr.Queries.add(Requests.size());
   // Deadline degradation is per-query: lift it so this query (with a
   // fresh or absent token) recomputes the affected functions exactly.
   liftDegradation();
@@ -814,9 +818,7 @@ ValidatedProfile EstimationSession::validateProfile(const ProfileFile &PF,
     Cancel = Opts.Cancel;
   ValidatedProfile V;
   V.Runs = PF.runs();
-  ObsRegistry *Obs = Opts.Obs;
-  if (Obs)
-    Obs->addCounter("session.ingest.profiles");
+  Ctr.IngestProfiles.add();
 
   if (PF.programFingerprint() != programFingerprintOf(Est->analysis())) {
     V.Error = "profile was recorded against a different program "
@@ -831,7 +833,13 @@ ValidatedProfile EstimationSession::validateProfile(const ProfileFile &PF,
     return V;
   }
 
+  // One bump per pass for the sections visited, cut short or not.
+  auto CountSections = [&] {
+    if (!V.Sections.empty())
+      Ctr.IngestSections.add(V.Sections.size());
+  };
   auto CutShort = [&] {
+    CountSections();
     V.Error = cancelMessage(*Cancel, "profile ingest") + "; nothing ingested";
     V.Sections.clear();
     return V;
@@ -840,14 +848,12 @@ ValidatedProfile EstimationSession::validateProfile(const ProfileFile &PF,
     // Validation only reads; aborting between sections leaves the session
     // untouched, so a mid-ingest expiry is atomic under every policy.
     if (Cancel && Cancel->checkpoint()) {
-      if (Obs)
+      if (ObsRegistry *Obs = Opts.Obs)
         Obs->addCounter(Cancel->reason() == CancelReason::Cancelled
                             ? "resilience.cancellations"
                             : "resilience.deadline_hits");
       return CutShort();
     }
-    if (Obs)
-      Obs->addCounter("session.ingest.sections");
     ValidatedProfile::Section &Sec = V.Sections.emplace_back();
     Sec.S = &S;
     const Function *F = P->findFunction(S.Name);
@@ -912,6 +918,7 @@ ValidatedProfile EstimationSession::validateProfile(const ProfileFile &PF,
         Sec.Issue = Findings.front();
     }
   }
+  CountSections();
   return V;
 }
 
@@ -929,8 +936,6 @@ ProfileIngestReport EstimationSession::foldProfileLocked(
   Report.Error = V.Error;
   if (!V.Error.empty())
     return Report;
-  ObsRegistry *Obs = Opts.Obs;
-
   // Sort the sections by the session's current quarantine set: the check
   // belongs here, not in validation, because only the fold sees the
   // quarantines every earlier fold made.
@@ -959,8 +964,7 @@ ProfileIngestReport EstimationSession::foldProfileLocked(
                    " function(s); nothing ingested";
     for (const ValidatedProfile::Section *Sec : Bad)
       Report.Quarantined.push_back(Sec->F->name());
-    if (Obs)
-      Obs->addCounter("session.ingest.rejected", Bad.size());
+    Ctr.IngestRejected.add(Bad.size());
     return Report;
   }
 
@@ -995,10 +999,8 @@ ProfileIngestReport EstimationSession::foldProfileLocked(
   Runs.store(AllRuns > UINT32_MAX ? UINT32_MAX
                                   : static_cast<unsigned>(AllRuns),
              std::memory_order_relaxed);
-  if (Obs) {
-    Obs->addCounter("session.ingest.accepted", Report.Accepted);
-    Obs->addCounter("session.ingest.quarantined", Bad.size());
-  }
+  Ctr.IngestAccepted.add(Report.Accepted);
+  Ctr.IngestQuarantined.add(Bad.size());
   Report.Ok = true;
   return Report;
 }

@@ -71,6 +71,7 @@
 
 #include "cost/Estimator.h"
 #include "durable/Snapshot.h"
+#include "obs/Observability.h"
 #include "profile/ProfileFile.h"
 
 #include <atomic>
@@ -533,6 +534,19 @@ private:
   /// Functions whose accumulated totals have clamped at 2^53 (diagnostic
   /// already emitted; estimates are lower bounds from then on).
   std::set<const Function *> SaturatedFns;
+
+  /// The session's per-request counters, registered once against
+  /// Opts.Obs at create() (handles that count nothing without one).
+  /// Rare events (quarantines, saturation, deadline hits) go through
+  /// ObsRegistry::addCounter.
+  struct Counters {
+    Counters() = default;
+    explicit Counters(ObsRegistry *Obs);
+    ObsCounter Runs, Queries, CacheHits, CacheMisses, DirtyFunctions,
+        Evaluations, CancelPolls, IngestProfiles, IngestSections,
+        IngestRejected, IngestAccepted, IngestQuarantined;
+  };
+  Counters Ctr;
 
   /// Written under Mu, or by lock-free reads (LastEvals, CacheHits).
   std::atomic<uint64_t> LastEvals{0};

@@ -12,6 +12,7 @@
 #include "TestPrograms.h"
 
 #include "cost/Estimator.h"
+#include "obs/HotpathAlloc.h"
 #include "obs/Observability.h"
 #include "session/EstimationSession.h"
 #include "support/ThreadPool.h"
@@ -24,7 +25,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <set>
+#include <string>
+#include <thread>
 
 using namespace ptran;
 using namespace ptran::testing;
@@ -209,7 +213,7 @@ private:
 std::set<std::string> spanNames(const ObsRegistry &Reg) {
   std::set<std::string> Names;
   for (const ObsRegistry::SpanRecord &S : Reg.spans())
-    Names.insert(S.Name);
+    Names.insert(std::string(S.name()));
   return Names;
 }
 
@@ -238,9 +242,9 @@ TEST(ObsRegistry, SpansRecordNameDetailAndOrder) {
   std::vector<ObsRegistry::SpanRecord> Spans = Reg.spans();
   ASSERT_EQ(Spans.size(), 2u);
   // Inner ends first (destruction order), so it is recorded first.
-  EXPECT_EQ(Spans[0].Name, "inner");
-  EXPECT_EQ(Spans[1].Name, "outer");
-  EXPECT_EQ(Spans[1].Detail, "whole");
+  EXPECT_EQ(Spans[0].name(), "inner");
+  EXPECT_EQ(Spans[1].name(), "outer");
+  EXPECT_EQ(Spans[1].detail(), "whole");
   // The outer span covers the inner one.
   EXPECT_LE(Spans[1].StartNs, Spans[0].StartNs);
   EXPECT_GE(Spans[1].StartNs + Spans[1].DurNs,
@@ -270,6 +274,120 @@ TEST(ObsRegistry, ConcurrentProducersAreSerialized) {
   EXPECT_EQ(Reg.spans().size(), 64u);
   EXPECT_EQ(Reg.counterValue("threadpool.tasks_executed"), 64u);
   EXPECT_GT(Reg.counterValue("threadpool.busy_ns"), 0u);
+}
+
+TEST(ObsRegistry, CounterHandlesShareSlotsWithNames) {
+  ObsRegistry Reg;
+  ObsCounter Hits = Reg.registerCounter("hits");
+  // Registered but never bumped: not listed, and the registry is empty.
+  EXPECT_TRUE(Reg.empty());
+  EXPECT_TRUE(Reg.counters().empty());
+  Hits.add();
+  Reg.addCounter("hits", 2);
+  Hits.add(3);
+  EXPECT_EQ(Reg.counterValue("hits"), 6u);
+  Reg.registerCounter("hits").add();
+  EXPECT_EQ(Reg.counterValue("hits"), 7u);
+  // A zero add lists the counter at 0, as addCounter(Name, 0) always did.
+  Reg.registerCounter("zero").add(0);
+  EXPECT_EQ(Reg.counters(),
+            (std::map<std::string, uint64_t>{{"hits", 7}, {"zero", 0}}));
+  // A handle resolved without a registry counts nothing.
+  registerCounter(nullptr, "hits").add();
+  ObsCounter().add(5);
+}
+
+TEST(ObsRegistry, RingRetainsTheNewestSpansInOrder) {
+  ObsRegistry Reg;
+  const size_t Cap = ObsRegistry::SpanCapacity, Extra = 37;
+  for (size_t I = 0; I < Cap + Extra; ++I) {
+    std::string Detail = std::to_string(I);
+    TimingSpan Span(&Reg, "step", Detail);
+  }
+  EXPECT_EQ(Reg.spansRecorded(), Cap + Extra);
+  std::vector<ObsRegistry::SpanRecord> Spans = Reg.spans();
+  ASSERT_EQ(Spans.size(), Cap);
+  for (size_t I = 0; I < Cap; ++I)
+    ASSERT_EQ(Spans[I].detail(), std::to_string(Extra + I)) << "slot " << I;
+  // Oldest first means non-decreasing start times across the wrap.
+  for (size_t I = 1; I < Cap; ++I)
+    ASSERT_LE(Spans[I - 1].StartNs, Spans[I].StartNs);
+  // The stats table aggregates the retained window and says so.
+  std::string Table = Reg.statsTable();
+  size_t Row = Table.find("| step |");
+  ASSERT_NE(Row, std::string::npos) << Table;
+  std::string Line = Table.substr(Row, Table.find('\n', Row) - Row);
+  EXPECT_NE(Line.find(" " + std::to_string(Cap) + " |"), std::string::npos)
+      << Line;
+  EXPECT_NE(Table.find("the last " + std::to_string(Cap) + " of " +
+                       std::to_string(Cap + Extra)),
+            std::string::npos)
+      << Table;
+  EXPECT_TRUE(JsonValidator(Reg.chromeTraceJson()).valid());
+}
+
+TEST(ObsRegistry, WarmSpansAndCounterHandlesAllocateNothing) {
+  ObsRegistry Reg;
+  ObsCounter Bumps = Reg.registerCounter("bumps");
+  std::string Detail = "a function name well past the inline detail buffer";
+  // Warm up: the thread's index is drawn on its first span.
+  { TimingSpan Span(&Reg, "warm", Detail); }
+  HotpathAllocScope Scope;
+  for (int I = 0; I < 100; ++I) {
+    TimingSpan Span(&Reg, "warm", Detail);
+    Bumps.add();
+  }
+  EXPECT_EQ(Scope.count(), 0u);
+  EXPECT_EQ(Reg.spansRecorded(), 101u);
+  EXPECT_EQ(Reg.counterValue("bumps"), 100u);
+}
+
+TEST(ObsRegistry, LongDetailIsTruncatedAndStillValidJson) {
+  ObsRegistry Reg;
+  const size_t Keep = ObsRegistry::DetailCapacity - 1;
+  // Escapes straddle the cut: a quote just inside it, a backslash and a
+  // control character just past it.
+  std::string Detail = std::string(Keep - 1, 'x') + "\"\\\n" +
+                       std::string(100, 'y');
+  { TimingSpan Span(&Reg, "long", Detail); }
+  std::vector<ObsRegistry::SpanRecord> Spans = Reg.spans();
+  ASSERT_EQ(Spans.size(), 1u);
+  EXPECT_EQ(Spans[0].detail(), std::string_view(Detail).substr(0, Keep));
+  std::string Json = Reg.chromeTraceJson();
+  EXPECT_TRUE(JsonValidator(Json).valid()) << Json;
+  EXPECT_NE(Json.find("x\\\"\"}"), std::string::npos) << Json;
+}
+
+TEST(ObsRegistry, ConcurrentHandlesAndSpansStayExact) {
+  // Connection threads bump through handles, by name and record spans at
+  // once; under -DPTRAN_SANITIZE=thread this is the TSan proof for the
+  // slots and the ring, wrapping included.
+  ObsRegistry Reg;
+  ObsCounter Handle = Reg.registerCounter("by.handle");
+  const unsigned Threads = 4, PerThread = 3000;
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&] {
+      for (unsigned I = 0; I < PerThread; ++I) {
+        TimingSpan Span(&Reg, "request", "detail");
+        Handle.add();
+        Reg.addCounter("by.name", 2);
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(Reg.counterValue("by.handle"), Threads * PerThread);
+  EXPECT_EQ(Reg.counterValue("by.name"), 2ull * Threads * PerThread);
+  EXPECT_EQ(Reg.spansRecorded(), Threads * PerThread);
+  std::vector<ObsRegistry::SpanRecord> Spans = Reg.spans();
+  ASSERT_EQ(Spans.size(), ObsRegistry::SpanCapacity);
+  std::set<uint32_t> Tids;
+  for (const ObsRegistry::SpanRecord &S : Spans) {
+    EXPECT_EQ(S.name(), "request");
+    EXPECT_EQ(S.detail(), "detail");
+    Tids.insert(S.Tid);
+  }
+  EXPECT_LE(Tids.size(), Threads);
 }
 
 //===----------------------------------------------------------------------===//
@@ -348,7 +466,7 @@ TEST(ObsEndToEnd, EstimatorRecordsEveryPass) {
   // tracking and TIME/VAR all read the same one.
   size_t ProgramSpans = 0;
   for (const ObsRegistry::SpanRecord &S : Reg.spans())
-    ProgramSpans += S.Name == "analysis.program";
+    ProgramSpans += S.name() == "analysis.program";
   EXPECT_EQ(ProgramSpans, 1u);
   EXPECT_GT(Reg.counterValue("recovery.calls"), 0u);
   // Recovery is one pass over a plan-time schedule: no iteration count.

@@ -737,6 +737,37 @@ TEST(EstimationSession, IngestReportsObservabilityCounters) {
   EXPECT_EQ(Obs.counterValue("session.ingest.quarantined"), 1u);
 }
 
+TEST(EstimationSession, LongRunKeepsTheSpanWindowBoundedAndCountersExact) {
+  // A daemon's session ingests and answers for as long as it lives: the
+  // registry it reports into must hold a bounded span window while its
+  // counters keep counting every request.
+  std::unique_ptr<Program> Prog = parseDiamond();
+  DiagnosticEngine RunDiags;
+  auto Producer = runSession(*Prog, 1, RunDiags);
+  ASSERT_NE(Producer, nullptr);
+  ProfileFile Profile = Producer->captureProfile();
+  const uint64_t Sections = Profile.sections().size();
+
+  ObsRegistry Obs;
+  DiagnosticEngine Diags;
+  auto S = runSession(*Prog, 0, Diags, BadProfilePolicy::Quarantine, &Obs);
+  ASSERT_NE(S, nullptr);
+  const uint64_t Target = 5 * ObsRegistry::SpanCapacity;
+  uint64_t Cycles = 0;
+  while (Obs.spansRecorded() < Target) {
+    ASSERT_TRUE(S->ingestProfile(Profile).Ok);
+    ASSERT_TRUE(S->estimateEntry().Ok);
+    ++Cycles;
+    ASSERT_LT(Cycles, Target) << "ingests stopped recording spans";
+  }
+  EXPECT_EQ(Obs.spans().size(), ObsRegistry::SpanCapacity);
+  EXPECT_EQ(Obs.counterValue("session.ingest.profiles"), Cycles);
+  EXPECT_EQ(Obs.counterValue("session.ingest.sections"), Cycles * Sections);
+  EXPECT_EQ(Obs.counterValue("session.ingest.accepted"), Cycles * Sections);
+  EXPECT_EQ(Obs.counterValue("session.ingest.quarantined"), 0u);
+  EXPECT_EQ(Obs.counterValue("session.queries"), Cycles);
+}
+
 TEST(EstimationSession, CsrSweepDoesNotAllocateOnWarmQueries) {
   // The CSR kernel's TIME/VAR sweep runs on preallocated arena arrays and
   // dense buffers; the cost.hotpath.allocs counter (fed by the global
