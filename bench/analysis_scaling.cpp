@@ -30,6 +30,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -397,6 +398,77 @@ void printIncrementalReestimationTable() {
               "functions re-evaluated)\n\n",
               BestCold / BestInc,
               static_cast<unsigned long long>(IncEvals), Funcs);
+}
+
+// Where one warm ingest's time goes: the many-function session the
+// daemon's profile-churn workload loads, a published view (so every fold
+// refreshes it, as a read-serving daemon does), and the session's own
+// capture ingested over and over. Each stage is timed per ingest and
+// reported as median and interquartile range over the repetitions;
+// "TimeAnalysis::run" is a cold pass over the session's current
+// frequencies, the part of a refresh that the call structure feeds.
+void printWarmIngestSplitTable() {
+  constexpr unsigned Funcs = 255;
+  constexpr int Reps = 120;
+  std::unique_ptr<Program> Prog = makeManyFunctionProgram(Funcs, 3);
+  CostModel CM;
+  DiagnosticEngine Diags;
+  auto S = EstimationSession::create(*Prog, CM, EstimatorOptions(Diags));
+  if (!S || !S->profiledRun().Ok)
+    reportFatalError("profiled run failed for many-function program");
+  if (!S->estimateEntry().Ok)
+    reportFatalError("estimate failed for many-function program");
+  const std::vector<uint8_t> Bytes = S->captureProfile().serialize();
+
+  enum { Decode, Validate, Fold, Refresh, TimeVar, NumStages };
+  const char *Names[NumStages] = {"decode", "validate", "fold",
+                                  "refresh (view)", "TimeAnalysis::run"};
+  std::vector<double> Ms[NumStages];
+  using Clock = std::chrono::steady_clock;
+  auto Lap = [](Clock::time_point &From) {
+    Clock::time_point Now = Clock::now();
+    double Ms = std::chrono::duration<double, std::milli>(Now - From).count();
+    From = Now;
+    return Ms;
+  };
+  for (int R = 0; R < Reps; ++R) {
+    Clock::time_point T = Clock::now();
+    std::optional<ProfileFile> PF = ProfileFile::deserialize(Bytes, nullptr);
+    if (!PF)
+      reportFatalError("captured profile does not decode");
+    Ms[Decode].push_back(Lap(T));
+    ValidatedProfile V = S->validateProfile(*PF);
+    Ms[Validate].push_back(Lap(T));
+    uint64_t Epoch = 0;
+    if (!S->foldProfile(V, Epoch).Ok || Epoch == 0)
+      reportFatalError("warm ingest did not fold into a published view");
+    Ms[Fold].push_back(Lap(T));
+    S->refreshView(Epoch);
+    Ms[Refresh].push_back(Lap(T));
+    TimeAnalysis TA =
+        TimeAnalysis::run(S->estimator().analysis(), S->frequencies(), CM);
+    Ms[TimeVar].push_back(Lap(T));
+    benchmark::DoNotOptimize(TA.programTime());
+  }
+  if (!S->estimateEntry().Ok || S->lastEvaluations() != 0)
+    reportFatalError("the view did not cover the last ingest");
+
+  std::printf("=== Warm ingest split (%u functions, published view, %d "
+              "ingests) ===\n",
+              Funcs, Reps);
+  TablePrinter T({"stage", "median [ms]", "IQR [ms]"});
+  for (int St = 0; St < NumStages; ++St) {
+    std::vector<double> &V = Ms[St];
+    std::sort(V.begin(), V.end());
+    auto At = [&V](double Q) {
+      return V[static_cast<size_t>(Q * static_cast<double>(V.size() - 1))];
+    };
+    char Median[32], Iqr[32];
+    std::snprintf(Median, sizeof(Median), "%.4f", At(0.5));
+    std::snprintf(Iqr, sizeof(Iqr), "%.4f", At(0.75) - At(0.25));
+    T.addRow({Names[St], Median, Iqr});
+  }
+  std::printf("%s\n", T.str().c_str());
 }
 
 // Observability cost: the same analysis + TIME/VAR pipeline with no
@@ -1086,6 +1158,7 @@ int main(int Argc, char **Argv) {
   printTimeVarSweepTable();
   printParallelSpeedupTable();
   printIncrementalReestimationTable();
+  printWarmIngestSplitTable();
   printObservabilityOverheadTable();
   printCancellationOverheadTable();
   printProfileIngestionTable();

@@ -2,6 +2,8 @@
 
 #include "core/Analysis.h"
 
+#include "graph/Scc.h"
+#include "support/Casting.h"
 #include "support/FatalError.h"
 #include "support/ThreadPool.h"
 
@@ -91,32 +93,108 @@ ProgramAnalysis::compute(const Program &P, DiagnosticEngine &Diags,
     bool HadErrors = Local[I].hasErrors();
     Diags.append(std::move(Local[I]));
     if (Results[I])
-      PA->PerFunction.emplace(Funcs[I].get(), std::move(Results[I]));
-    else if (SkipFlags[I] || (Expired && !HadErrors))
+      continue;
+    if (SkipFlags[I] || (Expired && !HadErrors))
       PA->Skipped.push_back(Funcs[I].get());
     else
       PA->Failures.push_back(Funcs[I].get());
   }
+  PA->PerFunction = std::move(Results);
   if (PA->cutShort())
     Diags.error(cancelMessage(*Cancel, "program analysis") + "; " +
                 std::to_string(PA->Skipped.size()) + " of " +
                 std::to_string(Funcs.size()) + " functions not analyzed");
+  PA->buildCallStructure();
   return PA;
 }
 
-const FunctionAnalysis &ProgramAnalysis::of(const Function &F) const {
-  auto It = PerFunction.find(&F);
-  if (It == PerFunction.end()) {
-    if (failed(F))
-      reportFatalError("analysis failed for function " + F.name());
-    reportFatalError("no analysis for function " + F.name());
+void ProgramAnalysis::buildCallStructure() {
+  CallStructure &CS = Calls;
+  const auto &Funcs = P->functions();
+  CS.NodeOfIndex.assign(Funcs.size(), CallStructure::NoNode);
+  for (const auto &F : Funcs)
+    if (tryOf(*F)) {
+      CS.NodeOfIndex[F->index()] = static_cast<uint32_t>(CS.Funcs.size());
+      CS.Funcs.push_back(F.get());
+    }
+  const unsigned N = CS.numNodes();
+
+  // Call sites, one per call node of each ECFG (sorted by node id), and
+  // the call graph with one edge per resolved call statement. Calls into
+  // functions without an analysis stay unresolved.
+  Digraph CallGraph(N);
+  CS.SiteBegin.reserve(N + 1);
+  CS.SiteBegin.push_back(0);
+  for (uint32_t Caller = 0; Caller < N; ++Caller) {
+    const Function &F = *CS.Funcs[Caller];
+    const Cfg &C = of(F).ecfg().cfg();
+    for (NodeId Node = 0; Node < C.numNodes(); ++Node) {
+      StmtId S = C.origin(Node);
+      if (S == InvalidStmt)
+        continue;
+      const auto *Call = dyn_cast<CallStmt>(F.stmt(S));
+      if (!Call)
+        continue;
+      uint32_t Callee = CallStructure::NoNode;
+      if (const Function *G = P->findFunction(Call->callee()))
+        Callee = CS.nodeOf(*G);
+      CS.Sites.push_back({Node, Callee});
+    }
+    CS.SiteBegin.push_back(static_cast<uint32_t>(CS.Sites.size()));
+    // Edges in statement order: Tarjan's numbering, and with it the
+    // member order each recursive component's fixpoint iterates in,
+    // follows the edge order.
+    for (StmtId S = 0; S < F.numStmts(); ++S)
+      if (const auto *Call = dyn_cast<CallStmt>(F.stmt(S)))
+        if (const Function *G = P->findFunction(Call->callee()))
+          if (uint32_t Callee = CS.nodeOf(*G); Callee != CallStructure::NoNode)
+            CallGraph.addEdge(Caller, Callee, 0);
   }
-  return *It->second;
+
+  // Tarjan over the CSR form; the graph itself is construction-only.
+  CsrGraph Csr(CallGraph);
+  const GraphView View = Csr.view();
+  SccResult Sccs = computeSccs(View);
+  std::vector<uint32_t> LastCaller(N, CallStructure::NoNode);
+  CS.CalleeBegin.reserve(N + 1);
+  CS.CalleeBegin.push_back(0);
+  for (uint32_t Caller = 0; Caller < N; ++Caller) {
+    for (const CsrEdgeRef &Ed : View.succs(Caller))
+      if (LastCaller[Ed.Node] != Caller) {
+        LastCaller[Ed.Node] = Caller;
+        CS.CalleeNodes.push_back(Ed.Node);
+      }
+    CS.CalleeBegin.push_back(static_cast<uint32_t>(CS.CalleeNodes.size()));
+  }
+  CS.ComponentOf.assign(Sccs.Component.begin(), Sccs.Component.end());
+  CS.MemberBegin.reserve(Sccs.numComponents() + 1);
+  CS.MemberBegin.push_back(0);
+  CS.Members.reserve(N);
+  CS.Cyclic.reserve(Sccs.numComponents());
+  for (unsigned Comp = 0; Comp < Sccs.numComponents(); ++Comp) {
+    const std::vector<NodeId> &Ms = Sccs.Members[Comp];
+    CS.Members.insert(CS.Members.end(), Ms.begin(), Ms.end());
+    CS.MemberBegin.push_back(static_cast<uint32_t>(CS.Members.size()));
+    bool Cyclic = Sccs.isInCycle(View, Ms.front());
+    CS.Cyclic.push_back(Cyclic);
+    CS.Recursive = CS.Recursive || Cyclic;
+  }
 }
 
-const FunctionAnalysis *ProgramAnalysis::tryOf(const Function &F) const {
-  auto It = PerFunction.find(&F);
-  return It == PerFunction.end() ? nullptr : It->second.get();
+uint32_t CallStructure::calleeAt(uint32_t N, NodeId Call) const {
+  std::span<const Site> S = sites(N);
+  auto It = std::lower_bound(
+      S.begin(), S.end(), Call,
+      [](const Site &A, NodeId B) { return A.Node < B; });
+  return It != S.end() && It->Node == Call ? It->Callee : NoNode;
+}
+
+const FunctionAnalysis &ProgramAnalysis::of(const Function &F) const {
+  if (const FunctionAnalysis *FA = tryOf(F))
+    return *FA;
+  if (failed(F))
+    reportFatalError("analysis failed for function " + F.name());
+  reportFatalError("no analysis for function " + F.name());
 }
 
 bool ProgramAnalysis::failed(const Function &F) const {

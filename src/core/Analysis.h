@@ -8,9 +8,12 @@
 /// Convenience drivers chaining the paper's program representations:
 /// statement CFG (GOTOs folded into edges, as the paper draws it) ->
 /// interval structure -> extended CFG -> (forward)
-/// control dependence graph, per function and per program. Everything
-/// downstream (profiling plans, frequency recovery, time and variance
-/// estimation) consumes these bundles.
+/// control dependence graph, per function and per program, plus the
+/// program's call structure (call graph, its strongly connected
+/// components and every call site's callee), compiled once here because
+/// it belongs to the program, not to any profile. Everything downstream
+/// (profiling plans, frequency recovery, time and variance estimation)
+/// consumes these bundles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,9 +27,9 @@
 #include "obs/Observability.h"
 #include "support/Cancellation.h"
 
-#include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace ptran {
@@ -77,6 +80,85 @@ private:
   std::unique_ptr<ControlDependence> CD;
 };
 
+/// The call structure of a program's analyzed functions, compiled once by
+/// ProgramAnalysis::compute. Its nodes are the analyzed functions in
+/// Function::index() order; the interprocedural TIME/VAR sweep (Section 4,
+/// rule 2) reads its components callees-first and resolves every call
+/// site through it, so no analysis run rebuilds the call graph. Functions
+/// whose analysis failed (or was skipped) are not nodes: calls into them,
+/// like calls to undefined procedures, have no callee node.
+class CallStructure {
+public:
+  /// "No node": an unanalyzed function, or a call site without a callee.
+  static constexpr uint32_t NoNode = static_cast<uint32_t>(-1);
+
+  /// One call node of a function's ECFG and the node of its callee
+  /// (NoNode when the callee is undefined or failed analysis).
+  struct Site {
+    NodeId Node = InvalidNode;
+    uint32_t Callee = NoNode;
+  };
+
+  unsigned numNodes() const { return static_cast<unsigned>(Funcs.size()); }
+  /// The function at node \p N.
+  const Function &function(uint32_t N) const { return *Funcs[N]; }
+  /// The node of \p F, or NoNode when \p F was not analyzed (or belongs
+  /// to no program).
+  uint32_t nodeOf(const Function &F) const {
+    unsigned I = F.index();
+    if (I >= NodeOfIndex.size())
+      return NoNode;
+    uint32_t N = NodeOfIndex[I];
+    return N != NoNode && Funcs[N] == &F ? N : NoNode;
+  }
+
+  /// The distinct callee nodes of node \p N, in first-call order.
+  std::span<const uint32_t> callees(uint32_t N) const {
+    return {CalleeNodes.data() + CalleeBegin[N],
+            CalleeNodes.data() + CalleeBegin[N + 1]};
+  }
+
+  /// The call graph's strongly connected components, numbered
+  /// callees-first (Tarjan order): visiting 0, 1, 2, ... evaluates every
+  /// component after all the components it calls.
+  unsigned numComponents() const {
+    return static_cast<unsigned>(Cyclic.size());
+  }
+  std::span<const uint32_t> members(unsigned C) const {
+    return {Members.data() + MemberBegin[C],
+            Members.data() + MemberBegin[C + 1]};
+  }
+  unsigned componentOf(uint32_t N) const { return ComponentOf[N]; }
+  /// True when component \p C is a recursive cycle (several members, or
+  /// one that calls itself).
+  bool cyclic(unsigned C) const { return Cyclic[C] != 0; }
+  /// True when some component is cyclic.
+  bool hasRecursion() const { return Recursive; }
+
+  /// The call nodes of node \p N's ECFG, sorted by ECFG node id.
+  std::span<const Site> sites(uint32_t N) const {
+    return {Sites.data() + SiteBegin[N], Sites.data() + SiteBegin[N + 1]};
+  }
+  /// The callee node of ECFG call node \p Call in node \p N's function
+  /// (NoNode when unresolved or not a call node).
+  uint32_t calleeAt(uint32_t N, NodeId Call) const;
+
+private:
+  friend class ProgramAnalysis;
+  std::vector<const Function *> Funcs;
+  /// Function::index() -> node (NoNode for unanalyzed functions).
+  std::vector<uint32_t> NodeOfIndex;
+  std::vector<uint32_t> CalleeBegin; ///< numNodes + 1 offsets.
+  std::vector<uint32_t> CalleeNodes;
+  std::vector<uint32_t> MemberBegin; ///< numComponents + 1 offsets.
+  std::vector<uint32_t> Members;
+  std::vector<uint32_t> ComponentOf;
+  std::vector<uint8_t> Cyclic;
+  std::vector<uint32_t> SiteBegin; ///< numNodes + 1 offsets.
+  std::vector<Site> Sites;
+  bool Recursive = false;
+};
+
 /// FunctionAnalysis for every procedure of a program.
 class ProgramAnalysis {
 public:
@@ -95,7 +177,14 @@ public:
   /// tryOf() to probe.
   const FunctionAnalysis &of(const Function &F) const;
   /// Analysis of \p F, or null if \p F failed analysis or is unknown.
-  const FunctionAnalysis *tryOf(const Function &F) const;
+  /// A dense lookup by Function::index().
+  const FunctionAnalysis *tryOf(const Function &F) const {
+    unsigned I = F.index();
+    return I < PerFunction.size() && PerFunction[I] &&
+                   &PerFunction[I]->function() == &F
+               ? PerFunction[I].get()
+               : nullptr;
+  }
 
   /// True if every function of the program was analyzed successfully.
   bool allOk() const { return Failures.empty() && Skipped.empty(); }
@@ -112,14 +201,22 @@ public:
   /// True when the run was cut short by an expired CancelToken.
   bool cutShort() const { return !Skipped.empty(); }
 
-  const std::map<const Function *, std::unique_ptr<FunctionAnalysis>> &
-  all() const {
-    return PerFunction;
+  /// The analyzed functions in program order (the call structure's
+  /// nodes).
+  std::span<const Function *const> analyzed() const {
+    return {Calls.Funcs.data(), Calls.Funcs.size()};
   }
 
+  /// The call structure over analyzed(), compiled once by compute().
+  const CallStructure &calls() const { return Calls; }
+
 private:
+  void buildCallStructure();
+
   const Program *P = nullptr;
-  std::map<const Function *, std::unique_ptr<FunctionAnalysis>> PerFunction;
+  /// Indexed by Function::index(); null for failed and skipped functions.
+  std::vector<std::unique_ptr<FunctionAnalysis>> PerFunction;
+  CallStructure Calls;
   std::vector<const Function *> Failures;
   std::vector<const Function *> Skipped;
 };

@@ -2,7 +2,6 @@
 
 #include "cost/TimeAnalysis.h"
 
-#include "graph/Scc.h"
 #include "obs/HotpathAlloc.h"
 #include "support/Casting.h"
 #include "support/FatalError.h"
@@ -51,17 +50,18 @@ double loopFreqVariance(const FunctionAnalysis &FA,
   PTRAN_UNREACHABLE("unknown LoopVarianceMode");
 }
 
-/// Computes one function's estimates bottom-up over its FCDG: one reverse
-/// linear sweep over the FlowArena with dense per-position TIME/VAR
-/// buffers, dense FREQ lookups and a precomputed callee-resolution table.
-/// The propagation loop performs no heap allocation; the delta observed
-/// by HotpathAllocScope is accumulated into \p HotpathAllocs (surfaced as
-/// the cost.hotpath.allocs counter).
+/// Computes the estimates of call-structure node \p Node bottom-up over
+/// its FCDG: one reverse linear sweep over the FlowArena with dense
+/// per-position TIME/VAR buffers, dense FREQ lookups and callees resolved
+/// through the program's compiled call sites. The propagation loop
+/// performs no heap allocation; the delta observed by HotpathAllocScope
+/// is accumulated into \p HotpathAllocs (surfaced as the
+/// cost.hotpath.allocs counter).
 std::vector<NodeEstimates> computeFunction(
     const FunctionAnalysis &FA, const Frequencies &Freqs,
     const CostModel &CM, const TimeAnalysisOptions &Opts,
-    const std::map<const Function *, FunctionSummary> &Callees,
-    const std::vector<const Function *> &CalleeOf,
+    const CallStructure &Calls, uint32_t Node,
+    const std::vector<FunctionSummary> &Summaries,
     std::set<std::string> *Unresolved, uint64_t &HotpathAllocs) {
   const ControlDependence &CD = FA.cd();
   const FlowArena &A = CD.arena();
@@ -76,11 +76,10 @@ std::vector<NodeEstimates> computeFunction(
   std::vector<double> TimeBuf(NumPos, 0.0);
   std::vector<double> VarBuf(NumPos, 0.0);
 
-  // Dense FREQ per arena group: every producer must fill GroupFreq
-  // (computeFrequencies does; others call populateGroupFreq).
+  // Dense FREQ per arena group, as every producer lays it out.
   if (Freqs.GroupFreq.size() != A.numGroups())
     reportFatalError("frequencies of function " + F.name() +
-                     " lack the dense GroupFreq form");
+                     " do not match its FCDG");
   const double *GF = Freqs.GroupFreq.data();
 
   // Bottom-up: positions are topological, so a reverse walk sees every
@@ -100,12 +99,11 @@ std::vector<NodeEstimates> computeFunction(
       EU.Cost = Overridden ? *Overridden : CM.statementCost(St);
       EU.SelfCost = EU.Cost;
       if (const auto *Call = dyn_cast<CallStmt>(St)) {
-        // Rule 2 through the precomputed resolution table.
-        const Function *Callee = CalleeOf[U];
-        auto It = Callee ? Callees.find(Callee) : Callees.end();
-        if (It != Callees.end()) {
-          EU.Cost += It->second.Time;
-          VarCost = It->second.Var;
+        // Rule 2 through the compiled call sites.
+        uint32_t Callee = Calls.calleeAt(Node, U);
+        if (Callee != CallStructure::NoNode) {
+          EU.Cost += Summaries[Callee].Time;
+          VarCost = Summaries[Callee].Var;
         } else if (Unresolved) {
           Unresolved->insert("call to unresolved procedure '" +
                              Call->callee() +
@@ -203,80 +201,45 @@ TimeAnalysis TimeAnalysis::runImpl(
     const std::map<const Function *, Frequencies> &FreqsByFunction,
     const CostModel &CM, const TimeAnalysisOptions &Opts,
     const TimeAnalysis *Previous, const std::vector<const Function *> *Changed) {
-  const Program &Prog = PA.program();
   ObsRegistry *Obs = Opts.Obs;
   TimingSpan RunSpan(Obs, "timeanalysis.run",
                      Previous ? "incremental" : "full");
+  // The call graph over the analyzed functions, its components and every
+  // call site's callee are the program's, compiled once by
+  // ProgramAnalysis; a run only reads them. Calls into functions whose
+  // analysis failed surface through the unresolved-callee diagnostics.
+  const CallStructure &Calls = PA.calls();
+  const unsigned NumNodes = Calls.numNodes();
+  const unsigned NumComps = Calls.numComponents();
   TimeAnalysis Out;
   Out.PA = &PA;
+  Out.Recursive = Calls.hasRecursion();
+  Out.PerFunction.resize(NumNodes);
 
-  // Call graph over the program's analyzed functions. Functions whose
-  // analysis failed are skipped; calls into them surface through the
-  // unresolved-callee diagnostics below.
-  std::vector<const Function *> Funcs;
-  std::map<const Function *, NodeId> Index;
-  for (const auto &F : Prog.functions()) {
-    if (!PA.tryOf(*F))
-      continue;
-    Index[F.get()] = static_cast<NodeId>(Funcs.size());
-    Funcs.push_back(F.get());
-  }
-
-  Digraph CallGraph(static_cast<unsigned>(Funcs.size()));
-  for (const Function *F : Funcs)
-    for (StmtId S = 0; S < F->numStmts(); ++S)
-      if (const auto *Call = dyn_cast<CallStmt>(F->stmt(S)))
-        if (const Function *Callee = Prog.findFunction(Call->callee()))
-          if (Index.count(Callee))
-            CallGraph.addEdge(Index[F], Index[Callee], 0);
-
-  // The call graph is consumed in CSR form: SCC condensation, the
-  // dirtiness sweep and the recursion test all read the same flat view.
-  CsrGraph CallCsr(CallGraph);
-  const GraphView CallView = CallCsr.view();
-  SccResult Sccs = computeSccs(CallView);
-  std::map<const Function *, FunctionSummary> Summaries;
-
-  // Pre-insert every summary: a recursive cycle's members read each
+  // Every summary starts at zero: a recursive cycle's members read each
   // other's zero-valued initial summaries on the first fixpoint iteration
   // (the paper defers recursion; see DESIGN.md).
-  for (const Function *F : Funcs)
-    Summaries[F];
-
-  // The sweep resolves callees through a per-function table built once
-  // per run, so the allocation-free propagation loop makes no name
-  // lookups.
-  std::map<const Function *, std::vector<const Function *>> CalleeTables;
-  for (const Function *F : Funcs) {
-    const Cfg &C = PA.of(*F).ecfg().cfg();
-    std::vector<const Function *> &Table = CalleeTables[F];
-    Table.assign(C.numNodes(), nullptr);
-    for (NodeId N = 0; N < C.numNodes(); ++N) {
-      StmtId S = C.origin(N);
-      if (S == InvalidStmt)
-        continue;
-      if (const auto *Call = dyn_cast<CallStmt>(F->stmt(S)))
-        Table[N] = Prog.findFunction(Call->callee());
-    }
-  }
+  std::vector<FunctionSummary> Summaries(NumNodes);
 
   // Incremental mode: a component is dirty if it contains a changed
-  // function or calls into a dirty component. Tarjan numbers components
+  // function or calls into a dirty component. Components are numbered
   // callees-first, so one ascending sweep propagates dirtiness from
   // callees to callers (changed summaries invalidate every transitive
   // caller, nothing else).
-  std::vector<bool> DirtyComp(Sccs.numComponents(), Previous == nullptr);
+  std::vector<char> DirtyComp(NumComps, Previous == nullptr);
   if (Previous) {
-    std::set<const Function *> ChangedSet(Changed->begin(), Changed->end());
-    for (unsigned Comp = 0; Comp < Sccs.numComponents(); ++Comp) {
+    std::vector<char> ChangedNode(NumNodes, 0);
+    for (const Function *F : *Changed)
+      if (uint32_t N = Calls.nodeOf(*F); N != CallStructure::NoNode)
+        ChangedNode[N] = 1;
+    for (unsigned Comp = 0; Comp < NumComps; ++Comp) {
       bool Dirty = false;
-      for (NodeId M : Sccs.Members[Comp]) {
-        if (ChangedSet.count(Funcs[M]) ||
-            !Previous->PerFunction.count(Funcs[M]))
+      for (uint32_t M : Calls.members(Comp)) {
+        if (ChangedNode[M] || Previous->PerFunction[M].empty())
           Dirty = true;
-        for (const CsrEdgeRef &Ed : CallView.succs(M)) {
-          unsigned Callee = Sccs.Component[Ed.Node];
-          if (Callee != Comp && DirtyComp[Callee])
+        for (uint32_t Callee : Calls.callees(M)) {
+          unsigned CalleeComp = Calls.componentOf(Callee);
+          if (CalleeComp != Comp && DirtyComp[CalleeComp])
             Dirty = true;
         }
       }
@@ -284,16 +247,14 @@ TimeAnalysis TimeAnalysis::runImpl(
     }
     // Clean components reuse the previous estimates verbatim; their START
     // summaries feed dirty callers at the frontier.
-    for (unsigned Comp = 0; Comp < Sccs.numComponents(); ++Comp) {
+    for (unsigned Comp = 0; Comp < NumComps; ++Comp) {
       if (DirtyComp[Comp])
         continue;
-      for (NodeId M : Sccs.Members[Comp]) {
-        const Function *F = Funcs[M];
-        const std::vector<NodeEstimates> &Cached =
-            Previous->PerFunction.find(F)->second;
-        NodeId Start = PA.of(*F).ecfg().start();
-        Summaries.find(F)->second = {Cached[Start].Time, Cached[Start].Var};
-        Out.PerFunction[F] = Cached;
+      for (uint32_t M : Calls.members(Comp)) {
+        const std::vector<NodeEstimates> &Cached = Previous->PerFunction[M];
+        NodeId Start = PA.of(Calls.function(M)).ecfg().start();
+        Summaries[M] = {Cached[Start].Time, Cached[Start].Var};
+        Out.PerFunction[M] = Cached;
       }
     }
   }
@@ -306,82 +267,76 @@ TimeAnalysis TimeAnalysis::runImpl(
   uint64_t FixpointIterations = 0;
   CancelToken *Cancel = Opts.Cancel;
 
-  auto FreqsOf = [&](const Function *F) -> const Frequencies & {
-    auto It = FreqsByFunction.find(F);
+  auto Recompute = [&](uint32_t M) {
+    const Function &F = Calls.function(M);
+    auto It = FreqsByFunction.find(&F);
     if (It == FreqsByFunction.end())
-      reportFatalError("no frequencies for function " + F->name());
-    return It->second;
-  };
-
-  auto Recompute = [&](const Function *F) {
-    const FunctionAnalysis &FA = PA.of(*F);
+      reportFatalError("no frequencies for function " + F.name());
+    const FunctionAnalysis &FA = PA.of(F);
     std::vector<NodeEstimates> Est =
-        computeFunction(FA, FreqsOf(F), CM, Opts, Summaries,
-                        CalleeTables.find(F)->second,
+        computeFunction(FA, It->second, CM, Opts, Calls, M, Summaries,
                         Opts.Diags ? &Unresolved : nullptr, HotAllocs);
     NodeId Start = FA.ecfg().start();
-    Summaries.find(F)->second = {Est[Start].Time, Est[Start].Var};
-    Out.PerFunction[F] = std::move(Est);
+    Summaries[M] = {Est[Start].Time, Est[Start].Var};
+    Out.PerFunction[M] = std::move(Est);
     ++Evals;
   };
 
   // Evaluates one dirty component; false when the token expired first.
   // An acyclic component is a single function evaluation; a recursive
   // cycle iterates its members to the fixed iteration count.
-  auto EvalComponent = [&](unsigned Comp, bool Cyclic) {
-    const std::vector<NodeId> &Members = Sccs.Members[Comp];
+  auto EvalComponent = [&](unsigned Comp) {
+    std::span<const uint32_t> Members = Calls.members(Comp);
     if (Cancel && Cancel->checkpoint())
       return false;
     TimingSpan SccSpan(Obs, "timeanalysis.scc",
-                       Funcs[Members.front()]->name());
-    if (!Cyclic) {
-      Recompute(Funcs[Members.front()]);
+                       Calls.function(Members.front()).name());
+    if (!Calls.cyclic(Comp)) {
+      Recompute(Members.front());
       return true;
     }
     for (unsigned Iter = 0; Iter < RecursionIterations; ++Iter) {
       if (Iter > 0 && Cancel && Cancel->checkpoint())
         return false; // Partial fixpoint: abandon, members stay unfinished.
-      for (NodeId M : Members)
-        Recompute(Funcs[M]);
+      for (uint32_t M : Members)
+        Recompute(M);
     }
     FixpointIterations += RecursionIterations;
     return true;
   };
 
-  // Tarjan numbers components callees-first, so one ascending pass
-  // evaluates every component after all its callees' summaries are final.
-  // Expiry is monotone: once a checkpoint trips, that component and every
-  // later dirty one stay unfinished, and every function that did finish
-  // saw only final callee summaries — its estimates are bit-identical to
-  // an unbounded run.
-  std::set<const Function *> UnfinishedSet;
+  // One ascending pass evaluates every component after all its callees'
+  // summaries are final. Expiry is monotone: once a checkpoint trips,
+  // that component and every later dirty one stay unfinished, and every
+  // function that did finish saw only final callee summaries — its
+  // estimates are bit-identical to an unbounded run.
+  std::vector<char> UnfinishedNode;
   bool Stopped = false;
-  for (unsigned Comp = 0; Comp < Sccs.numComponents(); ++Comp) {
-    bool Cyclic = Sccs.isInCycle(CallView, Sccs.Members[Comp].front());
-    Out.Recursive = Out.Recursive || Cyclic;
+  for (unsigned Comp = 0; Comp < NumComps; ++Comp) {
     if (!DirtyComp[Comp])
       continue;
-    Stopped = Stopped || !EvalComponent(Comp, Cyclic);
-    if (Stopped)
-      for (NodeId M : Sccs.Members[Comp])
-        UnfinishedSet.insert(Funcs[M]);
+    Stopped = Stopped || !EvalComponent(Comp);
+    if (Stopped) {
+      UnfinishedNode.resize(NumNodes, 0);
+      for (uint32_t M : Calls.members(Comp))
+        UnfinishedNode[M] = 1;
+    }
   }
 
   // Cut-short bookkeeping: unfinished functions lose their (zero-valued
   // or partial) slots entirely, so of() refuses to serve them and an
   // incremental rerun() sees them as dirty.
-  if (!UnfinishedSet.empty()) {
+  if (!UnfinishedNode.empty()) {
     Out.CutReason = Cancel ? Cancel->reason() : CancelReason::Cancelled;
-    for (const Function *F : Funcs)
-      if (UnfinishedSet.count(F)) {
-        Out.Unfinished.push_back(F);
-        Out.PerFunction.erase(F);
+    for (uint32_t M = 0; M < NumNodes; ++M)
+      if (UnfinishedNode[M]) {
+        Out.Unfinished.push_back(&Calls.function(M));
+        Out.PerFunction[M] = {};
       }
     if (Opts.Diags && Cancel)
       Opts.Diags->error(cancelMessage(*Cancel, "time analysis") + "; " +
                         std::to_string(Out.Unfinished.size()) + " of " +
-                        std::to_string(Funcs.size()) +
-                        " functions unfinished");
+                        std::to_string(NumNodes) + " functions unfinished");
     if (Obs) {
       Obs->addCounter(Out.CutReason == CancelReason::Cancelled
                           ? "resilience.cancellations"
@@ -407,19 +362,24 @@ TimeAnalysis TimeAnalysis::runImpl(
   return Out;
 }
 
+const std::vector<NodeEstimates> *
+TimeAnalysis::find(const Function &F) const {
+  uint32_t N = PA->calls().nodeOf(F);
+  if (N == CallStructure::NoNode || PerFunction[N].empty())
+    return nullptr;
+  return &PerFunction[N];
+}
+
 const std::vector<NodeEstimates> &
 TimeAnalysis::estimatesOf(const Function &F) const {
-  auto It = PerFunction.find(&F);
-  if (It == PerFunction.end())
+  const std::vector<NodeEstimates> *Est = find(F);
+  if (!Est)
     reportFatalError("no time analysis for function " + F.name());
-  return It->second;
+  return *Est;
 }
 
 const NodeEstimates &TimeAnalysis::of(const Function &F, NodeId N) const {
-  auto It = PerFunction.find(&F);
-  if (It == PerFunction.end())
-    reportFatalError("no time analysis for function " + F.name());
-  return It->second.at(N);
+  return estimatesOf(F).at(N);
 }
 
 double TimeAnalysis::functionTime(const Function &F) const {

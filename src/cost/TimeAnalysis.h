@@ -186,8 +186,14 @@ private:
           const TimeAnalysis *Previous,
           const std::vector<const Function *> *Changed);
 
+  /// \p F's estimates, or null when it has none (not analyzed, or
+  /// unfinished).
+  const std::vector<NodeEstimates> *find(const Function &F) const;
+
   const ProgramAnalysis *PA = nullptr;
-  std::map<const Function *, std::vector<NodeEstimates>> PerFunction;
+  /// Indexed by call-structure node (CallStructure::nodeOf); empty for
+  /// an unfinished function.
+  std::vector<std::vector<NodeEstimates>> PerFunction;
   bool Recursive = false;
   uint64_t Evaluations = 0;
   std::vector<const Function *> Unfinished;

@@ -14,6 +14,7 @@ Frequencies ptran::computeFrequencies(const FunctionAnalysis &FA,
   NodeId Start = FA.ecfg().start();
 
   Frequencies Out;
+  Out.Arena = &A;
   Out.NodeFreq.assign(A.numNodes(), 0.0);
   Out.GroupFreq.assign(A.numGroups(), 0.0);
   Out.Invocations = Totals.condTotal(CD.conditionId({Start, CfgLabel::U}));
@@ -32,13 +33,9 @@ Frequencies ptran::computeFrequencies(const FunctionAnalysis &FA,
     double NodeFreqU = Out.NodeFreq[U];
     // Equation 2 per outgoing condition, with the division-by-zero guard.
     for (uint32_t Gi = A.groupsBegin(P); Gi != A.groupsEnd(P); ++Gi) {
-      const FlowArena::Group &G = A.group(Gi);
-      ControlCondition Cond{U, G.Label};
-      double Total = Totals.condTotal(G.Cond);
+      double Total = Totals.condTotal(A.group(Gi).Cond);
       double Denominator = Out.Invocations * NodeFreqU;
-      double Freq = Denominator == 0.0 ? 0.0 : Total / Denominator;
-      Out.GroupFreq[Gi] = Freq;
-      Out.Freq[Cond] = Freq;
+      Out.GroupFreq[Gi] = Denominator == 0.0 ? 0.0 : Total / Denominator;
     }
     // Equation 3: push frequency to the children.
     for (uint32_t R = A.rawBegin(P); R != A.rawEnd(P); ++R) {
@@ -49,12 +46,14 @@ Frequencies ptran::computeFrequencies(const FunctionAnalysis &FA,
   return Out;
 }
 
-void ptran::populateGroupFreq(Frequencies &F, const ControlDependence &CD) {
-  const FlowArena &A = CD.arena();
-  F.GroupFreq.assign(A.numGroups(), 0.0);
-  for (unsigned P = 0; P < A.numPositions(); ++P) {
-    NodeId U = A.node(P);
-    for (uint32_t Gi = A.groupsBegin(P); Gi != A.groupsEnd(P); ++Gi)
-      F.GroupFreq[Gi] = F.freqOf({U, A.group(Gi).Label});
-  }
+double Frequencies::freqOf(const ControlCondition &C) const {
+  if (!Arena)
+    return 0.0;
+  unsigned P = Arena->position(C.Node);
+  if (P == FlowArena::InvalidPosition)
+    return 0.0;
+  for (uint32_t Gi = Arena->groupsBegin(P); Gi != Arena->groupsEnd(P); ++Gi)
+    if (Arena->group(Gi).Label == C.Label)
+      return Gi < GroupFreq.size() ? GroupFreq[Gi] : 0.0;
+  return 0.0;
 }

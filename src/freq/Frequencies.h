@@ -24,40 +24,35 @@
 
 #include "profile/Recovery.h"
 
-#include <map>
 #include <vector>
 
 namespace ptran {
 
-/// Relative execution frequencies of one function.
+/// Relative execution frequencies of one function, in one dense form
+/// over the FCDG's FlowArena.
 struct Frequencies {
-  /// FREQ(u, l): loop frequency for preheader conditions (>= 0), branch
-  /// probability otherwise (in [0, 1]).
-  std::map<ControlCondition, double> Freq;
-  /// FREQ(u, l) in dense form, indexed by the FlowArena's global group
-  /// ids (each arena group IS one control condition). This is what the
-  /// CSR TIME/VAR sweep reads; holds the same doubles as Freq.
+  /// FREQ(u, l), indexed by the FlowArena's global group ids (each arena
+  /// group IS one control condition): a loop frequency for preheader
+  /// conditions (>= 0), a branch probability otherwise (in [0, 1]). The
+  /// CSR TIME/VAR sweep reads it directly.
   std::vector<double> GroupFreq;
   /// NODE_FREQ(u): average executions of u per procedure invocation,
   /// indexed by ECFG node (nodes outside the FCDG hold 0).
   std::vector<double> NodeFreq;
   /// TOTAL_FREQ(START, U): how many activations the totals cover.
   double Invocations = 0.0;
+  /// The arena GroupFreq is laid out over (set by every producer; it
+  /// belongs to the function's analysis, which must outlive this).
+  const FlowArena *Arena = nullptr;
 
-  double freqOf(const ControlCondition &C) const {
-    auto It = Freq.find(C);
-    return It == Freq.end() ? 0.0 : It->second;
-  }
+  /// FREQ(C), looked up through the arena: 0 for a condition that is not
+  /// an FCDG condition reachable from START.
+  double freqOf(const ControlCondition &C) const;
 };
 
 /// Runs the top-down pass on \p Totals (which must be Ok).
 Frequencies computeFrequencies(const FunctionAnalysis &FA,
                                const FrequencyTotals &Totals);
-
-/// Rebuilds \p F.GroupFreq from \p F.Freq against \p CD's arena. Every
-/// producer of a Frequencies that will reach the estimation sweep must
-/// either fill GroupFreq directly (computeFrequencies does) or call this.
-void populateGroupFreq(Frequencies &F, const ControlDependence &CD);
 
 } // namespace ptran
 

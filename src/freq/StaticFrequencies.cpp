@@ -29,8 +29,11 @@ ptran::computeStaticFrequencies(const FunctionAnalysis &FA,
   const Cfg &C = FA.cfg();
   const Function &F = FA.function();
 
+  const FlowArena &A = CD.arena();
   StaticFrequencies Out;
-  Out.Freqs.NodeFreq.assign(CD.arena().numNodes(), 0.0);
+  Out.Freqs.Arena = &A;
+  Out.Freqs.GroupFreq.assign(A.numGroups(), 0.0);
+  Out.Freqs.NodeFreq.assign(A.numNodes(), 0.0);
   Out.Freqs.Invocations = 1.0;
 
   // Single-constant-assignment environment: lets the analysis see through
@@ -72,8 +75,12 @@ ptran::computeStaticFrequencies(const FunctionAnalysis &FA,
     return std::pair(Freq, Exact);
   };
 
-  for (NodeId U : CD.topoOrder()) {
-    for (CfgLabel L : CD.labelsOf(U)) {
+  // One pass over the arena's groups (each one condition), in
+  // topological order and, per node, in label-first-appearance order.
+  for (unsigned P = 0; P < A.numPositions(); ++P) {
+    NodeId U = A.node(P);
+    for (uint32_t Gi = A.groupsBegin(P); Gi != A.groupsEnd(P); ++Gi) {
+      CfgLabel L = A.group(Gi).Label;
       ControlCondition Cond{U, L};
       double Freq = 0.0;
       bool Exact = false;
@@ -147,18 +154,16 @@ ptran::computeStaticFrequencies(const FunctionAnalysis &FA,
           Freq = Opts.DefaultBranchTaken;
         }
       }
-      Out.Freqs.Freq[Cond] = Freq;
+      Out.Freqs.GroupFreq[Gi] = Freq;
       Out.Exact[Cond] = Exact;
     }
   }
 
-  // Dense FREQ, then NODE_FREQ via equation 3 over the arena's raw edges
-  // (in FCDG edge-insertion order).
-  populateGroupFreq(Out.Freqs, CD);
+  // NODE_FREQ via equation 3 over the arena's raw edges (in FCDG
+  // edge-insertion order).
   NodeId Start = E.start();
   if (Start < Out.Freqs.NodeFreq.size())
     Out.Freqs.NodeFreq[Start] = 1.0;
-  const FlowArena &A = CD.arena();
   for (unsigned P = 0; P < A.numPositions(); ++P) {
     NodeId U = A.node(P);
     for (uint32_t R = A.rawBegin(P); R != A.rawEnd(P); ++R) {

@@ -26,10 +26,6 @@ ObsCounter ObsRegistry::registerCounter(std::string_view Name) {
   return ObsCounter(&It->second);
 }
 
-void ObsRegistry::addCounter(std::string_view Name, uint64_t Delta) {
-  registerCounter(Name).add(Delta);
-}
-
 namespace {
 
 /// A counter appears in listings once something was added to it.

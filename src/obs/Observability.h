@@ -53,39 +53,10 @@
 
 namespace ptran {
 
-/// One counter's storage. Slots never move once registered, so handles
-/// may point at them for the registry's lifetime.
-struct ObsCounterSlot {
-  std::atomic<uint64_t> Value{0};
-  /// Set by a zero add: the counter is listed although it reads 0 (a
-  /// registered but never bumped counter is not).
-  std::atomic<bool> Touched{false};
-};
-
-/// A resolved counter. Default-constructed (or resolved against a null
-/// registry) it counts nothing, so holders need no registry test.
-class ObsCounter {
-public:
-  ObsCounter() = default;
-  explicit ObsCounter(ObsCounterSlot *Slot) : Slot(Slot) {}
-
-  void add(uint64_t Delta = 1) const {
-    if (!Slot)
-      return;
-    if (Delta)
-      Slot->Value.fetch_add(Delta, std::memory_order_relaxed);
-    else
-      Slot->Touched.store(true, std::memory_order_relaxed);
-  }
-
-private:
-  ObsCounterSlot *Slot = nullptr;
-};
-
 /// Collects spans and counters from every pass of one estimation
 /// campaign. All members are thread-safe; one registry is shared by the
 /// orchestrating thread and every pool worker.
-class ObsRegistry : public ObsSink {
+class ObsRegistry final : public ObsSink {
 public:
   /// Spans the ring retains: the newest ones, once more were recorded.
   static constexpr size_t SpanCapacity = 4096;
@@ -114,11 +85,9 @@ public:
 
   ObsRegistry();
 
-  /// The slot for \p Name (created at zero on first use), as a handle.
-  ObsCounter registerCounter(std::string_view Name);
-
   // ObsSink:
-  void addCounter(std::string_view Name, uint64_t Delta = 1) override;
+  /// The slot for \p Name (created at zero on first use), as a handle.
+  ObsCounter registerCounter(std::string_view Name) override;
 
   /// Current value of counter \p Name (0 if never bumped).
   uint64_t counterValue(std::string_view Name) const;

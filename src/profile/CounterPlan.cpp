@@ -641,8 +641,8 @@ std::string FunctionPlan::str(const FunctionAnalysis &FA) const {
 ProgramPlan ProgramPlan::build(const ProgramAnalysis &PA, ProfileMode Mode) {
   ProgramPlan Plan;
   Plan.Mode = Mode;
-  for (const auto &[F, FA] : PA.all()) {
-    FunctionPlan FP = FunctionPlan::build(*FA, Mode);
+  for (const Function *F : PA.analyzed()) {
+    FunctionPlan FP = FunctionPlan::build(PA.of(*F), Mode);
     Plan.Offsets[F] = Plan.Total;
     Plan.Total += FP.numCounters();
     Plan.Plans.emplace(F, std::move(FP));

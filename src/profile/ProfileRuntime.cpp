@@ -20,7 +20,7 @@ ProfileRuntime::ProfileRuntime(const ProgramAnalysis &PA,
                                ObsRegistry *Obs)
     : PA(PA), Plan(Plan), CM(CM), Obs(Obs),
       Counters(Plan.totalCounters(), 0.0) {
-  for (const auto &[F, FA] : PA.all()) {
+  for (const Function *F : PA.analyzed()) {
     const FunctionPlan &FP = Plan.of(*F);
     unsigned Base = Plan.offsetOf(*F);
     SiteTables T;
@@ -214,10 +214,11 @@ FrequencyTotals ExactProfile::totals(const Function &F) const {
 //===----------------------------------------------------------------------===//
 
 LoopFrequencyStats::LoopFrequencyStats(const ProgramAnalysis &PA) {
-  for (const auto &[F, FA] : PA.all()) {
+  for (const Function *F : PA.analyzed()) {
     std::vector<LoopShape> FnShapes;
-    const IntervalStructure &IS = FA->intervals();
-    const Cfg &C = FA->cfg();
+    const FunctionAnalysis &FA = PA.of(*F);
+    const IntervalStructure &IS = FA.intervals();
+    const Cfg &C = FA.cfg();
     for (NodeId H : IS.headers()) {
       LoopShape Shape;
       Shape.HeaderStmt = C.origin(H);

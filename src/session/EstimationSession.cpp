@@ -38,6 +38,15 @@ EstimationSession::create(const Program &P, const CostModel &CM,
   S->Est = Estimator::create(P, CM, Opts);
   if (!S->Est)
     return nullptr;
+  // Plan-time facts: the fingerprints depend only on the program's
+  // structure, so no ingest or refresh hashes the structure again.
+  const ProgramAnalysis &PA = S->Est->analysis();
+  const size_t NumFuncs = P.functions().size();
+  S->ProgramFingerprint = programFingerprintOf(PA);
+  S->Fingerprints.resize(NumFuncs);
+  for (const auto &F : P.functions())
+    S->Fingerprints[F->index()] = structuralFingerprintOf(PA.of(*F));
+  S->Dirty.assign(NumFuncs, 0);
   return S;
 }
 
@@ -111,7 +120,7 @@ void EstimationSession::accumulateTotalsLocked(const Function &F,
       ExternalBad.emplace(&F, Issue);
       // Dirty the function so the next refresh visits it and reports the
       // failure (the rejected delta itself is not applied).
-      Dirty.insert(&F);
+      markDirty(F);
     }
     return; // Reject the whole delta; good entries must not half-apply.
   }
@@ -130,7 +139,13 @@ void EstimationSession::accumulateTotalsLocked(const Function &F,
   }
   if (Saturated)
     noteSaturation(F);
-  Dirty.insert(&F);
+  markDirty(F);
+}
+
+void EstimationSession::markDirty(const Function &F) {
+  char &D = Dirty[F.index()];
+  NumDirty += !D;
+  D = 1;
 }
 
 std::vector<durable::CondTotal>
@@ -189,7 +204,7 @@ uint64_t EstimationSession::inputKeyOf(const Function &F,
   // TimeAnalysis can observe is covered, so equal keys mean a function's
   // summary is reusable verbatim.
   const FunctionAnalysis &FA = Est->analysis().of(F);
-  uint64_t H = structuralFingerprintOf(FA);
+  uint64_t H = Fingerprints[F.index()];
   auto Mix = [&H](uint64_t V) {
     H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
   };
@@ -236,7 +251,7 @@ void EstimationSession::quarantine(const Function &F,
   ++StateEpoch;
   // Force a refresh so the function's frequencies switch to the static
   // estimate before the next query.
-  Dirty.insert(&F);
+  markDirty(F);
   if (ObsRegistry *Obs = Opts.Obs)
     Obs->addCounter("session.quarantined_functions");
   if (Opts.Diags)
@@ -265,9 +280,8 @@ void EstimationSession::degradeForDeadline(const Function &F,
     return;
   // Static frequencies depend only on structure; the salt keeps the key
   // distinct from both profiled and quarantined keys.
-  InputState &In = Inputs[&F];
-  In.Key = structuralFingerprintOf(Est->analysis().of(F)) ^
-           0x4445475241ULL; // "DEGRA"
+  Inputs[F.index()].Key =
+      Fingerprints[F.index()] ^ 0x4445475241ULL; // "DEGRA"
   FreqsByFunction[&F] = computeStaticFrequencies(Est->analysis().of(F)).Freqs;
   if (ObsRegistry *Obs = Opts.Obs)
     Obs->addCounter("resilience.degraded_functions");
@@ -282,8 +296,7 @@ std::string EstimationSession::refreshFunction(const Function &F,
     // Static frequencies depend only on the function's structure, so the
     // key is the structural fingerprint salted to never collide with a
     // profiled key.
-    uint64_t Key = structuralFingerprintOf(Est->analysis().of(F)) ^
-                   0x5155415241ULL; // "QUARA"
+    uint64_t Key = Fingerprints[F.index()] ^ 0x5155415241ULL; // "QUARA"
     if (In.Key != Key || !FreqsByFunction.count(&F)) {
       In.Key = Key;
       FreqsByFunction[&F] =
@@ -348,12 +361,16 @@ FrequencyTotals EstimationSession::totalsFor(const Function &F) const {
 
 bool EstimationSession::refreshInputs(std::string &Error,
                                       CancelToken *Cancel) {
-  if (!RuntimeStale && Dirty.empty())
+  if (!RuntimeStale && NumDirty == 0)
     return true;
+  // Sized by the first refresh (a no-op afterwards): a session that is
+  // loaded but never estimated holds no per-function input state.
+  Inputs.resize(P->functions().size());
   bool Ok = true;
   bool CutShort = false;
   for (const auto &F : P->functions()) {
-    InputState &In = Inputs[F.get()];
+    const bool IsDirty = Dirty[F->index()];
+    InputState &In = Inputs[F->index()];
     if (!CutShort && Cancel && Cancel->checkpoint()) {
       CutShort = true;
       if (ObsRegistry *Obs = Opts.Obs)
@@ -372,7 +389,7 @@ bool EstimationSession::refreshInputs(std::string &Error,
       // (structural, no recovery — cheap).
       if (QuarantinedFns.count(F.get()))
         refreshFunction(*F, In);
-      else if (RuntimeStale || Dirty.count(F.get()) ||
+      else if (RuntimeStale || IsDirty ||
                !FreqsByFunction.count(F.get()))
         degradeForDeadline(*F, Cancel->describe());
       continue;
@@ -399,7 +416,7 @@ bool EstimationSession::refreshInputs(std::string &Error,
         }
       }
       In.RecoveryFailed = false;
-    } else if (!RuntimeStale && !Dirty.count(F.get())) {
+    } else if (!RuntimeStale && !IsDirty) {
       continue;
     }
     if (In.RecoveryFailed) {
@@ -430,7 +447,8 @@ bool EstimationSession::refreshInputs(std::string &Error,
   // ran, so the next query (degradation lifted) redoes them for real.
   if (Ok && !CutShort) {
     RuntimeStale = false;
-    Dirty.clear();
+    std::fill(Dirty.begin(), Dirty.end(), 0);
+    NumDirty = 0;
   }
   return Ok;
 }
@@ -456,11 +474,9 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache,
                                              CancelToken *Cancel) {
   std::vector<const Function *> Changed;
   if (Cache.Analysis) {
-    for (const auto &F : P->functions()) {
-      auto It = Cache.Keys.find(F.get());
-      if (It == Cache.Keys.end() || It->second != Inputs[F.get()].Key)
+    for (const auto &F : P->functions())
+      if (Cache.Keys[F->index()] != Inputs[F->index()].Key)
         Changed.push_back(F.get());
-    }
     if (Changed.empty()) {
       CacheHits.fetch_add(1, std::memory_order_relaxed);
       Ctr.CacheHits.add();
@@ -511,15 +527,15 @@ std::string EstimationSession::refreshConfig(ConfigCache &Cache,
     Next = std::move(Completed);
   }
   Cache.Analysis = std::make_shared<const TimeAnalysis>(std::move(Next));
-  Cache.Keys.clear();
-  for (const auto &F : P->functions())
-    Cache.Keys[F.get()] = Inputs[F.get()].Key;
+  Cache.Keys.resize(Inputs.size());
+  for (size_t I = 0; I < Inputs.size(); ++I)
+    Cache.Keys[I] = Inputs[I].Key;
   return {};
 }
 
 void EstimationSession::liftDegradation() {
   for (const auto &[F, Reason] : DegradedFns)
-    Dirty.insert(F);
+    markDirty(*F);
   DegradedFns.clear();
 }
 
@@ -820,7 +836,7 @@ ValidatedProfile EstimationSession::validateProfile(const ProfileFile &PF,
   V.Runs = PF.runs();
   Ctr.IngestProfiles.add();
 
-  if (PF.programFingerprint() != programFingerprintOf(Est->analysis())) {
+  if (PF.programFingerprint() != ProgramFingerprint) {
     V.Error = "profile was recorded against a different program "
               "(program fingerprint mismatch)";
     return V;
@@ -870,7 +886,7 @@ ValidatedProfile EstimationSession::validateProfile(const ProfileFile &PF,
     Sec.Issue = [&]() -> std::string {
       if (!S.Valid)
         return S.Issue;
-      if (S.Fingerprint != structuralFingerprintOf(*FA))
+      if (S.Fingerprint != Fingerprints[F->index()])
         return "structural fingerprint mismatch (profile predates a change "
                "to this function)";
       unsigned Expected = Est->plan().of(*F).numCounters();
@@ -988,8 +1004,8 @@ ProfileIngestReport EstimationSession::foldProfileLocked(
     // without exact totals (naive plans, restored quarantined functions)
     // leave the runtime to be recovered at the next refresh.
     if (!RuntimeStale) {
-      if (!Saturated && addExactTotals(Inputs[&F].Base, Sec->Totals))
-        Dirty.insert(&F);
+      if (!Saturated && addExactTotals(Inputs[F.index()].Base, Sec->Totals))
+        markDirty(F);
       else
         RuntimeStale = true;
     }

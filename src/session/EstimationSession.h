@@ -430,8 +430,9 @@ private:
     CostModel CM;
     LoopVarianceMode LoopVariance = LoopVarianceMode::Zero;
     std::shared_ptr<const TimeAnalysis> Analysis;
-    /// Input keys the analysis was computed under.
-    std::map<const Function *, uint64_t> Keys;
+    /// Input keys the analysis was computed under, by Function::index()
+    /// (read only once Analysis is set).
+    std::vector<uint64_t> Keys;
   };
 
   /// Recomputes keys/frequencies for every function whose accumulated
@@ -465,6 +466,8 @@ private:
   /// functions it touched, so this call recomputes them exactly.
   void liftDegradation();
   uint64_t inputKeyOf(const Function &F, const FrequencyTotals &Totals) const;
+  /// Schedules \p F for the next refreshInputs.
+  void markDirty(const Function &F);
   ConfigCache &configFor(const CostModel &CM, LoopVarianceMode LV);
   /// True when \p R resolves to the session's default configuration.
   bool isDefault(const EstimateRequest &R) const;
@@ -502,8 +505,15 @@ private:
   /// Immutable after create(), so lock-free reads may consult it.
   EstimatorOptions Opts;
   std::unique_ptr<Estimator> Est;
+  /// Plan-time facts, computed once at create(): the program fingerprint
+  /// and every function's structural fingerprint (by Function::index()),
+  /// which profile sections and cache keys are bound to.
+  uint64_t ProgramFingerprint = 0;
+  std::vector<uint64_t> Fingerprints;
 
-  std::map<const Function *, InputState> Inputs;
+  /// Per-function input state, by Function::index(); sized by the first
+  /// refreshInputs.
+  std::vector<InputState> Inputs;
   /// Current frequencies of every function, updated in place as inputs
   /// change; analyses read it by reference (no per-query copies).
   std::map<const Function *, Frequencies> FreqsByFunction;
@@ -517,9 +527,10 @@ private:
   std::vector<std::unique_ptr<ConfigCache>> Configs;
   /// Counters may have moved: re-recover every function's base totals.
   bool RuntimeStale = true;
-  /// Functions whose cached base totals or external deltas changed since
-  /// the last refresh.
-  std::set<const Function *> Dirty;
+  /// Functions (by Function::index()) whose cached base totals or
+  /// external deltas changed since the last refresh, and how many.
+  std::vector<char> Dirty;
+  unsigned NumDirty = 0;
   /// Functions estimated from static frequencies because their profile
   /// data failed validation, with the (first) reason.
   std::map<const Function *, std::string> QuarantinedFns;

@@ -31,8 +31,10 @@ ThreadPool::~ThreadPool() {
   for (std::jthread &T : Threads)
     T.request_stop();
   CV.notify_all();
-  // std::jthread joins on destruction; workerLoop drains the queue before
-  // honoring the stop request, so pending futures always complete.
+  // Joins every worker here, before the members they read (the attached
+  // counters among them) are destroyed. workerLoop drains the queue
+  // before honoring the stop request, so pending futures always complete.
+  Threads.clear();
 }
 
 unsigned ThreadPool::resolveJobs(unsigned Jobs) {
@@ -41,23 +43,41 @@ unsigned ThreadPool::resolveJobs(unsigned Jobs) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+void ThreadPool::attachObservability(ObsSink *Sink) {
+  if (!Sink) {
+    Obs.store(nullptr, std::memory_order_release);
+    return;
+  }
+  auto C = std::make_unique<Counters>();
+  C->TasksExecuted = Sink->registerCounter("threadpool.tasks_executed");
+  C->TasksSkipped = Sink->registerCounter("threadpool.tasks_skipped");
+  C->QueueWaitNs = Sink->registerCounter("threadpool.queue_wait_ns");
+  C->BusyNs = Sink->registerCounter("threadpool.busy_ns");
+  for (size_t I = 0; I < Threads.size(); ++I)
+    C->WorkerBusyNs.push_back(Sink->registerCounter(
+        "threadpool.worker" + std::to_string(I) + ".busy_ns"));
+  std::lock_guard<std::mutex> Lock(AttachMu);
+  Obs.store(C.get(), std::memory_order_release);
+  Attached.push_back(std::move(C));
+}
+
 void ThreadPool::noteSkipped() {
   Skipped.fetch_add(1, std::memory_order_relaxed);
-  if (ObsSink *Sink = Obs.load(std::memory_order_acquire))
-    Sink->addCounter("threadpool.tasks_skipped", 1);
+  if (const Counters *C = Obs.load(std::memory_order_acquire))
+    C->TasksSkipped.add();
 }
 
 void ThreadPool::runInline(std::function<void()> Task) {
-  ObsSink *Sink = Obs.load(std::memory_order_acquire);
-  if (!Sink) {
+  const Counters *C = Obs.load(std::memory_order_acquire);
+  if (!C) {
     Task();
     return;
   }
   auto Start = std::chrono::steady_clock::now();
   Task();
   uint64_t Ns = elapsedNs(Start, std::chrono::steady_clock::now());
-  Sink->addCounter("threadpool.tasks_executed", 1);
-  Sink->addCounter("threadpool.busy_ns", Ns);
+  C->TasksExecuted.add();
+  C->BusyNs.add(Ns);
 }
 
 void ThreadPool::enqueue(std::function<void()> Task) {
@@ -80,23 +100,20 @@ void ThreadPool::workerLoop(std::stop_token St, unsigned Worker) {
     QueueItem Item = std::move(Queue.front());
     Queue.pop_front();
     Lock.unlock();
-    ObsSink *Sink = Obs.load(std::memory_order_acquire);
-    if (Sink) {
+    const Counters *C = Obs.load(std::memory_order_acquire);
+    if (C) {
       // Counted before the task runs: running it completes its future, and
       // a caller that waited on every future must already see every task.
-      Sink->addCounter("threadpool.tasks_executed", 1);
+      C->TasksExecuted.add();
       auto Start = std::chrono::steady_clock::now();
       Item.Fn();
       uint64_t Ns = elapsedNs(Start, std::chrono::steady_clock::now());
       // EnqueuedAt is default-constructed when the sink was attached
       // between enqueue and dequeue; skip the bogus wait in that case.
       if (Item.EnqueuedAt != std::chrono::steady_clock::time_point())
-        Sink->addCounter("threadpool.queue_wait_ns",
-                         elapsedNs(Item.EnqueuedAt, Start));
-      Sink->addCounter("threadpool.busy_ns", Ns);
-      Sink->addCounter("threadpool.worker" + std::to_string(Worker) +
-                           ".busy_ns",
-                       Ns);
+        C->QueueWaitNs.add(elapsedNs(Item.EnqueuedAt, Start));
+      C->BusyNs.add(Ns);
+      C->WorkerBusyNs[Worker].add(Ns);
     } else {
       Item.Fn();
     }

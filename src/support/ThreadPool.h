@@ -61,11 +61,11 @@ public:
   /// executed task reports `threadpool.tasks_executed`, its queue wait
   /// time (`threadpool.queue_wait_ns`) and its execution time — both as
   /// the pool-wide `threadpool.busy_ns` and per worker as
-  /// `threadpool.worker<i>.busy_ns`. Detached (the default), no clocks are
-  /// read and no counters are touched. Safe to call while workers run.
-  void attachObservability(ObsSink *Sink) {
-    Obs.store(Sink, std::memory_order_release);
-  }
+  /// `threadpool.worker<i>.busy_ns`. The counters are resolved here, once,
+  /// so a task bumps them without a by-name lookup. Detached (the
+  /// default), no clocks are read and no counters are touched. Safe to
+  /// call while workers run.
+  void attachObservability(ObsSink *Sink);
 
   /// Schedules \p F and returns a future for its result. Exceptions thrown
   /// by the task surface from future::get() on the waiting thread.
@@ -139,11 +139,22 @@ private:
   void workerLoop(std::stop_token St, unsigned Worker);
   void noteSkipped();
 
+  /// The counters of one attached sink.
+  struct Counters {
+    ObsCounter TasksExecuted, TasksSkipped, QueueWaitNs, BusyNs;
+    std::vector<ObsCounter> WorkerBusyNs; ///< One per worker.
+  };
+
   std::mutex M;
   std::condition_variable_any CV;
   std::deque<QueueItem> Queue;
   std::vector<std::jthread> Threads;
-  std::atomic<ObsSink *> Obs{nullptr};
+  /// The attached sink's counters (null = detached).
+  std::atomic<const Counters *> Obs{nullptr};
+  /// Every set of counters ever attached, kept for the pool's lifetime:
+  /// a worker may still be using one that a later attach replaced.
+  std::mutex AttachMu;
+  std::vector<std::unique_ptr<Counters>> Attached;
   std::atomic<uint64_t> Skipped{0};
 };
 

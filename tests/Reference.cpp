@@ -2,10 +2,12 @@
 
 #include "Reference.h"
 
+#include "graph/Scc.h"
 #include "profile/Recovery.h"
 #include "support/Casting.h"
 #include "support/FatalError.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -451,4 +453,198 @@ std::string ptran::testing::compareWithFixpoint(
       return Where + "node " + std::to_string(N) + " total " +
              Num(Got.Node[N]) + " vs fixpoint " + Num(Want.Node[N]);
   return "";
+}
+
+namespace {
+
+/// VAR(FREQ(u, l)) of preheader \p Ph per Section 5, Case 1.
+double referenceLoopFreqVariance(const FunctionAnalysis &FA,
+                                 const TimeAnalysisOptions &Opts, NodeId Ph,
+                                 double Mean) {
+  switch (Opts.LoopVariance) {
+  case LoopVarianceMode::Zero:
+    return 0.0;
+  case LoopVarianceMode::Profiled: {
+    if (!Opts.Stats)
+      return 0.0;
+    const LoopFrequencyStats::Moments *M = Opts.Stats->momentsFor(
+        FA.function(), FA.ecfg().cfg().origin(FA.ecfg().headerOf(Ph)));
+    return M ? M->variance() : 0.0;
+  }
+  case LoopVarianceMode::Geometric: {
+    double V = Mean * Mean - Mean;
+    return V > 0.0 ? V : 0.0;
+  }
+  case LoopVarianceMode::Uniform: {
+    double Width = 2.0 * Mean - 1.0;
+    double V = (Width * Width - 1.0) / 12.0;
+    return V > 0.0 ? V : 0.0;
+  }
+  }
+  reportFatalError("unknown LoopVarianceMode");
+}
+
+/// One function's estimates, bottom-up over the FCDG in reverse
+/// topological order, with node-indexed TIME/VAR and callee summaries
+/// looked up through \p CalleeOf (ECFG node -> callee, by name).
+std::vector<NodeEstimates> referenceFunctionTimes(
+    const FunctionAnalysis &FA, const Frequencies &Freqs,
+    const CostModel &CM, const TimeAnalysisOptions &Opts,
+    const std::map<const Function *, FunctionSummary> &Summaries,
+    const std::vector<const Function *> &CalleeOf,
+    std::set<std::string> &Unresolved) {
+  const ControlDependence &CD = FA.cd();
+  const Ecfg &E = FA.ecfg();
+  const Cfg &C = E.cfg();
+  const Function &F = FA.function();
+  std::vector<NodeEstimates> Est(C.numNodes());
+  const std::vector<NodeId> &Topo = CD.topoOrder();
+  for (auto It = Topo.rbegin(); It != Topo.rend(); ++It) {
+    NodeId U = *It;
+    NodeEstimates &EU = Est[U];
+    double VarCost = 0.0;
+    if (StmtId S = C.origin(U); S != InvalidStmt) {
+      const Stmt *St = F.stmt(S);
+      std::optional<double> Overridden;
+      if (Opts.LocalCostOverride)
+        Overridden = Opts.LocalCostOverride(F, St);
+      EU.Cost = Overridden ? *Overridden : CM.statementCost(St);
+      EU.SelfCost = EU.Cost;
+      if (const auto *Call = dyn_cast<CallStmt>(St)) {
+        auto SIt = CalleeOf[U] ? Summaries.find(CalleeOf[U]) : Summaries.end();
+        if (SIt != Summaries.end()) {
+          EU.Cost += SIt->second.Time;
+          VarCost = SIt->second.Var;
+        } else {
+          Unresolved.insert("call to unresolved procedure '" +
+                            Call->callee() +
+                            "' contributes zero callee time");
+        }
+      }
+    }
+    std::vector<CfgLabel> Labels = CD.labelsOf(U);
+    if (E.headerOf(U) != InvalidNode) {
+      // Case 1: only the U label carries the loop frequency.
+      double Freq = 0.0, SumTime = 0.0, SumVar = 0.0;
+      for (CfgLabel L : Labels) {
+        if (L != CfgLabel::U)
+          continue;
+        Freq = Freqs.freqOf({U, L});
+        for (NodeId V : CD.childrenOf(U, L)) {
+          SumTime += Est[V].Time;
+          SumVar += Est[V].Var;
+        }
+      }
+      double FreqVar = referenceLoopFreqVariance(FA, Opts, U, Freq);
+      EU.Time = EU.Cost + Freq * SumTime;
+      EU.Var = VarCost + Freq * Freq * SumVar +
+               FreqVar * SumTime * SumTime + FreqVar * SumVar;
+    } else {
+      // Case 2: TIME_C and E[TIME_C^2] over the label outcomes.
+      bool Deterministic =
+          Opts.DeterministicDoHeaders && U < E.numOriginalNodes() &&
+          FA.intervals().isHeader(U) &&
+          FA.intervals().isExitFreeDoLoop(FA.cfg(), U);
+      double TimeC = 0.0, TimeCSq = 0.0, ChildVar = 0.0;
+      for (CfgLabel L : Labels) {
+        double Freq = Freqs.freqOf({U, L});
+        double SumTime = 0.0, SumVar = 0.0;
+        for (NodeId V : CD.childrenOf(U, L)) {
+          SumTime += Est[V].Time;
+          SumVar += Est[V].Var;
+        }
+        TimeC += Freq * SumTime;
+        TimeCSq += Freq * (SumVar + SumTime * SumTime);
+        ChildVar += Freq * SumVar;
+      }
+      EU.Time = EU.Cost + TimeC;
+      EU.Var = Deterministic ? VarCost + ChildVar
+                             : VarCost + (TimeCSq - TimeC * TimeC);
+      if (EU.Var < 0.0)
+        EU.Var = 0.0;
+    }
+    EU.TimeSq = EU.Var + EU.Time * EU.Time;
+    EU.StdDev = std::sqrt(EU.Var);
+  }
+  return Est;
+}
+
+} // namespace
+
+ReferenceTimes ptran::testing::referenceTimeAnalysis(
+    const ProgramAnalysis &PA,
+    const std::map<const Function *, Frequencies> &FreqsByFunction,
+    const CostModel &CM, const TimeAnalysisOptions &Opts,
+    const std::vector<const Function *> *Changed) {
+  const Program &Prog = PA.program();
+  std::vector<const Function *> Funcs;
+  std::map<const Function *, NodeId> Index;
+  for (const auto &F : Prog.functions()) {
+    if (!PA.tryOf(*F))
+      continue;
+    Index[F.get()] = static_cast<NodeId>(Funcs.size());
+    Funcs.push_back(F.get());
+  }
+  Digraph CallGraph(static_cast<unsigned>(Funcs.size()));
+  for (const Function *F : Funcs)
+    for (StmtId S = 0; S < F->numStmts(); ++S)
+      if (const auto *Call = dyn_cast<CallStmt>(F->stmt(S)))
+        if (const Function *Callee = Prog.findFunction(Call->callee()))
+          if (Index.count(Callee))
+            CallGraph.addEdge(Index[F], Index[Callee], 0);
+  CsrGraph CallCsr(CallGraph);
+  const GraphView CallView = CallCsr.view();
+  SccResult Sccs = computeSccs(CallView);
+
+  std::map<const Function *, FunctionSummary> Summaries;
+  std::map<const Function *, std::vector<const Function *>> CalleeTables;
+  for (const Function *F : Funcs) {
+    Summaries[F];
+    const Cfg &C = PA.of(*F).ecfg().cfg();
+    std::vector<const Function *> &Table = CalleeTables[F];
+    Table.assign(C.numNodes(), nullptr);
+    for (NodeId N = 0; N < C.numNodes(); ++N)
+      if (StmtId S = C.origin(N); S != InvalidStmt)
+        if (const auto *Call = dyn_cast<CallStmt>(F->stmt(S)))
+          Table[N] = Prog.findFunction(Call->callee());
+  }
+
+  // Dirty components, callees first: a changed member, or a call into a
+  // dirty component.
+  std::vector<bool> DirtyComp(Sccs.numComponents(), !Changed);
+  if (Changed)
+    for (unsigned Comp = 0; Comp < Sccs.numComponents(); ++Comp)
+      for (NodeId M : Sccs.Members[Comp]) {
+        if (std::count(Changed->begin(), Changed->end(), Funcs[M]))
+          DirtyComp[Comp] = true;
+        for (const CsrEdgeRef &Ed : CallView.succs(M))
+          if (Sccs.Component[Ed.Node] != Comp &&
+              DirtyComp[Sccs.Component[Ed.Node]])
+            DirtyComp[Comp] = true;
+      }
+
+  ReferenceTimes Out;
+  std::set<std::string> Unresolved, Ignored;
+  auto Evaluate = [&](const Function *F, bool Dirty) {
+    auto FIt = FreqsByFunction.find(F);
+    if (FIt == FreqsByFunction.end())
+      reportFatalError("reference: no frequencies for " + F->name());
+    const FunctionAnalysis &FA = PA.of(*F);
+    std::vector<NodeEstimates> Est =
+        referenceFunctionTimes(FA, FIt->second, CM, Opts, Summaries,
+                               CalleeTables[F], Dirty ? Unresolved : Ignored);
+    NodeId Start = FA.ecfg().start();
+    Summaries[F] = {Est[Start].Time, Est[Start].Var};
+    Out.PerFunction[F] = std::move(Est);
+  };
+  for (unsigned Comp = 0; Comp < Sccs.numComponents(); ++Comp) {
+    const std::vector<NodeId> &Members = Sccs.Members[Comp];
+    bool Cyclic = Sccs.isInCycle(CallView, Members.front());
+    Out.Recursive = Out.Recursive || Cyclic;
+    for (unsigned Iter = 0; Iter < (Cyclic ? 16u : 1u); ++Iter)
+      for (NodeId M : Members)
+        Evaluate(Funcs[M], DirtyComp[Comp]);
+  }
+  Out.Warnings.assign(Unresolved.begin(), Unresolved.end());
+  return Out;
 }

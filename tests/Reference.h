@@ -8,7 +8,8 @@
 /// Slow, obviously-correct reference implementations used to validate the
 /// production algorithms: reachability-based dominators, a literal
 /// transcription of the paper's Definition 2 of control dependence, the
-/// fixpoint solver of Section 3's counter recovery, and an
+/// fixpoint solver of Section 3's counter recovery, the interprocedural
+/// TIME/VAR pass with its call graph built per run, and an
 /// absorbing-Markov-chain model of average execution time and its
 /// variance that shares nothing with the paper's FCDG algorithm.
 ///
@@ -17,6 +18,7 @@
 #ifndef PTRAN_TESTS_REFERENCE_H
 #define PTRAN_TESTS_REFERENCE_H
 
+#include "cost/TimeAnalysis.h"
 #include "graph/Digraph.h"
 #include "interp/CostModel.h"
 #include "interp/Observer.h"
@@ -83,6 +85,36 @@ FixpointTotals fixpointRecoverTotals(const FunctionAnalysis &FA,
 std::string compareWithFixpoint(const FunctionAnalysis &FA,
                                 const FunctionPlan &Plan,
                                 const std::vector<double> &Counters);
+
+/// What referenceTimeAnalysis computes: every analyzed function's node
+/// estimates, the unresolved-callee warnings (sorted, once each) and
+/// whether the call graph is recursive.
+struct ReferenceTimes {
+  std::map<const Function *, std::vector<NodeEstimates>> PerFunction;
+  std::vector<std::string> Warnings;
+  bool Recursive = false;
+};
+
+/// The interprocedural TIME/VAR pass (Sections 4 and 5) with its call
+/// structure built per run, as TimeAnalysis did before ProgramAnalysis
+/// compiled it: the call graph over \p PA's analyzed functions (one edge
+/// per call statement, in statement order), its CSR, the Tarjan SCCs and
+/// a per-node callee table resolved by name, every call. Components are
+/// evaluated callees-first, recursive ones by the same 16-iteration
+/// fixpoint, and each function by a node-id transcription of the
+/// recurrences that reads the FCDG through ControlDependence's allocating
+/// labelsOf/childrenOf and FREQ through Frequencies::freqOf. A call into
+/// a function without an analysis stays unresolved. Opts.Cancel, Opts.Obs
+/// and Opts.Diags are ignored (the warnings are returned instead).
+///
+/// Every function is evaluated, but with \p Changed set the warnings are
+/// those an incremental rerun reports: only from the dirty closure (the
+/// components holding a changed function or calling into a dirty one).
+ReferenceTimes referenceTimeAnalysis(
+    const ProgramAnalysis &PA,
+    const std::map<const Function *, Frequencies> &FreqsByFunction,
+    const CostModel &CM, const TimeAnalysisOptions &Opts = {},
+    const std::vector<const Function *> *Changed = nullptr);
 
 /// Counts, per function, what an interpreter run did: activations,
 /// statement executions, the first statement of each activation, and

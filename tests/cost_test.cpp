@@ -338,8 +338,9 @@ TEST(FrequenciesUnit, ZeroDenominatorGuard) {
   Totals.Node = nodeTotalsFromConds(FA, Totals.Cond);
   Frequencies Freqs = computeFrequencies(FA, Totals);
   EXPECT_DOUBLE_EQ(Freqs.Invocations, 0.0);
-  for (const auto &[C, V] : Freqs.Freq)
-    EXPECT_DOUBLE_EQ(V, 0.0);
+  ASSERT_FALSE(FA.cd().conditions().empty());
+  for (const ControlCondition &C : FA.cd().conditions())
+    EXPECT_DOUBLE_EQ(Freqs.freqOf(C), 0.0);
 }
 
 TEST(FrequenciesUnit, MultiRunAccumulationKeepsRatios) {
@@ -357,8 +358,10 @@ TEST(FrequenciesUnit, MultiRunAccumulationKeepsRatios) {
       computeFrequencies(Est->analysis().of(*Fix.Main), Twice);
 
   EXPECT_DOUBLE_EQ(FTwice.Invocations, 2.0 * FOnce.Invocations);
-  for (const auto &[C, V] : FOnce.Freq)
-    EXPECT_NEAR(FTwice.freqOf(C), V, 1e-12);
+  const FunctionAnalysis &FA = Est->analysis().of(*Fix.Main);
+  ASSERT_FALSE(FA.cd().conditions().empty());
+  for (const ControlCondition &C : FA.cd().conditions())
+    EXPECT_NEAR(FTwice.freqOf(C), FOnce.freqOf(C), 1e-12);
   // Figure 3's estimate is invariant under accumulation.
   TimeAnalysis TA = Est->analyze(figure3CostOptions());
   EXPECT_DOUBLE_EQ(TA.programTime(), 920.0);

@@ -12,7 +12,11 @@
 //     counts: TIME on every executed function of the Figure 1 program,
 //     random reducible programs and the many-function workload, TIME and
 //     VAR on loop-free functions, and a pinned Case-1 divergence on
-//     Figure 1 — at one and many jobs.
+//     Figure 1 — at one and many jobs;
+//   - run() and rerun(), which read the call structure ProgramAnalysis
+//     compiled once, agree bit for bit (estimates, recursion flag and
+//     sorted unresolved-callee warnings) with a reference pass that builds
+//     the call graph, its SCCs and its callee tables on every run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,11 +24,13 @@
 #include "TestPrograms.h"
 
 #include "cost/Estimator.h"
+#include "freq/StaticFrequencies.h"
 #include "graph/DepthFirst.h"
 #include "graph/Dominators.h"
 #include "graph/Scc.h"
 #include "interp/Interpreter.h"
 #include "parser/Parser.h"
+#include "support/Casting.h"
 #include "support/FatalError.h"
 #include "support/Rng.h"
 #include "workloads/Workloads.h"
@@ -33,6 +39,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 using namespace ptran;
@@ -325,6 +332,244 @@ TEST(MarkovOracle, Figure1LoopVarianceDiffersByDesign) {
     FunctionSummary Geo = sweepAt(*Fix.Prog, Jobs, GeoOpts)[Fix.Main];
     EXPECT_DOUBLE_EQ(Geo.Time, 920.0);
     EXPECT_DOUBLE_EQ(Geo.Var, 932760.0);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The compiled call structure against a per-run call graph
+//===----------------------------------------------------------------------===//
+
+/// Static frequencies of every analyzed function, with undecidable
+/// branches taken with probability \p Taken.
+std::map<const Function *, Frequencies> staticFreqsOf(const ProgramAnalysis &PA,
+                                                      double Taken) {
+  StaticFrequencyOptions SOpts;
+  SOpts.DefaultBranchTaken = Taken;
+  std::map<const Function *, Frequencies> Out;
+  for (const Function *F : PA.analyzed())
+    Out[F] = computeStaticFrequencies(PA.of(*F), SOpts).Freqs;
+  return Out;
+}
+
+std::vector<std::string> sortedWarnings(const DiagnosticEngine &Diags) {
+  std::vector<std::string> Out;
+  for (const Diagnostic &D : Diags.diagnostics())
+    if (D.Severity == DiagSeverity::Warning)
+      Out.push_back(D.Message);
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+/// \p TA (whose warnings went to \p Diags) must equal the reference pass
+/// on the same inputs bit for bit; \p Changed is what a rerun was told.
+void expectMatchesReference(
+    const ProgramAnalysis &PA,
+    const std::map<const Function *, Frequencies> &Freqs,
+    const TimeAnalysisOptions &Opts, const TimeAnalysis &TA,
+    const DiagnosticEngine &Diags, const std::string &What,
+    const std::vector<const Function *> *Changed = nullptr) {
+  ReferenceTimes Ref = referenceTimeAnalysis(
+      PA, Freqs, CostModel::optimizing(), Opts, Changed);
+  EXPECT_EQ(TA.hasRecursion(), Ref.Recursive) << What;
+  EXPECT_EQ(sortedWarnings(Diags), Ref.Warnings) << What;
+  ASSERT_EQ(Ref.PerFunction.size(), PA.analyzed().size()) << What;
+  for (const Function *F : PA.analyzed()) {
+    const std::vector<NodeEstimates> &Got = TA.estimatesOf(*F);
+    const std::vector<NodeEstimates> &Want = Ref.PerFunction.at(F);
+    ASSERT_EQ(Got.size(), Want.size()) << What << ": " << F->name();
+    EXPECT_EQ(std::memcmp(Got.data(), Want.data(),
+                          Got.size() * sizeof(NodeEstimates)),
+              0)
+        << What << ": estimates of " << F->name() << " differ";
+  }
+}
+
+/// A cold run, then one incremental rerun per analyzed function (its
+/// frequencies switched to another branch default), each checked against
+/// the reference on that step's inputs.
+void expectRunsMatchReference(const ProgramAnalysis &PA) {
+  TimeAnalysisOptions Opts;
+  Opts.LoopVariance = LoopVarianceMode::Geometric;
+  std::map<const Function *, Frequencies> Freqs = staticFreqsOf(PA, 0.5);
+  DiagnosticEngine ColdDiags;
+  Opts.Diags = &ColdDiags;
+  TimeAnalysis Prev =
+      TimeAnalysis::run(PA, Freqs, CostModel::optimizing(), Opts);
+  expectMatchesReference(PA, Freqs, Opts, Prev, ColdDiags, "run");
+
+  std::map<const Function *, Frequencies> Other = staticFreqsOf(PA, 0.3);
+  for (const Function *F : PA.analyzed()) {
+    Freqs[F] = Other[F];
+    DiagnosticEngine Diags;
+    Opts.Diags = &Diags;
+    const std::vector<const Function *> Changed = {F};
+    TimeAnalysis Next = TimeAnalysis::rerun(
+        PA, Freqs, CostModel::optimizing(), Opts, Prev, Changed);
+    expectMatchesReference(PA, Freqs, Opts, Next, Diags,
+                           "rerun after " + F->name() + " changed",
+                           &Changed);
+    Prev = std::move(Next);
+  }
+}
+
+std::unique_ptr<ProgramAnalysis> analyzeSource(const char *Src,
+                                               DiagnosticEngine &Diags,
+                                               std::unique_ptr<Program> &Prog) {
+  Prog = parseProgram(Src, Diags);
+  if (!Prog)
+    reportFatalError("test program does not parse:\n" + Diags.str());
+  return ProgramAnalysis::compute(*Prog, Diags);
+}
+
+class CallStructureOracleRandom : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CallStructureOracleRandom, RandomProgramsMatchThePerRunCallGraph) {
+  std::unique_ptr<Program> Prog =
+      makeRandomProgram(GetParam(), RandomProgramConfig());
+  ASSERT_NE(Prog, nullptr);
+  DiagnosticEngine Diags;
+  auto PA = ProgramAnalysis::compute(*Prog, Diags);
+  ASSERT_TRUE(PA->allOk()) << Diags.str();
+  expectRunsMatchReference(*PA);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CallStructureOracleRandom,
+                         ::testing::Values(1, 2, 3, 17, 99));
+
+TEST(CallStructureOracle, ManyFunctionWorkloadMatches) {
+  std::unique_ptr<Program> Prog = makeManyFunctionProgram(31, 2);
+  DiagnosticEngine Diags;
+  auto PA = ProgramAnalysis::compute(*Prog, Diags);
+  ASSERT_TRUE(PA->allOk()) << Diags.str();
+  EXPECT_FALSE(PA->calls().hasRecursion());
+  expectRunsMatchReference(*PA);
+}
+
+TEST(CallStructureOracle, SelfAndMutualRecursionMatch) {
+  const char *Src = R"(
+program main
+  integer n
+  n = 4
+  call rec(n)
+  call ping(n)
+end
+
+subroutine rec(n)
+  integer n, m
+  if (n .le. 0) goto 10
+  m = n - 1
+  call rec(m)
+10 continue
+end
+
+subroutine ping(n)
+  integer n, m
+  if (n .le. 0) goto 10
+  m = n - 1
+  call pong(m)
+10 continue
+end
+
+subroutine pong(n)
+  integer n, m
+  if (n .le. 0) goto 10
+  m = n - 1
+  call ping(m)
+10 continue
+end
+)";
+  DiagnosticEngine Diags;
+  std::unique_ptr<Program> Prog;
+  auto PA = analyzeSource(Src, Diags, Prog);
+  ASSERT_TRUE(PA->allOk()) << Diags.str();
+  const CallStructure &CS = PA->calls();
+  EXPECT_TRUE(CS.hasRecursion());
+  // main, {rec}, {ping, pong}: three components, two of them cycles.
+  ASSERT_EQ(CS.numComponents(), 3u);
+  unsigned Cyclic = 0;
+  for (unsigned C = 0; C < CS.numComponents(); ++C)
+    Cyclic += CS.cyclic(C);
+  EXPECT_EQ(Cyclic, 2u);
+  EXPECT_EQ(CS.componentOf(CS.nodeOf(*Prog->findFunction("ping"))),
+            CS.componentOf(CS.nodeOf(*Prog->findFunction("pong"))));
+  // Callees first: main's component comes last.
+  EXPECT_EQ(CS.componentOf(CS.nodeOf(*Prog->findFunction("main"))), 2u);
+  expectRunsMatchReference(*PA);
+}
+
+TEST(CallStructureOracle, UndefinedAndFailedCalleesStayUnresolved) {
+  // bad() is the textbook irreducible GOTO weave, so its analysis fails;
+  // nosuch() is not defined at all (the parser refuses such a call, so
+  // stray() is built directly). Neither call contributes callee time.
+  const char *Src = R"(
+program main
+  integer a
+  a = 0
+  call good(a)
+  call bad(a)
+end
+
+subroutine good(a)
+  integer a
+  a = a + 1
+end
+
+subroutine bad(a)
+  integer a
+  if (a .gt. 0) goto 20
+10 a = a + 1
+  goto 30
+20 a = a + 2
+30 if (a .lt. 5) goto 20
+  if (a .lt. 9) goto 10
+end
+)";
+  DiagnosticEngine Diags;
+  std::unique_ptr<Program> Prog = parseProgram(Src, Diags);
+  ASSERT_NE(Prog, nullptr) << Diags.str();
+  {
+    FunctionBuilder B(*Prog, "stray", Diags);
+    VarId A = B.intVar("a");
+    B.callSub("nosuch", {});
+    B.callSub("good", {B.var(A)});
+    ASSERT_NE(B.finish(), nullptr) << Diags.str();
+  }
+  auto PA = ProgramAnalysis::compute(*Prog, Diags);
+  const Function *Main = Prog->findFunction("main");
+  const Function *Bad = Prog->findFunction("bad");
+  ASSERT_TRUE(PA->failed(*Bad)) << Diags.str();
+  const CallStructure &CS = PA->calls();
+  EXPECT_EQ(CS.numNodes(), 3u);
+  EXPECT_EQ(CS.nodeOf(*Bad), CallStructure::NoNode);
+
+  // main's call to good resolves; its call to bad has no callee node.
+  const uint32_t MainNode = CS.nodeOf(*Main);
+  const Cfg &C = PA->of(*Main).ecfg().cfg();
+  ASSERT_EQ(CS.sites(MainNode).size(), 2u);
+  for (const CallStructure::Site &S : CS.sites(MainNode)) {
+    const auto *Call = cast<CallStmt>(Main->stmt(C.origin(S.Node)));
+    EXPECT_EQ(S.Callee == CallStructure::NoNode, Call->callee() == "bad")
+        << Call->callee();
+    EXPECT_EQ(CS.calleeAt(MainNode, S.Node), S.Callee);
+  }
+
+  expectRunsMatchReference(*PA);
+  DiagnosticEngine RunDiags;
+  TimeAnalysisOptions Opts;
+  Opts.Diags = &RunDiags;
+  TimeAnalysis TA = TimeAnalysis::run(*PA, staticFreqsOf(*PA, 0.5),
+                                      CostModel::optimizing(), Opts);
+  std::vector<std::string> Warnings = sortedWarnings(RunDiags);
+  ASSERT_EQ(Warnings.size(), 2u);
+  EXPECT_NE(Warnings[0].find("'bad'"), std::string::npos) << Warnings[0];
+  EXPECT_NE(Warnings[1].find("'nosuch'"), std::string::npos) << Warnings[1];
+  for (const CallStructure::Site &S : CS.sites(MainNode)) {
+    const NodeEstimates &E = TA.of(*Main, S.Node);
+    if (S.Callee == CallStructure::NoNode) {
+      EXPECT_EQ(E.Cost, E.SelfCost);
+    } else {
+      EXPECT_GT(E.Cost, E.SelfCost);
+    }
   }
 }
 
